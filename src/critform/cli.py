@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import env_overrides, tolerances
+from .config import job_tolerances, tolerances
 from .criticality import ClassifyConfig, agmon_ground_state, classify
 from .errors import BadConfig, CritformError, GreenInconclusive
 from .families import builtin_family, constant_exhaustion
@@ -128,9 +128,8 @@ def _function_map(form, values, mask=None):
 # ---------------------------------------------------------------------------
 
 def _run_classify(job):
-    tols = tolerances(job.tolerances)
     exhaustion = _load_exhaustion(job)
-    cfg = ClassifyConfig(tol_cap=tols["tol_cap"])
+    cfg = ClassifyConfig(tol_cap=tolerances()["tol_cap"])
     report = classify(exhaustion, cfg, with_artifacts=bool(job.options.get("artifacts")))
     results = {
         "verdict": report.verdict,
@@ -200,8 +199,7 @@ def _run_hardy(job):
 def _run_ground_state(job):
     exhaustion = _load_exhaustion(job)
     window = int(job.options.get("window", 10))
-    gs = agmon_ground_state(exhaustion, window,
-                            tol_gs=tolerances(job.tolerances)["tol_gs"])
+    gs = agmon_ground_state(exhaustion, window)
     results = {
         "root": gs.root,
         "window_radius": gs.window_radius,
@@ -414,9 +412,13 @@ _RUNNERS = {
 
 
 def run(job: JobConfig) -> tuple[dict, dict, int]:
-    """Dispatch a validated job; returns (report, csv tables, exit code)."""
+    """Dispatch a validated job; returns (report, csv tables, exit code).
+
+    The job's tolerance overrides apply to every gate while it runs."""
     validate_job(job)
-    results, tables, code = _RUNNERS[job.command](job)
+    with job_tolerances(job.tolerances):
+        results, tables, code = _RUNNERS[job.command](job)
+        resolved = tolerances()
     report = {
         "command": job.command,
         "config": {
@@ -427,7 +429,7 @@ def run(job: JobConfig) -> tuple[dict, dict, int]:
             "options": jsonable({k: job.options[k] for k in sorted(job.options)}),
         },
         "results": results,
-        "provenance": provenance_block(job.seed, tolerances(job.tolerances)),
+        "provenance": provenance_block(job.seed, resolved),
     }
     return report, tables, code
 

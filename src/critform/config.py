@@ -1,7 +1,9 @@
-"""Default tolerances and environment overrides."""
+"""Default tolerances, environment overrides and per-job overrides."""
 from __future__ import annotations
 
+import contextlib
 import os
+from contextvars import ContextVar
 
 # Every threshold that gates a verdict lives here so reports can echo it.
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -16,30 +18,38 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 ENV_PREFIX = "CRITFORM_TOL_"
-ENV_THREADS = "CRITFORM_THREADS"
+
+# Overrides of the job in progress; every gate sees them through tolerances().
+_JOB_OVERRIDES: ContextVar[dict[str, float]] = ContextVar("job_tolerance_overrides", default={})
 
 
-def env_overrides() -> dict[str, float | int]:
+def env_overrides() -> dict[str, float]:
     """Collect recognized environment overrides (echoed into reports)."""
-    found: dict[str, float | int] = {}
+    found: dict[str, float] = {}
     for key in DEFAULT_TOLERANCES:
         raw = os.environ.get(ENV_PREFIX + key[len("tol_"):].upper())
         if raw is not None:
             found[key] = float(raw)
-    threads = os.environ.get(ENV_THREADS)
-    if threads is not None:
-        found["threads"] = int(threads)
     return found
 
 
+@contextlib.contextmanager
+def job_tolerances(overrides: dict[str, float]):
+    """Apply ``overrides`` to every :func:`tolerances` call inside the block."""
+    token = _JOB_OVERRIDES.set(dict(overrides))
+    try:
+        yield
+    finally:
+        _JOB_OVERRIDES.reset(token)
+
+
 def tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
-    """Resolved tolerance table: defaults, then environment, then explicit overrides."""
+    """Resolved tolerance table: defaults, then environment, then the running
+    job's overrides, then explicit overrides."""
     tols = dict(DEFAULT_TOLERANCES)
-    for key, val in env_overrides().items():
-        if key in tols:
-            tols[key] = float(val)
-    if overrides:
-        for key, val in overrides.items():
+    tols.update(env_overrides())
+    for layer in (_JOB_OVERRIDES.get(), overrides or {}):
+        for key, val in layer.items():
             if key not in tols:
                 raise KeyError(f"unknown tolerance key: {key!r}")
             tols[key] = float(val)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse.csgraph as csgraph
 
 from .config import tolerances
 from .errors import (
@@ -15,11 +15,10 @@ from .errors import (
     InconsistentCertificates,
     NoConvergence,
     NotCritical,
-    SolverFailure,
     ValidationFailure,
 )
 from .forms import GraphForm, as_function, evaluate
-from .resolvent import green_apply
+from .resolvent import green_apply, solve_spd
 
 __all__ = [
     "Exhaustion",
@@ -106,7 +105,10 @@ class CapacityResult:
 
 def capacity(form: GraphForm, source) -> CapacityResult:
     """Minimum energy over functions equal to 1 on ``source`` and 0 on the
-    Dirichlet set; the minimizer (equilibrium potential) is returned."""
+    Dirichlet set; the minimizer (equilibrium potential) is returned.
+
+    Raises ``SolverFailure`` when the system on the free vertices joined to
+    the source is singular beyond what the residual certificate accepts."""
     src_ids = {str(v) for v in (source if not isinstance(source, str) else [source])}
     if not src_ids:
         raise DomainMismatch("source must be nonempty")
@@ -121,16 +123,17 @@ def capacity(form: GraphForm, source) -> CapacityResult:
     e = np.zeros(form.n)
     e[src_idx] = 1.0
     if free.size:
-        Q = form.form_matrix
-        A = Q[free][:, free].tocsc()
-        rhs = -np.asarray(Q[free][:, src_idx].sum(axis=1)).ravel()
-        try:
-            u = spla.splu(A).solve(rhs)
-        except RuntimeError:
-            if free.size > 20000:
-                raise SolverFailure("singular capacity system too large for dense fallback")
-            u, *_ = np.linalg.lstsq(A.toarray(), rhs, rcond=None)
-        e[free] = u
+        Q_free = form.form_matrix[free]
+        A = Q_free[:, free].tocsc()
+        rhs = -np.asarray(Q_free[:, src_idx].sum(axis=1)).ravel()
+        # The equilibrium vanishes on components of the free subgraph that no
+        # edge joins to the source: their right-hand side is zero.
+        _, labels = csgraph.connected_components(A, directed=False)
+        joined = np.flatnonzero(np.isin(labels, labels[rhs != 0]))
+        if joined.size < free.size:
+            A, rhs, free = A[joined][:, joined], rhs[joined], free[joined]
+        if free.size:
+            e[free] = solve_spd(A)(rhs)
     value = float(e @ (form.form_matrix @ e))
     return CapacityResult(value=value, equilibrium=e)
 

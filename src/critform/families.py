@@ -4,6 +4,8 @@ instance generators used by the property suites.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .criticality import Exhaustion
@@ -33,10 +35,6 @@ DEFAULT_LATTICE_RADII = {
 }
 
 
-def _coord_id(point: tuple[int, ...]) -> str:
-    return ",".join(str(c) for c in point)
-
-
 def lattice(d: int, R: int) -> GraphForm:
     """Box {-R..R}^d with unit edge weights, mu = 1, c = 0, and a Dirichlet
     boundary on the sup-norm shell |x|_inf = R."""
@@ -44,48 +42,50 @@ def lattice(d: int, R: int) -> GraphForm:
         raise BadConfig(f"lattice dimension must be 1, 2, or 3, got {d}")
     if R < 1:
         raise BadConfig(f"lattice radius must be >= 1, got {R}")
-    axis = range(-R, R + 1)
-    if d == 1:
-        points = [(i,) for i in axis]
-    elif d == 2:
-        points = [(i, j) for i in axis for j in axis]
-    else:
-        points = [(i, j, k) for i in axis for j in axis for k in axis]
-    vertices = [_coord_id(p) for p in points]
-    edges = []
-    for p in points:
-        for ax in range(d):
-            q = list(p)
-            q[ax] += 1
-            if q[ax] <= R:
-                edges.append([_coord_id(p), _coord_id(tuple(q)), 1.0])
-    shell = [_coord_id(p) for p in points if max(abs(c) for c in p) == R]
-    return build_form({
-        "vertices": vertices,
-        "edges": edges,
-        "dirichlet": shell,
-        "name": f"lattice-d{d}-R{R}",
-    })
+    # Along each axis, coordinates in the order of their decimal strings.  The
+    # separator "," sorts below "-" and every digit, so the C-order product of
+    # these axes is already the lexicographic order of the vertex ids.
+    axis = np.array(sorted(range(-R, R + 1), key=str))
+    m = axis.size
+    vertices = [",".join(p) for p in itertools.product([str(c) for c in axis], repeat=d)]
+    grid = np.arange(m ** d).reshape((m,) * d)
+    slot = np.empty(m, dtype=np.int64)          # position of coordinate c at slot[c + R]
+    slot[axis + R] = np.arange(m)
+    lower, upper = slot[:-1], slot[1:]          # the coordinates c and c + 1, c < R
+    edges = np.concatenate([
+        np.column_stack([np.take(grid, lower, axis=ax).ravel(),
+                         np.take(grid, upper, axis=ax).ravel()])
+        for ax in range(d)
+    ])
+    on_shell = np.zeros((m,) * d, dtype=bool)
+    for ax in range(d):
+        on_shell |= (np.abs(axis) == R).reshape([-1 if k == ax else 1 for k in range(d)])
+    return GraphForm.from_arrays(
+        vertices, edges, np.ones(len(edges)),
+        dirichlet=[vertices[k] for k in np.flatnonzero(on_shell)],
+        name=f"lattice-d{d}-R{R}",
+    )
 
 
 def lattice_exhaustion(d: int, radii=None) -> Exhaustion:
     radii = tuple(radii) if radii is not None else DEFAULT_LATTICE_RADII[d]
-    root = _coord_id((0,) * d)
+    root = ",".join(["0"] * d)
     return Exhaustion(generator=lambda R: lattice(d, R), radii=radii, root=root)
+
+
+def _chain(R: int, weights, potential=None, dirichlet=(), name: str = "") -> GraphForm:
+    """Path 0..R with edge weights b(n, n+1) = weights[n] and mu = 1."""
+    vertices = [str(n) for n in range(R + 1)]
+    edges = np.column_stack([np.arange(R), np.arange(1, R + 1)])
+    return GraphForm.from_arrays(vertices, edges, weights, potential=potential,
+                                 dirichlet=dirichlet, name=name)
 
 
 def dirichlet_path(R: int) -> GraphForm:
     """Path 0..R with unit weights and Dirichlet boundary at both endpoints."""
     if R < 2:
         raise BadConfig(f"Dirichlet path level needs R >= 2, got {R}")
-    vertices = [str(n) for n in range(R + 1)]
-    edges = [[str(n), str(n + 1), 1.0] for n in range(R)]
-    return build_form({
-        "vertices": vertices,
-        "edges": edges,
-        "dirichlet": ["0", str(R)],
-        "name": f"dirichlet-path-R{R}",
-    })
+    return _chain(R, np.ones(R), dirichlet=["0", str(R)], name=f"dirichlet-path-R{R}")
 
 
 def dirichlet_path_exhaustion(radii=(25, 50, 100, 150, 200)) -> Exhaustion:
@@ -97,29 +97,7 @@ def path_form(N: int) -> GraphForm:
     only.  Its Green function is min(n, m)."""
     if N < 1:
         raise BadConfig(f"path length must be >= 1, got {N}")
-    vertices = [str(n) for n in range(N + 1)]
-    edges = [[str(n), str(n + 1), 1.0] for n in range(N)]
-    return build_form({
-        "vertices": vertices,
-        "edges": edges,
-        "dirichlet": ["0"],
-        "name": f"path-N{N}",
-    })
-
-
-def _birth_death_potential(beta: float, gamma: float, n: int) -> float:
-    """Potential making h(n) = (n+1)^(-gamma) annihilated by the generator of
-    the chain with b(n, n+1) = (n+1)^beta and mu = 1."""
-    def b(k):
-        return float(k + 1) ** beta
-
-    def h(k):
-        return float(k + 1) ** (-gamma)
-
-    l0 = b(n) * (h(n) - h(n + 1))
-    if n > 0:
-        l0 += b(n - 1) * (h(n) - h(n - 1))
-    return -l0 / h(n)
+    return _chain(N, np.ones(N), dirichlet=["0"], name=f"path-N{N}")
 
 
 def birth_death(beta: float, R: int, gamma: float | None = None) -> GraphForm:
@@ -129,19 +107,19 @@ def birth_death(beta: float, R: int, gamma: float | None = None) -> GraphForm:
     gamma = 1 the chain is critical with ground state h."""
     if R < 2:
         raise BadConfig(f"birth-death level needs R >= 2, got {R}")
-    vertices = [str(n) for n in range(R + 1)]
-    edges = [[str(n), str(n + 1), float(n + 1) ** beta] for n in range(R)]
-    spec = {
-        "vertices": vertices,
-        "edges": edges,
-        "dirichlet": [str(R)],
-        "name": f"birth-death-b{beta}-R{R}",
-    }
+    # Powers are taken in Python floats: NumPy's vectorized power may differ
+    # from the C library's in the last bit.
+    b = np.array([float(k) ** beta for k in range(1, R + 1)])        # b[n] = b(n, n+1)
+    potential = None
     if gamma is not None:
-        spec["potential"] = {
-            str(n): _birth_death_potential(beta, gamma, n) for n in range(R)
-        }
-    return build_form(spec)
+        # c(n) = -(L0 h)(n) / h(n) for n < R, where L0 is the edge part.
+        h = np.array([float(k) ** (-gamma) for k in range(1, R + 2)])  # h[n] = (n+1)^-gamma
+        flow = b * (h[:R] - h[1:])
+        flow[1:] += b[:-1] * (h[1:R] - h[:R - 1])
+        potential = np.zeros(R + 1)
+        potential[:R] = -flow / h[:R]
+    return _chain(R, b, potential=potential, dirichlet=[str(R)],
+                  name=f"birth-death-b{beta}-R{R}")
 
 
 def birth_death_exhaustion(beta: float, gamma: float | None = None,

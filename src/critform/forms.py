@@ -81,6 +81,97 @@ class GraphForm:
         # reentrant: cached builders may themselves read other cached fields
         self._cache["lock"] = threading.RLock()
 
+    @classmethod
+    def from_arrays(cls, vertices: Sequence[str], edge_index, weights, measure=None,
+                    potential=None, dirichlet: Iterable[str] = (), name: str = "") -> "GraphForm":
+        """Build a validated form from arrays indexed by position in ``vertices``.
+
+        ``edge_index`` is an (m, 2) array of vertex positions with weights
+        ``weights``; ``measure`` (default 1) and ``potential`` (default 0)
+        hold one value per vertex; ``dirichlet`` lists vertex ids.  Vertices
+        are reordered lexicographically and edges remapped to rows (i, j),
+        i < j, in sorted order; repeated edges must carry equal weights and
+        zero weights are dropped.
+        """
+        ids = list(map(str, vertices))
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        canon = tuple(map(ids.__getitem__, order))
+        index = dict(zip(canon, range(n)))
+        if len(index) != n:
+            raise ParseError("duplicate vertex ids")
+        if n == 0:
+            raise ParseError("empty vertex list")
+        order = np.array(order, dtype=np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+
+        pairs = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+        w = np.asarray(weights, dtype=float).ravel()
+        if w.size != pairs.shape[0]:
+            raise ParseError(f"{pairs.shape[0]} edges but {w.size} weights")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ParseError("edge references unknown vertex")
+        i, j = rank[pairs[:, 0]], rank[pairs[:, 1]]
+        loops = np.flatnonzero(i == j)
+        if loops.size:
+            raise NonSymmetricWeights(
+                f"self-loop at {canon[i[loops[0]]]!r} (weights must vanish on the diagonal)")
+        if not np.all(np.isfinite(w)):
+            raise ParseError("edge weights must be finite")
+        neg = np.flatnonzero(w < 0)
+        if neg.size:
+            k = neg[0]
+            raise NonSymmetricWeights(
+                f"negative weight {w[k]} on edge ({canon[i[k]]!r}, {canon[j[k]]!r})")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        perm = np.lexsort((hi, lo))
+        lo, hi, w = lo[perm], hi[perm], w[perm]
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        lead = np.maximum.accumulate(np.where(first, np.arange(lo.size), 0))
+        clash = np.flatnonzero(w != w[lead])
+        if clash.size:
+            k = clash[0]
+            raise NonSymmetricWeights(
+                f"conflicting weights for edge ({canon[lo[k]]!r}, {canon[hi[k]]!r}): "
+                f"{w[lead[k]]} vs {w[k]}")
+        keep = first & (w > 0)
+
+        mu = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
+        pot = np.zeros(n) if potential is None else np.asarray(potential, dtype=float)
+        if mu.shape != (n,) or pot.shape != (n,):
+            raise ParseError(f"measure and potential need one value per vertex ({n})")
+        mu, pot = mu[order], pot[order]
+        if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+            raise NonPositiveMeasure("mu must be strictly positive and finite")
+        if not np.all(np.isfinite(pot)):
+            raise ParseError("potential must be finite")
+
+        boundary = frozenset(str(v) for v in dirichlet)
+        bad = boundary - index.keys()
+        if bad:
+            raise DisconnectedDirichletSpec(
+                f"dirichlet set references unknown vertices: {sorted(bad)[:5]}"
+            )
+        mask = np.zeros(n, dtype=bool)
+        mask[[index[v] for v in boundary]] = True
+        mask.setflags(write=False)
+
+        form = cls(
+            vertices=canon,
+            edge_index=np.column_stack([lo[keep], hi[keep]]),
+            weights=w[keep],
+            measure=mu,
+            potential=pot,
+            dirichlet=boundary,
+            name=str(name),
+        )
+        form._cache["index_table"] = index
+        form._cache["boundary_mask"] = mask
+        _validate_nonnegative(form)
+        return form
+
     # -- basic geometry ----------------------------------------------------
 
     @property
@@ -239,7 +330,8 @@ def build_form(spec: Mapping) -> GraphForm:
 
     Expected keys: ``vertices`` (list of ids), ``edges`` (list of [u, v, b]),
     and optional ``mu`` (default 1), ``potential`` (default 0), ``dirichlet``
-    (default empty).  Vertices are reordered lexicographically.
+    (default empty).  Vertices are reordered lexicographically; the checks are
+    those of :meth:`GraphForm.from_arrays`.
     """
     unknown = set(spec) - _ALLOWED_SPEC_KEYS
     if unknown:
@@ -247,72 +339,34 @@ def build_form(spec: Mapping) -> GraphForm:
     if "vertices" not in spec:
         raise ParseError("graph description lacks 'vertices'")
 
-    raw_vertices = [str(v) for v in spec["vertices"]]
-    if len(set(raw_vertices)) != len(raw_vertices):
-        raise ParseError("duplicate vertex ids")
-    if not raw_vertices:
-        raise ParseError("empty vertex list")
-    vertices = tuple(sorted(raw_vertices))
-    index = {v: i for i, v in enumerate(vertices)}
-
-    seen: dict[tuple[int, int], float] = {}
+    vertices = [str(v) for v in spec["vertices"]]
+    position = {v: k for k, v in enumerate(vertices)}
+    pairs, weights = [], []
     for entry in spec.get("edges", []):
         if len(entry) != 3:
             raise ParseError(f"edge entry must be [u, v, b], got {entry!r}")
-        u, v, b = str(entry[0]), str(entry[1]), float(entry[2])
-        if u not in index or v not in index:
+        u, v = str(entry[0]), str(entry[1])
+        if u not in position or v not in position:
             raise ParseError(f"edge ({u!r}, {v!r}) references unknown vertex")
-        if u == v:
-            raise NonSymmetricWeights(f"self-loop at {u!r} (weights must vanish on the diagonal)")
-        if b < 0:
-            raise NonSymmetricWeights(f"negative weight {b} on edge ({u!r}, {v!r})")
-        key = (min(index[u], index[v]), max(index[u], index[v]))
-        if key in seen:
-            if seen[key] != b:
-                raise NonSymmetricWeights(
-                    f"conflicting weights for edge ({u!r}, {v!r}): {seen[key]} vs {b}"
-                )
-        elif b > 0:
-            seen[key] = b
-
-    if seen:
-        edge_index = np.array(sorted(seen), dtype=np.int64)
-        weights = np.array([seen[tuple(row)] for row in edge_index], dtype=float)
-    else:
-        edge_index = np.zeros((0, 2), dtype=np.int64)
-        weights = np.zeros(0, dtype=float)
+        pairs.append((position[u], position[v]))
+        weights.append(float(entry[2]))
 
     mu_map = spec.get("mu", {}) or {}
     pot_map = spec.get("potential", {}) or {}
     for name, mapping in (("mu", mu_map), ("potential", pot_map)):
-        bad = set(map(str, mapping)) - set(vertices)
+        bad = set(map(str, mapping)) - position.keys()
         if bad:
             raise ParseError(f"{name} references unknown vertices: {sorted(bad)[:5]}")
-    measure = np.array([float(mu_map.get(v, 1.0)) for v in vertices])
-    potential = np.array([float(pot_map.get(v, 0.0)) for v in vertices])
-    if np.any(measure <= 0) or not np.all(np.isfinite(measure)):
-        raise NonPositiveMeasure("mu must be strictly positive and finite")
-    if not np.all(np.isfinite(potential)):
-        raise ParseError("potential must be finite")
 
-    dirichlet_ids = [str(v) for v in spec.get("dirichlet", [])]
-    bad = set(dirichlet_ids) - set(vertices)
-    if bad:
-        raise DisconnectedDirichletSpec(
-            f"dirichlet set references unknown vertices: {sorted(bad)[:5]}"
-        )
-
-    form = GraphForm(
-        vertices=vertices,
-        edge_index=edge_index,
-        weights=weights,
-        measure=measure,
-        potential=potential,
-        dirichlet=frozenset(dirichlet_ids),
-        name=str(spec.get("name", "")),
+    return GraphForm.from_arrays(
+        vertices,
+        pairs,
+        weights,
+        measure=[float(mu_map.get(v, 1.0)) for v in vertices],
+        potential=[float(pot_map.get(v, 0.0)) for v in vertices],
+        dirichlet=spec.get("dirichlet", []),
+        name=spec.get("name", ""),
     )
-    _validate_nonnegative(form)
-    return form
 
 
 def _validate_nonnegative(form: GraphForm) -> None:

@@ -8,7 +8,6 @@ Wall-clock timing goes to stderr, never into a report.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,7 +205,6 @@ def provenance_block(seed: int | None, tolerances: dict) -> dict:
         "seed": seed,
         "tolerances": {k: float(v) for k, v in sorted(tolerances.items())},
         "env_overrides": {k: env[k] for k in sorted(env)},
-        "threads_requested": os.environ.get("CRITFORM_THREADS"),
     }
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -20,44 +21,80 @@ __all__ = [
     "semigroup_apply",
     "green_apply",
     "direct_green_solve",
+    "solve_spd",
     "default_alpha_schedule",
     "is_excessive",
     "check_resolvent_contraction",
 ]
 
-DIRECT_SOLVER_CUTOFF = 50_000   # vertices; above this use preconditioned CG
+DIRECT_MAX_UNKNOWNS = 2000      # SuperLU for systems this small,
+DIRECT_MAX_ROW_NNZ = 3          # and for paths, chains and trees: they factor without fill-in
+CG_RTOL = 1e-12                 # relative residual the conjugate gradients aim for
 DENSE_SEMIGROUP_CUTOFF = 500    # vertices; above this use Krylov propagation
 DIVERGENCE_FACTOR = 1e12        # sup-norm blowup factor declaring divergence
 DIVERGENCE_SLOPE = -0.9         # log-log slope of the trace declaring divergence
 
 
-def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
-    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part."""
-    Q = form.active_form_matrix
-    mu = form.active_measure
-    n = Q.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    A_diag_shift = alpha * mu
+def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Certified solver for the sparse symmetric positive definite system
+    (A + diag(shift)) u = b; ``shift`` defaults to zero.
 
-    if n <= DIRECT_SOLVER_CUTOFF:
-        def make():
-            return spla.splu(sp.csc_matrix(Q + sp.diags(A_diag_shift)))
-        lu = form._cached(("splu", float(alpha)), make)
-        u = lu.solve(rhs_active)
+    SuperLU factors the system when it has at most 2000 unknowns or at most 3
+    stored nonzeros per row; otherwise Jacobi-preconditioned conjugate
+    gradients run to a relative residual of 1e-12 (LU fill-in explodes on 3-D
+    lattices).  Every solve of the returned function certifies
+    ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||`` and raises
+    ``SolverFailure`` when the residual fails, the factorization breaks down
+    or the system has a nonpositive diagonal.  The function may be kept and
+    reused for many b; a direct solver keeps only A, the shift and the factors.
+    """
+    n = A.shape[0]
+    system = A if shift is None else A + sp.diags(shift)
+    if n <= DIRECT_MAX_UNKNOWNS or system.nnz <= DIRECT_MAX_ROW_NNZ * n:
+        try:
+            lu = spla.splu(sp.csc_matrix(system))
+        except RuntimeError as exc:
+            raise SolverFailure(f"sparse factorization failed: {exc}") from None
+
+        def backend(b):
+            with np.errstate(all="ignore"):
+                return lu.solve(b)
     else:
-        A = Q + sp.diags(A_diag_shift)
-        d = A.diagonal()
-        precond = spla.LinearOperator((n, n), matvec=lambda x: x / d)
-        u, info = spla.cg(A, rhs_active, rtol=1e-12, atol=0.0, M=precond, maxiter=20 * n)
-        if info != 0:
-            raise SolverFailure(f"conjugate gradient did not converge (info={info})")
+        system = sp.csr_matrix(system)
+        diag = system.diagonal()
+        if np.any(diag <= 0):
+            raise SolverFailure("system matrix has a nonpositive diagonal entry")
+        jacobi = sp.diags(1.0 / diag)
 
-    resid = np.linalg.norm((Q @ u) + A_diag_shift * u - rhs_active)
-    scale = np.linalg.norm(rhs_active)
-    if scale > 0 and resid > tolerances()["tol_solve"] * scale * 1e3:
-        raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
-    return u
+        def backend(b):
+            # In exact arithmetic CG ends within n steps; 2n allows for rounding.
+            u, _ = spla.cg(system, b, rtol=CG_RTOL, atol=0.0, M=jacobi, maxiter=2 * n)
+            return u
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        u = backend(b)
+        if not np.all(np.isfinite(u)):
+            raise SolverFailure("solve produced non-finite values")
+        r = A @ u - b
+        if shift is not None:
+            r += shift * u
+        resid = float(np.linalg.norm(r))
+        scale = float(np.linalg.norm(b))
+        if scale > 0 and resid > tolerances()["tol_solve"] * scale * 1e3:
+            raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
+        return u
+
+    return solve
+
+
+def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
+    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0)."""
+    Q = form.active_form_matrix
+    if Q.shape[0] == 0:
+        return np.zeros(0)
+    shift = alpha * form.active_measure if alpha > 0 else None
+    solve = form._cached(("spd", float(alpha)), lambda: solve_spd(Q, shift))
+    return solve(rhs_active)
 
 
 def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
@@ -79,30 +116,15 @@ def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
 def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
     """Exact zero-shift solve Q u = M f on the non-Dirichlet part, or None.
 
-    Returns None when the factorization fails or the residual check rejects
-    the solution (singular systems fall back to the shift-schedule limit)."""
+    Returns None when the solve fails its residual certificate (singular
+    systems fall back to the shift-schedule limit)."""
     vec = as_function(form, f)
     act = form.active
     out = np.zeros(form.n)
-    if act.size == 0:
-        return out
-    if act.size > DIRECT_SOLVER_CUTOFF:
-        return None
-    rhs = form.measure[act] * vec[act]
-    Q = form.active_form_matrix
     try:
-        lu = form._cached(("splu", 0.0), lambda: spla.splu(sp.csc_matrix(Q)))
-    except (RuntimeError, ValueError):
+        out[act] = _shifted_solve(form, 0.0, form.measure[act] * vec[act])
+    except SolverFailure:
         return None
-    with np.errstate(all="ignore"):
-        u = lu.solve(rhs)
-    if not np.all(np.isfinite(u)):
-        return None
-    resid = float(np.linalg.norm(Q @ u - rhs))
-    scale = float(np.linalg.norm(rhs))
-    if scale > 0 and resid > tolerances()["tol_solve"] * scale * 1e3:
-        return None
-    out[act] = u
     return out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import critform as cf
+from critform import cli
 from critform.cli import main
 from critform.reports import emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
@@ -280,3 +281,30 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("key", sorted(cf.DEFAULT_TOLERANCES))
+def test_tol_flag_and_environment_reach_the_gates_alike(key, tmp_path, monkeypatch):
+    seen = []
+
+    def record(job):
+        seen.append(cf.tolerances()[key])
+        return {}, {}, 0
+
+    monkeypatch.setitem(cli._RUNNERS, "check", record)
+    prefix = str(tmp_path / "job")
+    assert main(["check", "--seed", "1", "--tol", f"{key}=0.125", "--output", prefix]) == 0
+    assert cf.tolerances()[key] == cf.DEFAULT_TOLERANCES[key]   # gone with the job
+    monkeypatch.setenv("CRITFORM_TOL_" + key[len("tol_"):].upper(), "0.125")
+    assert main(["check", "--seed", "1", "--output", prefix]) == 0
+    assert seen == [0.125, 0.125]
+
+
+def test_tol_override_fails_the_hardy_pencil_gate(tmp_path):
+    # the pencil top of the optimal weight is exactly 1 > 1 + (-0.5)
+    prefix = str(tmp_path / "hw")
+    code = main(["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
+                 "--seed", "11", "--tol", "tol_eig=-0.5", "--tol", "tol_ineq=-0.5",
+                 "--output", prefix])
+    assert code == 1
+    assert read_json(prefix + ".json")["results"]["verification"]["passed"] is False

@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 import critform as cf
+from critform import resolvent
 from critform.errors import DomainMismatch, NotCritical, ValidationFailure
+
+WATSON_U3 = 1.516386059151978   # Watson's simple-cubic lattice Green's constant
 
 
 def test_capacity_closed_form_on_segment():
@@ -27,6 +30,42 @@ def test_capacity_series_resistance():
     })
     cap = cf.capacity(form, {"s"})
     assert cap.value == pytest.approx(1.0 / (1.0 / 2.0 + 1.0 / 3.0), rel=1e-12)
+
+
+def test_capacity_is_zero_on_components_detached_from_the_source():
+    # path s - m - g (g grounded) plus a free pair x - y that no edge joins to
+    # s: the system on {m, x, y} is singular, the equilibrium vanishes on x, y
+    form = cf.build_form({
+        "vertices": ["s", "m", "g", "x", "y"],
+        "edges": [["s", "m", 1.0], ["m", "g", 1.0], ["x", "y", 2.0]],
+        "dirichlet": ["g"],
+    })
+    cap = cf.capacity(form, {"s"})
+    assert cap.value == pytest.approx(0.5, rel=1e-15)
+    expect = {"s": 1.0, "m": 0.5, "g": 0.0, "x": 0.0, "y": 0.0}
+    assert cap.equilibrium.tolist() == [expect[v] for v in form.vertices]
+    # the minimum-norm least-squares solution of the whole singular system
+    free = [form.index(v) for v in ("m", "x", "y")]
+    Q = form.form_matrix.toarray()
+    u, *_ = np.linalg.lstsq(Q[np.ix_(free, free)], -Q[free, form.index("s")], rcond=None)
+    assert np.allclose(cap.equilibrium[free], u, atol=1e-15)
+
+
+def test_capacity_cg_agrees_with_lu_on_3d_levels(monkeypatch):
+    for R in (6, 8, 10, 12):
+        form = cf.lattice(3, R)
+        monkeypatch.setattr(resolvent, "DIRECT_MAX_UNKNOWNS", 0)       # CG
+        cg = cf.capacity(form, {"0,0,0"})
+        monkeypatch.setattr(resolvent, "DIRECT_MAX_UNKNOWNS", 10**9)   # SuperLU
+        lu = cf.capacity(form, {"0,0,0"})
+        assert abs(cg.value - lu.value) <= 1e-10 * lu.value
+        assert np.max(np.abs(cg.equilibrium - lu.equilibrium)) <= 1e-8
+
+
+def test_classify_3d_lattice_to_radius_20():
+    rep = cf.classify(cf.lattice_exhaustion(3, (4, 8, 12, 16, 20)))
+    assert rep.verdict == "Subcritical"
+    assert abs(rep.fit["extrapolated_limit"] - 6.0 / WATSON_U3) <= 5e-3
 
 
 def test_capacity_source_validation(pinned_path):

@@ -91,3 +91,95 @@ def test_random_kernel_data_strictly_positive():
     kernel, mu, nu = cf.random_kernel_data(5, 7, seed=3)
     assert kernel.shape == (5, 7)
     assert np.all(kernel > 0) and np.all(mu > 0) and np.all(nu > 0)
+
+
+# ---------------------------------------------------------------------------
+# array-built levels against the string-keyed graph descriptions they replace
+# ---------------------------------------------------------------------------
+
+def spec_lattice(d, R):
+    """Reference: the lattice level as a graph description, one dict entry per edge."""
+    axis = range(-R, R + 1)
+    points = [()]
+    for _ in range(d):
+        points = [p + (c,) for p in points for c in axis]
+
+    def ident(p):
+        return ",".join(str(c) for c in p)
+
+    edges = []
+    for p in points:
+        for ax in range(d):
+            q = list(p)
+            q[ax] += 1
+            if q[ax] <= R:
+                edges.append([ident(p), ident(q), 1.0])
+    return {
+        "vertices": [ident(p) for p in points],
+        "edges": edges,
+        "dirichlet": [ident(p) for p in points if max(abs(c) for c in p) == R],
+        "name": f"lattice-d{d}-R{R}",
+    }
+
+
+def spec_chain(R, weights, dirichlet, name, potential=None):
+    spec = {
+        "vertices": [str(n) for n in range(R + 1)],
+        "edges": [[str(n), str(n + 1), weights(n)] for n in range(R)],
+        "dirichlet": dirichlet,
+        "name": name,
+    }
+    if potential is not None:
+        spec["potential"] = {str(n): potential(n) for n in range(R)}
+    return spec
+
+
+def spec_birth_death(beta, R, gamma=None):
+    def b(k):
+        return float(k + 1) ** beta
+
+    def h(k):
+        return float(k + 1) ** (-gamma)
+
+    def pot(n):
+        l0 = b(n) * (h(n) - h(n + 1))
+        if n > 0:
+            l0 += b(n - 1) * (h(n) - h(n - 1))
+        return -l0 / h(n)
+
+    return spec_chain(R, b, [str(R)], f"birth-death-b{beta}-R{R}",
+                      None if gamma is None else pot)
+
+
+def assert_same_form(a, b):
+    assert a.vertices == b.vertices
+    assert a.edge_index.dtype == b.edge_index.dtype
+    assert np.array_equal(a.edge_index, b.edge_index)
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.measure, b.measure)
+    assert np.array_equal(a.potential, b.potential)
+    assert a.dirichlet == b.dirichlet
+    assert np.array_equal(a.boundary_mask, b.boundary_mask)
+    assert a.name == b.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_matches_graph_description(d):
+    for R in (1, 2, 5, 12 if d < 3 else 6):
+        assert_same_form(cf.lattice(d, R), cf.build_form(spec_lattice(d, R)))
+
+
+def test_paths_match_graph_descriptions():
+    for R in (2, 9, 10, 101):
+        assert_same_form(cf.dirichlet_path(R), cf.build_form(
+            spec_chain(R, lambda n: 1.0, ["0", str(R)], f"dirichlet-path-R{R}")))
+        assert_same_form(cf.path_form(R), cf.build_form(
+            spec_chain(R, lambda n: 1.0, ["0"], f"path-N{R}")))
+
+
+@pytest.mark.parametrize("beta,gamma", [(2.0, None), (2.0, 1.0), (0.5, None),
+                                        (1.5, 0.3), (3.0, 1.3)])
+def test_birth_death_matches_graph_description(beta, gamma):
+    for R in (2, 25, 200):
+        assert_same_form(cf.birth_death(beta, R, gamma),
+                         cf.build_form(spec_birth_death(beta, R, gamma)))

@@ -93,6 +93,53 @@ def test_bad_measures_and_potentials():
         cf.build_form({"vertices": ["a"], "edges": [], "mu": {"zz": 1.0}})
 
 
+# (graph description, the same input as arrays, the error both must raise)
+INVALID_INPUTS = [
+    ({"vertices": ["a", "a"], "edges": []},
+     (["a", "a"], [], []), {}, ParseError),
+    ({"vertices": [], "edges": []},
+     ([], [], []), {}, ParseError),
+    ({"vertices": ["a", "b"], "edges": [["a", "zz", 1.0]]},
+     (["a", "b"], [[0, 2]], [1.0]), {}, ParseError),
+    ({"vertices": ["a", "b"], "edges": [["b", "b", 1.0]]},
+     (["a", "b"], [[1, 1]], [1.0]), {}, NonSymmetricWeights),
+    ({"vertices": ["a", "b"], "edges": [["a", "b", -0.5]]},
+     (["a", "b"], [[0, 1]], [-0.5]), {}, NonSymmetricWeights),
+    ({"vertices": ["a", "b"], "edges": [["a", "b", 2.0], ["b", "a", 3.0]]},
+     (["a", "b"], [[0, 1], [1, 0]], [2.0, 3.0]), {}, NonSymmetricWeights),
+    ({"vertices": ["a", "b"], "edges": [], "mu": {"b": 0.0}},
+     (["a", "b"], [], []), {"measure": [1.0, 0.0]}, NonPositiveMeasure),
+    ({"vertices": ["a"], "edges": [], "mu": {"a": float("inf")}},
+     (["a"], [], []), {"measure": [float("inf")]}, NonPositiveMeasure),
+    ({"vertices": ["a"], "edges": [], "potential": {"a": float("nan")}},
+     (["a"], [], []), {"potential": [float("nan")]}, ParseError),
+    ({"vertices": ["a"], "edges": [], "dirichlet": ["b"]},
+     (["a"], [], []), {"dirichlet": ["b"]}, DisconnectedDirichletSpec),
+    ({"vertices": ["a", "b"], "edges": [["a", "b", 1.0]], "potential": {"a": -10.0}},
+     (["b", "a"], [[1, 0]], [1.0]), {"potential": [0.0, -10.0]}, FormNotNonnegative),
+]
+
+
+@pytest.mark.parametrize("spec,args,kwargs,error", INVALID_INPUTS)
+def test_from_arrays_rejects_what_build_form_rejects(spec, args, kwargs, error):
+    with pytest.raises(error):
+        cf.build_form(spec)
+    with pytest.raises(error):
+        cf.GraphForm.from_arrays(*args, **kwargs)
+
+
+def test_from_arrays_orders_vertices_and_edges(triangle):
+    # the triangle fixture listed in reverse, edges reversed and repeated
+    form = cf.GraphForm.from_arrays(
+        ["c", "b", "a"], [[0, 1], [2, 0], [1, 2], [1, 0]], [2.0, 0.5, 1.0, 2.0],
+        measure=[0.5, 2.0, 1.0], potential=[1.1, 0.0, 0.3])
+    assert form.vertices == triangle.vertices
+    assert np.array_equal(form.edge_index, triangle.edge_index)
+    assert np.array_equal(form.weights, triangle.weights)
+    assert np.array_equal(form.measure, triangle.measure)
+    assert np.array_equal(form.potential, triangle.potential)
+
+
 def test_unknown_spec_keys_rejected():
     with pytest.raises(ParseError):
         cf.build_form({"vertices": ["a"], "edges": [], "weights": {}})

@@ -125,6 +125,7 @@ def test_transform_energy_identity():
     gst = cf.ground_state_transform(form, h, alpha=0.3)
     assert gst.validation_max_err <= 1e-12
     new = gst.form
+    assert new.vertices == form.vertices and new.dirichlet == form.dirichlet
     f = active_vector(new, rng)
     lhs = cf.evaluate(new, f)
     hf = np.zeros(form.n)

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
 import critform as cf
-from critform.errors import GreenInconclusive
-from critform.resolvent import direct_green_solve
+from critform.errors import GreenInconclusive, SolverFailure
+from critform.resolvent import direct_green_solve, solve_spd
 
 from conftest import active_vector, shifted
 
@@ -139,6 +142,52 @@ def test_direct_green_solve_rejects_singular(two_path):
 
 
 # --- excessive functions ----------------------------------------------------
+
+def laplacian(form):
+    """Q without potential or Dirichlet rows: singular, kernel = constants."""
+    i, j = form.edge_index[:, 0], form.edge_index[:, 1]
+    A = sp.csr_matrix((-form.weights, (i, j)), shape=(form.n, form.n))
+    A = A + A.T
+    return (A - sp.diags(np.asarray(A.sum(axis=1)).ravel())).tocsr()
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Record which backend each solve_spd call picks."""
+    calls = []
+    for name in ("splu", "cg"):
+        real = getattr(spla, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("make,backend", [
+    (lambda: cf.path_form(10_000), "splu"),           # 10^4 unknowns, 3 nonzeros per row
+    (lambda: cf.random_tree_form(3000, seed=4), "splu"),
+    (lambda: cf.lattice(3, 8), "cg"),                 # 3375 unknowns, 7 nonzeros per row
+], ids=["path", "tree", "lattice3d"])
+def test_solve_spd_backend_rule(make, backend, backends):
+    form = make()
+    A = form.active_form_matrix + sp.identity(form.n_active)
+    b = np.random.default_rng(0).standard_normal(form.n_active)
+    u = solve_spd(A)(b)
+    assert backends == [backend]
+    assert np.linalg.norm(A @ u - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("R", [1, 6])                 # 27 unknowns (LU), 2197 (CG)
+def test_solve_spd_rejects_inconsistent_singular_system(R):
+    A = laplacian(cf.lattice(3, R))
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0                                        # not orthogonal to the constants
+    with pytest.raises(SolverFailure):
+        solve_spd(A)(b)
+
 
 def test_constant_is_excessive_without_potential(two_path):
     rep = cf.is_excessive(two_path, np.ones(2))
