@@ -154,9 +154,6 @@ class GraphForm:
             raise DisconnectedDirichletSpec(
                 f"dirichlet set references unknown vertices: {sorted(bad)[:5]}"
             )
-        mask = np.zeros(n, dtype=bool)
-        mask[[index[v] for v in boundary]] = True
-        mask.setflags(write=False)
 
         form = cls(
             vertices=canon,
@@ -168,7 +165,6 @@ class GraphForm:
             name=str(name),
         )
         form._cache["index_table"] = index
-        form._cache["boundary_mask"] = mask
         _validate_nonnegative(form)
         return form
 

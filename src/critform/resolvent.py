@@ -7,6 +7,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .config import tolerances
@@ -35,6 +36,17 @@ DIVERGENCE_FACTOR = 1e12        # sup-norm blowup factor declaring divergence
 DIVERGENCE_SLOPE = -0.9         # log-log slope of the trace declaring divergence
 
 
+def _factors(A) -> bool:
+    """Backend rule of ``solve_spd``: factor A when it is small or path-,
+    chain- or tree-like (no fill-in); conjugate gradients otherwise.  Timed
+    per solve, CG wins above about 1500 unknowns on 2-D lattices and random
+    sparse graphs and at every size on 3-D lattices; SuperLU wins on smaller
+    systems and on paths, where CG needs n iterations.
+    """
+    n = A.shape[0]
+    return n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n
+
+
 def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     """Certified solver for the sparse symmetric positive definite system
     (A + diag(shift)) u = b; ``shift`` defaults to zero.
@@ -46,13 +58,12 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||`` and raises
     ``SolverFailure`` when the residual fails, the factorization breaks down
     or the system has a nonpositive diagonal.  The function may be kept and
-    reused for many b; a direct solver keeps only A, the shift and the factors.
+    reused for many b; it keeps A, the shift and, for SuperLU, the factors.
     """
     n = A.shape[0]
-    system = A if shift is None else A + sp.diags(shift)
-    if n <= DIRECT_MAX_UNKNOWNS or system.nnz <= DIRECT_MAX_ROW_NNZ * n:
+    if _factors(A):
         try:
-            lu = spla.splu(sp.csc_matrix(system))
+            lu = spla.splu(sp.csc_matrix(A if shift is None else A + sp.diags(shift)))
         except RuntimeError as exc:
             raise SolverFailure(f"sparse factorization failed: {exc}") from None
 
@@ -60,11 +71,13 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
             with np.errstate(all="ignore"):
                 return lu.solve(b)
     else:
-        system = sp.csr_matrix(system)
-        diag = system.diagonal()
+        A = sp.csr_matrix(A)
+        diag = A.diagonal() if shift is None else A.diagonal() + shift
         if np.any(diag <= 0):
             raise SolverFailure("system matrix has a nonpositive diagonal entry")
-        jacobi = sp.diags(1.0 / diag)
+        system = A if shift is None else spla.LinearOperator(
+            A.shape, matvec=lambda x: A @ x + shift * x, dtype=float)
+        jacobi = spla.LinearOperator(A.shape, matvec=lambda x: x / diag, dtype=float)
 
         def backend(b):
             # In exact arithmetic CG ends within n steps; 2n allows for rounding.
@@ -88,13 +101,33 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
-    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0)."""
+    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0).
+
+    SuperLU solvers are cached per shift; a CG solver keeps nothing worth
+    the memory and is built afresh."""
     Q = form.active_form_matrix
     if Q.shape[0] == 0:
         return np.zeros(0)
     shift = alpha * form.active_measure if alpha > 0 else None
+    if not _factors(Q):
+        return solve_spd(Q, shift)(rhs_active)
     solve = form._cached(("spd", float(alpha)), lambda: solve_spd(Q, shift))
     return solve(rhs_active)
+
+
+def _has_floating_component(form: GraphForm) -> bool:
+    """Whether some connected component of the non-Dirichlet subgraph has
+    zero potential and no edge to the Dirichlet set.  Constants on such a
+    component lie in the kernel of Q, so the zero-shift system is singular."""
+    def make():
+        i, j = form.edge_index[:, 0], form.edge_index[:, 1]
+        boundary = form.boundary_mask
+        anchored = form.potential != 0
+        anchored[i[boundary[j]]] = True
+        anchored[j[boundary[i]]] = True
+        _, labels = csgraph.connected_components(form.active_form_matrix, directed=False)
+        return bool(np.setdiff1d(labels, labels[anchored[form.active]]).size)
+    return form._cached("floating_component", make)
 
 
 def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
@@ -116,11 +149,15 @@ def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
 def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
     """Exact zero-shift solve Q u = M f on the non-Dirichlet part, or None.
 
-    Returns None when the solve fails its residual certificate (singular
-    systems fall back to the shift-schedule limit)."""
+    Returns None when the system is singular: at once when a component of
+    the non-Dirichlet subgraph floats free of potential and boundary, else
+    when the solve fails its residual certificate.  Callers then fall back to
+    the shift-schedule limit."""
     vec = as_function(form, f)
     act = form.active
     out = np.zeros(form.n)
+    if _has_floating_component(form):
+        return None
     try:
         out[act] = _shifted_solve(form, 0.0, form.measure[act] * vec[act])
     except SolverFailure:

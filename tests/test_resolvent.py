@@ -189,6 +189,48 @@ def test_solve_spd_rejects_inconsistent_singular_system(R):
         solve_spd(A)(b)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e-8])
+def test_shifted_cg_solve_matches_lu(alpha, backends):
+    form = cf.lattice(3, 8)                           # 3375 unknowns: CG
+    act = form.active
+    f = np.zeros(form.n)
+    f[form.index("0,0,0")] = 1.0
+    u = cf.resolvent_apply(form, f, alpha)
+    assert backends == ["cg"]
+    A = sp.csc_matrix(form.active_form_matrix + alpha * sp.diags(form.active_measure))
+    ref = spla.splu(A).solve(form.measure[act] * f[act])
+    assert np.max(np.abs(u[act] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # a CG solver is rebuilt per call, not cached on the form
+    assert not any(isinstance(key, tuple) for key in form._cache)
+
+
+def free_floating_box(R):
+    """The lattice box of radius R without its Dirichlet shell: Q is the
+    graph Laplacian, singular with the constants as kernel."""
+    box = cf.lattice(3, R)
+    return cf.GraphForm.from_arrays(box.vertices, box.edge_index, box.weights)
+
+
+def test_direct_green_solve_skips_floating_component(backends):
+    form = free_floating_box(6)                       # 2197 unknowns, CG-sized
+    assert direct_green_solve(form, {"0,0,0": 1.0}) is None
+    assert backends == []                             # no solve was attempted
+    res = cf.green_apply(form, {"0,0,0": 1.0})
+    assert res.status == "diverges"
+    assert backends and set(backends) == {"cg"}
+
+
+def test_direct_green_solve_runs_when_every_component_is_anchored(backends):
+    box = free_floating_box(6)
+    potential = np.zeros(box.n)
+    potential[box.index("6,6,6")] = 1.0               # one killed corner anchors the box
+    form = cf.GraphForm.from_arrays(box.vertices, box.edge_index, box.weights,
+                                    potential=potential)
+    u = direct_green_solve(form, {"0,0,0": 1.0})
+    assert u is not None and np.all(u > 0)
+    assert backends == ["cg"]
+
+
 def test_constant_is_excessive_without_potential(two_path):
     rep = cf.is_excessive(two_path, np.ones(2))
     assert rep.excessive and rep.grid_excessive and rep.agree
