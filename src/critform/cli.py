@@ -17,7 +17,7 @@ from .config import job_tolerances, tolerances
 from .criticality import ClassifyConfig, agmon_ground_state, classify
 from .errors import BadConfig, CritformError, GreenInconclusive
 from .families import builtin_family, constant_exhaustion
-from .forms import check_first_bd, check_lattice_inequality, is_invariant_set
+from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
 from .kernel_ops import check_super_eigen, construct_excessive, harnack_sets, lambda_of
 from .reports import (
@@ -210,15 +210,18 @@ def _run_ground_state(job):
     return results, {}, 0
 
 
+def _r_grid(job):
+    spec = job.options.get("r_grid")
+    if not spec:
+        return None
+    lo, hi, count = _float_list(spec, "--r-grid")
+    return np.geomspace(lo, hi, int(count))
+
+
 def _run_alpha_profile(job):
     form, _ = _load_form(job)
     mode = job.options.get("mode", "hardy")
-    grid_spec = job.options.get("r_grid")
-    r_grid = None
-    if grid_spec:
-        lo, hi, count = _float_list(grid_spec, "--r-grid")
-        r_grid = np.geomspace(lo, hi, int(count))
-    profile = alpha_profile(form, r_grid=r_grid, mode=mode, seed=int(job.seed))
+    profile = alpha_profile(form, r_grid=_r_grid(job), mode=mode, seed=int(job.seed))
     results = {
         "mode": profile.mode,
         "alpha_base": profile.alpha_base,
@@ -256,18 +259,13 @@ def _profile_from_report(path):
 def _run_decay(job):
     t_vals = _float_list(job.options.get("t_grid", "0.1,1,10"), "--t-grid")
     prof_path = job.options.get("profile_report")
+    seed = 0 if job.seed is None else int(job.seed)
     form = None
     if prof_path:
         profile = _profile_from_report(prof_path)
     else:
         form, _ = _load_form(job)
-        seed = 0 if job.seed is None else int(job.seed)
-        grid_spec = job.options.get("r_grid")
-        r_grid = None
-        if grid_spec:
-            lo, hi, count = _float_list(grid_spec, "--r-grid")
-            r_grid = np.geomspace(lo, hi, int(count))
-        profile = alpha_profile(form, r_grid=r_grid, mode=job.options.get("mode", "hardy"),
+        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options.get("mode", "hardy"),
                                 seed=seed)
     curve = decay_rate(profile, t_vals)
     results = {
@@ -282,7 +280,6 @@ def _run_decay(job):
         h = np.ones(form.n)
         if form.dirichlet:
             h = np.where(form.boundary_mask, 0.0, h)
-        seed = 0 if job.seed is None else int(job.seed)
         ver = verify_decay(form, h, curve, n_samples=int(job.options.get("n_samples", 50)),
                            seed=seed)
         results["verification"] = {
@@ -362,12 +359,11 @@ def _run_check(job):
                                      signed_potential=bool(k % 2))
         worst_bd = max(worst_bd, check_first_bd(form, n_samples=n_samples, seed=seed + k))
         act = form.active
-        for _ in range(max(n_samples // 10, 3)):
-            f = np.zeros(form.n)
-            g = np.zeros(form.n)
-            f[act] = rng.standard_normal(act.size)
-            g[act] = rng.standard_normal(act.size)
-            worst_lattice = min(worst_lattice, check_lattice_inequality(form, f, g))
+        for P in sample_blocks(rng, max(n_samples // 10, 3), 2 * act.size):
+            F, G = P[:, :act.size], P[:, act.size:]
+            gaps = (evaluate_rows(form, F) + evaluate_rows(form, G)
+                    - evaluate_rows(form, np.minimum(F, G)) - evaluate_rows(form, np.maximum(F, G)))
+            worst_lattice = min(worst_lattice, float(gaps.min()))
         size = int(rng.integers(1, form.n))
         subset = [form.vertices[i] for i in rng.choice(form.n, size=size, replace=False)]
         rep = is_invariant_set(form, subset)
@@ -473,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a form family along its exhaustion")
     common(p)
-    p.add_argument("--with-artifacts", action="store_true",
+    p.add_argument("--with-artifacts", action="store_true", dest="artifacts",
                    help="attach ground state / Hardy summaries to the verdict")
 
     p = sub.add_parser("green", help="Green operator column at a source vertex")
@@ -523,21 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OPTION_KEYS = {
-    "classify": [("with_artifacts", "artifacts")],
-    "green": [("source", "source"), ("schedule", "schedule")],
-    "hardy-weight": [("source", "source"), ("uniform_g", "uniform_g"),
-                     ("n_samples", "n_samples")],
-    "ground-state": [("window", "window")],
-    "alpha-profile": [("mode", "mode"), ("r_grid", "r_grid")],
-    "decay": [("mode", "mode"), ("r_grid", "r_grid"), ("t_grid", "t_grid"),
-              ("profile_report", "profile_report"), ("verify", "verify"),
-              ("n_samples", "n_samples")],
-    "excessive": [("source", "source"), ("uniform_g", "uniform_g"),
-                  ("schedule", "schedule")],
-    "harnack": [("target_mass", "target_mass")],
-    "check": [("n_forms", "n_forms"), ("n_samples", "n_samples")],
-}
+# flags every command shares; the rest of the parsed namespace is the job's options
+_COMMON_FLAGS = {"command", "input", "family", "param", "level", "seed", "tol", "output",
+                 "format"}
 
 
 def main(argv=None) -> int:
@@ -546,11 +530,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        options = {}
-        for attr, key in _OPTION_KEYS.get(args.command, []):
-            val = getattr(args, attr, None)
-            if val not in (None, False):
-                options[key] = val
+        options = {key: val for key, val in vars(args).items()
+                   if key not in _COMMON_FLAGS and val is not None and val is not False}
         if getattr(args, "family", None):
             options["family"] = args.family
             params = _parse_params(getattr(args, "param", None))

@@ -2,6 +2,7 @@
 and certificate cross-checks."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,7 @@ from .errors import (
     NotCritical,
     ValidationFailure,
 )
-from .forms import GraphForm, as_function, evaluate
+from .forms import GraphForm, as_function, evaluate_rows, sample_blocks
 from .resolvent import green_apply, solve_spd
 
 __all__ = [
@@ -507,18 +508,12 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, n_samples: int =
 
         if radius == exhaustion.radii[-1]:
             act = level.active
-            best = 0.0
-            candidates = [green.value]
-            for _ in range(n_samples):
-                f = np.zeros(level.n)
-                f[act] = rng.standard_normal(act.size)
-                candidates.append(f)
-            for f in candidates:
-                energy = evaluate(level, f)
-                if energy > 0:
-                    val = float(np.sum(np.abs(f) * gv * level.measure) / np.sqrt(energy))
-                    best = max(best, val)
-            kappa_sampled = best
+            for X in itertools.chain([green.value[None, act]],
+                                     sample_blocks(rng, n_samples, act.size)):
+                energy = evaluate_rows(level, X)
+                X, energy = X[energy > 0], energy[energy > 0]
+                vals = np.sum(np.abs(X) * gv[act] * level.active_measure, axis=1) / np.sqrt(energy)
+                kappa_sampled = max(kappa_sampled, float(np.max(vals, initial=0.0)))
 
     kappas = np.array([k for _, k, _ in per_level])
     if diverged:

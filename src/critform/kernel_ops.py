@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.csgraph as csgraph
 
 from .config import tolerances
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 from .forms import GraphForm, VertexFunction, as_function, is_irreducible
 from .resolvent import (
     DENSE_SEMIGROUP_CUTOFF,
+    _semigroup_block,
     default_alpha_schedule,
     is_excessive,
     resolvent_apply,
@@ -220,17 +222,11 @@ def harnack_sets(op: KernelOperator, target_mass: float, lam: float) -> HarnackC
 def heat_kernel_operator(form: GraphForm, t: float = 1.0, p: float = 2.0) -> KernelOperator:
     """Kernel operator of the form's semigroup at time t, restricted to the
     non-Dirichlet vertices: k(z, x) = T_t(z, x) / mu(x)."""
-    act = form.active
-    n = act.size
+    n = form.n_active
     if n > DENSE_SEMIGROUP_CUTOFF:
         raise BadConfig(f"heat kernel extraction needs a dense semigroup ({n} vertices)")
-    cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(form.n)
-        e[act[j]] = 1.0
-        cols[:, j] = semigroup_apply(form, e, t)[act]
     mu = form.active_measure
-    kernel = cols / mu[None, :]
+    kernel = _semigroup_block(form, np.eye(n), t) / mu[None, :]
     if np.any(kernel <= 0):
         if not _active_block_connected(form):
             raise NonPositiveInput(
@@ -251,25 +247,10 @@ def heat_kernel_operator(form: GraphForm, t: float = 1.0, p: float = 2.0) -> Ker
 
 def _active_block_connected(form: GraphForm) -> bool:
     """True when the non-Dirichlet vertices form one component of the
-    positive-weight edge graph restricted to them."""
-    from scipy.sparse import csgraph, csr_matrix
-
-    act = form.active
-    n = act.size
-    if n <= 1:
-        return True
-    pos = np.full(form.n, -1)
-    pos[act] = np.arange(n)
-    i = pos[form.edge_index[:, 0]]
-    j = pos[form.edge_index[:, 1]]
-    keep = (i >= 0) & (j >= 0)
-    i, j = i[keep], j[keep]
-    adj = csr_matrix(
-        (np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
-    n_comp, _ = csgraph.connected_components(adj, directed=False)
-    return n_comp == 1
+    positive-weight edge graph restricted to them (every weight is positive,
+    so every active edge is an off-diagonal entry of the active form matrix)."""
+    n_comp, _ = csgraph.connected_components(form.active_form_matrix, directed=False)
+    return n_comp <= 1
 
 
 @dataclass(frozen=True)

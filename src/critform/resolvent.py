@@ -168,12 +168,9 @@ def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
 def _dense_spectral(form: GraphForm):
     def make():
         Q = form.active_form_matrix.toarray()
-        mu = form.active_measure
-        d = np.sqrt(mu)
+        d = np.sqrt(form.active_measure)
         S = Q / np.outer(d, d)
-        S = 0.5 * (S + S.T)
-        w, V = scipy.linalg.eigh(S)
-        return d, w, V
+        return scipy.linalg.eigh(0.5 * (S + S.T))
     return form._cached("dense_spectral", make)
 
 
@@ -188,19 +185,26 @@ def semigroup_apply(form: GraphForm, f, t: float,
     out = np.zeros(form.n)
     if act.size == 0:
         return out
-    mu = form.active_measure
-    d = np.sqrt(mu)
-    x = d * vec[act]
-    if act.size <= dense_cutoff:
-        dd, w, V = _dense_spectral(form)
-        y = V @ (np.exp(-t * w) * (V.T @ x))
-    else:
-        Q = form.active_form_matrix
-        dinv = 1.0 / d
-        S = sp.diags(dinv) @ Q @ sp.diags(dinv)
-        y = spla.expm_multiply((-t) * S.tocsc(), x)
-    out[act] = y / d
+    out[act] = _semigroup_block(form, vec[act, None], t, dense_cutoff)[:, 0]
     return out
+
+
+def _semigroup_block(form: GraphForm, F, t: float,
+                     dense_cutoff: int = DENSE_SEMIGROUP_CUTOFF) -> np.ndarray:
+    """exp(-t L) applied to each column of ``F``, an (n_active, k) block of
+    values on the non-Dirichlet vertices: V e^{-tw} V^T in the dense
+    eigenbasis below ``dense_cutoff`` vertices, Krylov propagation of the
+    symmetrized generator above."""
+    d = np.sqrt(form.active_measure)[:, None]
+    X = d * F
+    if form.n_active <= dense_cutoff:
+        w, V = _dense_spectral(form)
+        Y = V @ (np.exp(-t * w)[:, None] * (V.T @ X))
+    else:
+        dinv = sp.diags(1.0 / d[:, 0])
+        S = dinv @ form.active_form_matrix @ dinv
+        Y = spla.expm_multiply((-t) * S.tocsc(), X)
+    return Y / d
 
 
 def default_alpha_schedule(start: float = 1.0, stop: float = 1e-8,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import critform as cf
+import critform.forms
 
 
 def form_spec(form, name=None):
@@ -36,6 +37,14 @@ def active_vector(form, rng, scale=1.0):
     return f
 
 
+@pytest.fixture(params=["default", "split"])
+def block_cap(request, monkeypatch):
+    """Runs a test with the default sample-block cap and with a cap of 64
+    entries, which splits every sample set into blocks of a few rows."""
+    if request.param == "split":
+        monkeypatch.setattr(critform.forms, "SAMPLE_BLOCK_ENTRIES", 64)
+
+
 @pytest.fixture
 def single_vertex():
     # one free vertex, potential 1: q(f) = f^2, L = identity
@@ -62,3 +71,10 @@ def triangle():
 def pinned_path():
     # 0 -- 1 -- 2 -- 3 with Dirichlet at 0; Green function is min(n, m)
     return cf.path_form(3)
+
+
+@pytest.fixture
+def all_dirichlet():
+    # no free vertex: every admissible function vanishes
+    return cf.build_form({"vertices": ["a", "b"], "edges": [["a", "b", 1.0]],
+                          "dirichlet": ["a", "b"]})

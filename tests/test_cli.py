@@ -239,6 +239,48 @@ def test_check_command(tmp_path):
     assert res["lattice_min_gap"] >= -1e-10
 
 
+def test_zero_sample_count_is_kept(capsys):
+    assert main(["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
+                 "--seed", "1", "--n-samples", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["options"]["n_samples"] == 0
+    assert doc["results"]["verification"]["n_samples"] == 5    # the pencil directions alone
+
+
+def test_zero_form_count_is_kept(capsys):
+    assert main(["check", "--seed", "1", "--n-forms", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["options"]["n_forms"] == 0
+    assert doc["results"]["n_forms"] == 0
+
+
+@pytest.mark.parametrize("command, options", [
+    ("classify", {}),
+    ("green", {}),
+    ("hardy-weight", {"n_samples": 500}),
+    ("ground-state", {"window": 10}),
+    ("alpha-profile", {"mode": "hardy"}),
+    ("decay", {"mode": "hardy", "t_grid": "0.1,1,10", "n_samples": 50}),
+    ("excessive", {}),
+    ("harnack", {"target_mass": 0.5}),
+    ("check", {"n_forms": 10, "n_samples": 50}),
+])
+def test_default_options_per_command(command, options, monkeypatch, capsys):
+    jobs = []
+    monkeypatch.setattr(cli, "run", lambda job: (jobs.append(job), ({}, {}, 0))[1])
+    assert main([command]) == 0
+    assert jobs[0].options == options
+
+
+def test_set_flags_and_family_reach_the_options(monkeypatch, capsys):
+    jobs = []
+    monkeypatch.setattr(cli, "run", lambda job: (jobs.append(job), ({}, {}, 0))[1])
+    main(["classify", "--with-artifacts", "--family", "lattice", "--level", "3",
+          "--param", "d=1", "--seed", "4"])
+    assert jobs[0].options == {"artifacts": True, "family": "lattice", "level": 3,
+                               "params": {"d": 1}}
+
+
 def test_reports_are_byte_stable(tmp_path):
     args = ["classify", "--family", "lattice", "--param", "d=1",
             "--param", "radii=[5,10,20]"]

@@ -184,6 +184,8 @@ def test_certificates_consistent_on_subcritical_family():
     # sampled constant never beats the exact one
     _, kappa_last, _ = bundle.per_level[-1]
     assert bundle.kappa_sampled <= kappa_last * (1 + 1e-6)
+    # the smoothing limit itself is the best candidate, with or without samples
+    assert cf.subcriticality_certificates(exh, n_samples=0).kappa_sampled == bundle.kappa_sampled
 
 
 def test_certificates_track_growth_on_critical_family():

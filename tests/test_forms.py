@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import critform as cf
+from critform.forms import SAMPLE_BLOCK_ENTRIES, evaluate_rows, sample_blocks
 from critform.errors import (
     DisconnectedDirichletSpec,
     DomainMismatch,
@@ -177,6 +178,80 @@ def test_first_bd_sweep_nonpositive():
     for k in range(5):
         form = cf.random_connected_form(12, seed=k, signed_potential=bool(k % 2))
         assert cf.check_first_bd(form, n_samples=50, seed=k) <= 1e-10
+
+
+@pytest.mark.parametrize("n_samples, width", [
+    (0, 5), (7, 0), (50, 13),
+    (300, 1000),                        # 3e5 entries: split into five blocks
+    (3, SAMPLE_BLOCK_ENTRIES + 1),      # a row wider than the cap: one row per block
+])
+def test_sample_blocks_repeat_the_per_sample_draws(n_samples, width):
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    blocks = list(sample_blocks(rng, n_samples, width))
+    expect = np.array([ref.standard_normal(width) for _ in range(n_samples)])
+    rows = np.concatenate(blocks) if blocks else np.empty((0, width))
+    assert np.array_equal(rows, expect.reshape(n_samples, width))
+    assert all(b.shape[0] == 1 or b.size <= SAMPLE_BLOCK_ENTRIES for b in blocks)
+    assert len(blocks) > 1 or n_samples * width <= SAMPLE_BLOCK_ENTRIES
+    assert rng.integers(1 << 30) == ref.integers(1 << 30)   # the same state afterwards
+
+
+def test_sample_blocks_split_interleaved_pairs():
+    # rows of width 2m hold the f/g pairs of alternating m-draws
+    m = 11
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    pairs = np.concatenate(list(sample_blocks(rng, 40, 2 * m)))
+    for P in pairs:
+        assert np.array_equal(P[:m], ref.standard_normal(m))
+        assert np.array_equal(P[m:], ref.standard_normal(m))
+
+
+def test_evaluate_rows_matches_evaluate():
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        form = cf.random_connected_form(15 + 5 * k, seed=k, signed_potential=True,
+                                        dirichlet_count=3)
+        assert form.n_active < form.n and np.any(form.potential < 0)
+        X = rng.standard_normal((20, form.n_active))
+        got = evaluate_rows(form, X)
+        for x, q in zip(X, got):
+            f = np.zeros(form.n)
+            f[form.active] = x
+            assert q == pytest.approx(cf.evaluate(form, f), rel=1e-12)
+
+
+def _unit_samples(form, n_samples, seed):
+    """The per-sample draws of the structural checks, normalized in mu-norm."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        f = np.zeros(form.n)
+        f[form.active] = rng.standard_normal(form.n_active)
+        norm = np.sqrt(float(np.sum(f * f * form.measure)))
+        if norm != 0.0:
+            yield f / norm
+
+
+def test_first_bd_and_corroboration_match_per_sample_loops(block_cap):
+    for k in range(6):
+        form = cf.random_connected_form(10 + 4 * k, seed=k, signed_potential=bool(k % 2),
+                                        dirichlet_count=k % 3)
+        subset = list(form.vertices[::2])
+        in_a = np.isin(form.vertices, subset) & ~form.boundary_mask
+        for seed in (0, 7):
+            worst = max((cf.evaluate(form, np.abs(f)) - cf.evaluate(form, f)
+                         for f in _unit_samples(form, 30, seed)), default=-np.inf)
+            assert cf.check_first_bd(form, 30, seed) == pytest.approx(worst, rel=1e-12, abs=1e-12)
+            gap = max((cf.evaluate(form, f * in_a) - cf.evaluate(form, f)
+                       for f in _unit_samples(form, 25, seed)), default=-np.inf)
+            rep = cf.is_invariant_set(form, subset, n_samples=25, seed=seed)
+            assert rep.corroboration_gap == pytest.approx(gap, rel=1e-12, abs=1e-12)
+
+
+def test_structural_checks_without_samples(triangle, all_dirichlet):
+    assert cf.check_first_bd(triangle, n_samples=0) == -np.inf
+    assert cf.is_invariant_set(triangle, ["a"], n_samples=0).corroboration_gap == -np.inf
+    assert cf.check_first_bd(all_dirichlet, n_samples=10) == -np.inf
+    assert cf.is_invariant_set(all_dirichlet, ["a"], n_samples=10).corroboration_gap == -np.inf
 
 
 def test_lattice_inequality_gap_nonnegative(triangle):

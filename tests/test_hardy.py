@@ -2,6 +2,7 @@
 energy identity, and the conjugated form."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import critform as cf
 from critform.errors import GreenDiverges, NonPositiveH, NonPositiveInput
@@ -69,6 +70,52 @@ def test_verify_pencil_and_sampling_agree(pinned_path):
     rep = cf.verify_hardy(pinned_path, hw.values, n_samples=2000, seed=3)
     # adversarial eigenvector samples make the sampled ratio sharp
     assert rep.rho_sampled == pytest.approx(rep.pencil_lambda_max, abs=1e-6)
+
+
+def _rho_reference(form, w, n_samples, seed, alpha):
+    """Per-sample Rayleigh-quotient loop over the random draws and the top
+    pencil directions (exact eigh on the levels used here)."""
+    act, mu = form.active, form.active_measure
+    W = w[act] * mu
+    rng = np.random.default_rng(seed)
+    samples = [rng.standard_normal(act.size) for _ in range(n_samples)]
+    B = form.active_form_matrix.toarray() + alpha * np.diag(mu)
+    vecs = scipy.linalg.eigh(np.diag(W), B)[1]
+    samples.extend(vecs[:, -min(5, act.size):].T)
+    rho = 0.0
+    for x in samples:
+        f = np.zeros(form.n)
+        f[act] = x
+        energy = cf.evaluate(form, f) + alpha * float(np.sum(x * x * mu))
+        if energy > 0:
+            rho = max(rho, float(np.sum(x * x * W)) / energy)
+    return rho, len(samples)
+
+
+def test_verify_matches_per_sample_loop(block_cap):
+    for k in range(4):
+        form = cf.random_tree_form(8 + 20 * k, seed=k)
+        g = np.zeros(form.n)
+        g[k] = 1.0
+        hw = cf.hardy_weight(form, g, verify=False)
+        for seed, alpha, scale in ((0, 0.0, 1.0), (3, 0.0, 1.3), (5, 0.5, 1.0)):
+            w = scale * hw.values
+            rep = cf.verify_hardy(form, w, n_samples=60, seed=seed, alpha=alpha)
+            rho, count = _rho_reference(form, w, 60, seed, alpha)
+            assert rep.rho_sampled == pytest.approx(rho, rel=1e-12)
+            assert rep.n_samples == count
+            assert rep.passed == (scale == 1.0)
+
+
+def test_verify_without_samples(pinned_path, all_dirichlet):
+    w = cf.hardy_weight(pinned_path, {"2": 1.0}, verify=False).values
+    rep = cf.verify_hardy(pinned_path, w, n_samples=0)
+    assert rep.n_samples == 3 and rep.rho_sampled == pytest.approx(rep.pencil_lambda_max)
+    rep = cf.verify_hardy(all_dirichlet, np.zeros(2), n_samples=7)
+    assert (rep.rho_sampled, rep.n_samples, rep.pencil_lambda_max) == (0.0, 7, None)
+    assert cf.ground_state_transform(all_dirichlet, np.ones(2)).validation_max_err == 0.0
+    gst = cf.ground_state_transform(pinned_path, [0.0, 1.0, 2.0, 3.0], n_validation=0)
+    assert gst.validation_max_err == 0.0
 
 
 def test_perturbed_weight_on_critical_form(two_path):

@@ -141,6 +141,20 @@ def test_heat_kernel_operator_reproduces_semigroup():
     assert np.allclose(op.kernel, op.kernel.T, rtol=1e-8, atol=1e-12)
 
 
+def test_heat_kernel_matches_semigroup_columns():
+    form = cf.random_connected_form(30, seed=1, extra_edge_prob=0.5, dirichlet_count=4)
+    op = heat_kernel_operator(form, t=0.4)
+    cols = np.empty((form.n_active, form.n_active))
+    for j, v in enumerate(form.active):
+        e = np.zeros(form.n)
+        e[v] = 1.0
+        cols[:, j] = cf.semigroup_apply(form, e, 0.4)[form.active]
+    assert cols.min() > 1e-7               # no entry near rounding noise, so no floor
+    # entries are sums over the eigenbasis: rounding is relative to the largest one
+    expect = cols / form.active_measure[None, :]
+    assert np.allclose(op.kernel, expect, rtol=1e-12, atol=1e-12 * expect.max())
+
+
 def test_heat_kernel_floors_rounding_noise_on_long_paths():
     # On a 30-vertex path the far-corner entries of the time-1 semigroup are
     # analytically ~1e-31, below expm's ~1e-16 rounding noise, so the raw

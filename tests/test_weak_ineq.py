@@ -9,6 +9,7 @@ from critform.errors import (
     ExcessivityFailure,
     GridTooCoarse,
     KernelMismatch,
+    ViolationFound,
 )
 
 from conftest import shifted
@@ -144,6 +145,79 @@ def test_verify_decay_accepts_true_bound():
     assert rep.passed
     assert rep.min_margin_rel > -1e-8
     assert rep.n_checks == 3 * 41
+
+
+def _decay_reference(form, h, curve, n_samples, seed, tol_rel=1e-8):
+    """Per-(t, sample) loop through semigroup_apply: the minimum margin per t,
+    the check count and the last violation in (t, sample) order."""
+    act, mu = form.active, form.active_measure
+    h_act = h[act]
+    rng = np.random.default_rng(seed)
+    samples = [rng.standard_normal(act.size) for _ in range(n_samples)] + [h_act.copy()]
+    margins, worst, n_checks = [], None, 0
+    for t, xi_t in zip(curve.t_grid, curve.xi):
+        t_margin = np.inf
+        for x in samples:
+            f = np.zeros(form.n)
+            f[act] = x
+            y = cf.semigroup_apply(form, f, float(t))[act]
+            lhs = float(np.sum(y * y * mu))
+            rhs = float(xi_t) * (float(np.sum(x * x * mu)) + float(np.max(np.abs(x) / h_act)) ** 2)
+            n_checks += 1
+            t_margin = min(t_margin, (rhs - lhs) / rhs)
+            if lhs > rhs * (1 + tol_rel):
+                worst = (float(t), x, lhs, rhs)
+        margins.append(t_margin)
+    return np.array(margins), n_checks, worst
+
+
+def test_verify_decay_matches_per_sample_loop(block_cap):
+    base = cf.random_tree_form(20, seed=7)
+    form = shifted(base, 1.0)
+    h = cf.resolvent_apply(base, np.where(base.boundary_mask, 0.0, 1.0), 1.0)
+    prof = cf.alpha_profile(form, h=h, r_grid=np.geomspace(1e-8, 10.0, 81), seed=7)
+    curve = cf.decay_rate(prof, [0.1, 1.0, 3.0])
+    for seed in (0, 7):
+        rep = cf.verify_decay(form, h, curve, n_samples=40, seed=seed, flag_margin=0.5)
+        margins, n_checks, worst = _decay_reference(form, h, curve, 40, seed)
+        assert worst is None and rep.passed
+        assert rep.n_checks == n_checks
+        assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)
+        tight = [(float(t), m) for t, m in zip(curve.t_grid, margins) if m < 0.5]
+        assert [t for t, _ in rep.tight_points] == [t for t, _ in tight]
+        assert np.allclose([m for _, m in rep.tight_points], [m for _, m in tight],
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_verify_decay_krylov_block_and_witness(block_cap):
+    form = cf.random_tree_form(cf.resolvent.DENSE_SEMIGROUP_CUTOFF + 20, seed=4)
+    h = np.ones(form.n)                   # excessive: the potential is positive
+    valid = cf.DecayCurve(t_grid=np.array([0.05, 0.3]), xi=np.ones(2), rel_tol=1e-10)
+    rep = cf.verify_decay(form, h, valid, n_samples=12, seed=2)
+    margins, n_checks, worst = _decay_reference(form, h, valid, 12, 2)
+    assert worst is None and rep.n_checks == n_checks == 26
+    assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)
+
+    # violated at both times, so the witness must come from the later one
+    tight = cf.DecayCurve(t_grid=np.array([0.05, 0.3, 1.0]), xi=np.array([0.78, 0.5, 0.9]),
+                          rel_tol=1e-10)
+    with pytest.raises(ViolationFound) as caught:
+        cf.verify_decay(form, h, tight, n_samples=12, seed=2)
+    t, x, lhs, rhs = _decay_reference(form, h, tight, 12, 2)[2]
+    witness = caught.value.witness
+    assert witness["t"] == t == 0.3
+    assert np.array_equal(witness["f"], x)
+    assert witness["lhs"] == pytest.approx(lhs, rel=1e-12)
+    assert witness["rhs"] == pytest.approx(rhs, rel=1e-12)
+
+
+def test_verify_decay_without_samples():
+    form = cf.random_tree_form(15, seed=2)
+    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]), rel_tol=1e-10)
+    rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=0)
+    margins, n_checks, _ = _decay_reference(form, np.ones(form.n), curve, 0, 0)
+    assert rep.n_checks == n_checks == 2       # h alone, at each time
+    assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12)
 
 
 def test_verify_decay_rejects_non_excessive_h(two_path):
