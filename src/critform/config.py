@@ -19,8 +19,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 
 ENV_PREFIX = "CRITFORM_TOL_"
 
-# Overrides of the job in progress; every gate sees them through tolerances().
-_JOB_OVERRIDES: ContextVar[dict[str, float]] = ContextVar("job_tolerance_overrides", default={})
+# Table of the job in progress, resolved once when the job starts.
+_JOB_TABLE: ContextVar[dict[str, float] | None] = ContextVar("job_tolerance_table", default=None)
 
 
 def env_overrides() -> dict[str, float]:
@@ -35,22 +35,23 @@ def env_overrides() -> dict[str, float]:
 
 @contextlib.contextmanager
 def job_tolerances(overrides: dict[str, float]):
-    """Apply ``overrides`` to every :func:`tolerances` call inside the block."""
-    token = _JOB_OVERRIDES.set(dict(overrides))
+    """Resolve defaults, environment and ``overrides`` once; every
+    :func:`tolerances` call inside the block starts from that table."""
+    token = _JOB_TABLE.set(tolerances(overrides))
     try:
         yield
     finally:
-        _JOB_OVERRIDES.reset(token)
+        _JOB_TABLE.reset(token)
 
 
 def tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
     """Resolved tolerance table: defaults, then environment, then the running
-    job's overrides, then explicit overrides."""
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(env_overrides())
-    for layer in (_JOB_OVERRIDES.get(), overrides or {}):
-        for key, val in layer.items():
-            if key not in tols:
-                raise KeyError(f"unknown tolerance key: {key!r}")
-            tols[key] = float(val)
+    job's overrides (all three as resolved when the job started), then
+    explicit overrides.  Each call returns a fresh dict."""
+    table = _JOB_TABLE.get()
+    tols = {**DEFAULT_TOLERANCES, **env_overrides()} if table is None else dict(table)
+    for key, val in (overrides or {}).items():
+        if key not in tols:
+            raise KeyError(f"unknown tolerance key: {key!r}")
+        tols[key] = float(val)
     return tols

@@ -142,7 +142,9 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
 
     lam_max = None
     note = ""
-    if act.size <= PENCIL_CUTOFF and act.size > 0:
+    if act.size == 0:
+        note = "no non-Dirichlet vertex: every admissible function vanishes"
+    elif act.size <= PENCIL_CUTOFF:
         A = np.diag(W)
         B = Q.toarray() + alpha * np.diag(mu)
         try:

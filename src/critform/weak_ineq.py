@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 DENSE_PROFILE_CUTOFF = 2000   # vertices; the profiler is a dense-algebra tool
-REFINE_CUTOFF = 400           # vertices; above this only the flat certificate is used
 ASCENT_CUTOFF = 300           # vertices; above this the gradient search is skipped
 
 
@@ -64,11 +63,149 @@ class AlphaProfile:
         ]
 
 
-def _normalize_sup(f: np.ndarray, h_act: np.ndarray) -> np.ndarray | None:
-    sup = float(np.max(np.abs(f) / h_act)) if f.size else 0.0
-    if sup <= 0 or not np.isfinite(sup):
-        return None
-    return f / sup
+def _sup_scaled(X: np.ndarray, h_act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of X scaled to sup|f/h| = 1, and a mask of the rows whose sup was
+    finite and nonzero (the others are left unscaled)."""
+    sup = np.max(np.abs(X) / h_act, axis=1)
+    ok = (sup > 0) & np.isfinite(sup)
+    return X / np.where(ok, sup, 1.0)[:, None], ok
+
+
+def _admissible(X: np.ndarray, h_act: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of X scaled to sup|f/h| = 1 and, in poincare mode, projected onto
+    the admissible subspace (the columns of P) and scaled again, with a mask
+    of the rows that survive both scalings."""
+    X, ok = _sup_scaled(X, h_act)
+    if P is not None:
+        X, kept = _sup_scaled((X @ P) @ P.T, h_act)
+        ok &= kept
+    return X, ok
+
+
+def _ascent(F: np.ndarray, r: np.ndarray, W: np.ndarray, Q: np.ndarray,
+            h_act: np.ndarray, P, iters: int) -> tuple[np.ndarray, bool]:
+    """Projected-gradient ascent of (sum f^2 W - r) / q(f), one start per row
+    of F at the r of that row, all starts in lockstep.
+
+    Each start keeps its own step size and accept test and stops where a
+    single-start loop would: at a non-positive energy, a zero gradient, a
+    trial that cannot be normalized, or a step below 1e-12.  Returns the final
+    rows and whether some start still improved at its last iteration.
+    """
+    F = F.copy()
+    k = F.shape[0]
+    step = np.full(k, 0.5)
+    val = np.full(k, -np.inf)
+    at_cap = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for it in range(iters):
+        f, rr = F[live], r[live]
+        Qf = f @ Q
+        A = np.sum(f * f * W, axis=1)
+        B = np.einsum("ij,ij->i", f, Qf)
+        with np.errstate(all="ignore"):
+            cur = (A - rr) / B
+            grad = (2.0 * W * f * B[:, None] - 2.0 * (A - rr)[:, None] * Qf) / (B * B)[:, None]
+            if P is not None:
+                grad = (grad @ P) @ P.T
+            gnorm = np.linalg.norm(grad, axis=1)
+            trial, ok = _admissible(f + step[live, None] * grad / gnorm[:, None], h_act, P)
+            ok &= (B > 0) & (gnorm != 0)
+            A_t = np.sum(trial * trial * W, axis=1)
+            B_t = np.einsum("ij,ij->i", trial, trial @ Q)
+            new = np.where(B_t > 0, (A_t - rr) / B_t, -np.inf)
+        acc = ok & (new > cur + 1e-15)
+        rej = ok & ~acc
+        up, down = live[acc], live[rej]
+        at_cap[up] = (it == iters - 1) & (new[acc] > val[up] * (1 + 1e-9) + 1e-15)
+        val[up] = new[acc]
+        F[up] = trial[acc]
+        step[up] = np.minimum(step[up] * 1.5, 1e3)
+        step[down] *= 0.5
+        live = live[acc | (rej & (step[live] >= 1e-12))]
+        if live.size == 0:
+            break
+    return F, bool(np.any(at_cap))
+
+
+def _spike_tops(lam: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of diag(lam) - rho[j, g] * z_j z_j^T for each spike j
+    (row of Z) and each grid point g (column of rho); lam ascending.
+
+    The top is the unique root in [lam[-2], lam[-1]] of the secular equation
+    1 - rho * sum_i z_i^2 / (lam_i - mu) = 0, found by bisection over all
+    (j, g) at once in row blocks of at most 2^16 entries.  Each value is the
+    upper end of its final bracket, so it bounds the root from above.  With a
+    single eigenvalue the top is lam - rho z^2; when z has no component along
+    the top eigenvector, or the top eigenvalue is repeated, it is lam[-1].
+    """
+    m = lam.size
+    z2 = Z * Z
+    spike = np.repeat(np.arange(Z.shape[0]), rho.shape[1])
+    rho = rho.ravel()
+    if m == 1:
+        return (lam[0] - rho * z2[spike, 0]).reshape(Z.shape[0], -1)
+    eps = np.finfo(float).eps
+    lo = np.full(rho.size, lam[-2])
+    hi = np.full(rho.size, lam[-1])
+    moving = (z2[spike, -1] > 0) & (rho > 0) & (lam[-2] < lam[-1])
+    rows = max(1, (1 << 16) // m)
+    for start in range(0, rho.size, rows):
+        live = start + np.flatnonzero(moving[start:start + rows])
+        # 2*53 halvings shrink any bracket below 2^-106 * lam[-1]; most rows
+        # stop earlier, at a width of two ulps of the root
+        for _ in range(106):
+            if live.size == 0:
+                break
+            mid = lo[live] + 0.5 * (hi[live] - lo[live])
+            T = lam - mid[:, None]
+            np.reciprocal(T, out=T)
+            s = (T @ z2.T)[np.arange(live.size), spike[live]]
+            above = rho[live] * s < 1.0
+            lo[live[above]] = mid[above]
+            hi[live[~above]] = mid[~above]
+            wide = hi[live] - lo[live] > 2 * eps * np.maximum(np.abs(lo[live]), np.abs(hi[live]))
+            live = live[wide]
+    return hi.reshape(Z.shape[0], -1)
+
+
+def _pencil(Q_sub: np.ndarray, W: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the pencil (P^T diag(W) P, Q_sub) from one Cholesky factor
+    Q_sub = L L^T and one eigendecomposition of M0 = L^-1 P^T diag(W) P L^-T
+    (P = identity when None).  Returns the ascending eigenvalues of M0 and the
+    pencil eigenvectors P L^-T V as columns, normalized to y^T Q y = 1.
+
+    A failed factorization, or a pivot below 1e-12 of its diagonal entry
+    (Q_sub is then numerically singular), raises KernelMismatch."""
+    try:
+        L = scipy.linalg.cholesky(Q_sub, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise KernelMismatch(
+            f"form is not positive definite on the admissible subspace ({exc})"
+        ) from None
+    if np.any(np.diag(L) ** 2 <= 1e-12 * np.diag(Q_sub)):
+        raise KernelMismatch("form is numerically singular on the admissible subspace")
+    sqrt_W = np.sqrt(W)
+    X = scipy.linalg.solve_triangular(L, np.diag(sqrt_W) if P is None else P.T * sqrt_W,
+                                      lower=True)
+    lam, V = scipy.linalg.eigh(X @ X.T, driver="evd")
+    Y = scipy.linalg.solve_triangular(L, V, lower=True, trans="T")
+    return lam, (Y if P is None else P @ Y)
+
+
+def _certificate(lam: np.ndarray, Y: np.ndarray, h_act: np.ndarray, S: float,
+                 sites: list[int], r_grid: np.ndarray) -> np.ndarray:
+    """Best pencil top over the candidates psi = 0, psi = W/S and a unit spike
+    at each site, clamped at 0, for every r (not yet made monotone).
+
+    psi = 0 gives lam[-1] and psi = W/S scales the pencil by 1 - r/S; a spike
+    at s is the rank-one downdate of M0 by (r / h_s^2) z z^T with z = Y[s]."""
+    alpha_base = max(float(lam[-1]), 0.0)
+    cert = np.maximum(1.0 - r_grid / S, 0.0) * alpha_base
+    if sites:
+        rho = r_grid[None, :] / h_act[sites, None] ** 2
+        cert = np.minimum(cert, np.maximum(_spike_tops(lam, Y[sites], rho), 0.0).min(axis=0))
+    return cert
 
 
 def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "hardy",
@@ -80,9 +217,13 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     sup|f/h|^2 >= sum f^2 psi, so the largest eigenvalue of the pencil
     (diag(w mu - r psi), Q) restricted to the admissible subspace is a valid
     alpha(r).  Candidates: psi = 0, the globally spread psi = w mu / sum(w mu
-    h^2), and unit spikes at sampled maximizer locations.  The lower profile
-    maximizes the ratio over pencil eigenvectors, truncated ramps and a
-    budgeted multistart projected-gradient search.
+    h^2), and unit spikes at sampled maximizer locations.  One Cholesky factor
+    Q_sub = L L^T and one eigendecomposition of M0 = L^-1 diag(w mu) L^-T
+    (restricted) serve them all: psi = 0 gives the top of M0, the spread psi
+    scales it by (1 - r/S), and a spike is a rank-one downdate of M0 whose top
+    solves a secular equation.  The lower profile maximizes the ratio over
+    pencil eigenvectors, truncated ramps and a budgeted multistart
+    projected-gradient search.
     """
     tols = tolerances()
     if mode not in ("hardy", "poincare"):
@@ -127,6 +268,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
         P = scipy.linalg.null_space(a[None, :])
         if P.shape[1] == 0:
             raise KernelMismatch("orthogonal complement of h is trivial")
+        Q_sub = P.T @ Q @ P
     else:
         lam_min = scipy.linalg.eigh(Q, np.diag(mu), eigvals_only=True,
                                     subset_by_index=[0, 0])[0]
@@ -135,23 +277,10 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"
             )
         P = None
+        Q_sub = Q
 
-    def restrict(mat):
-        return mat if P is None else P.T @ mat @ P
-
-    Q_sub = restrict(Q)
-
-    def pencil_top(diag_vals, n_vecs=0):
-        A = restrict(np.diag(diag_vals))
-        vals, vecs = scipy.linalg.eigh(A, Q_sub)
-        if n_vecs:
-            take = vecs[:, -n_vecs:]
-            back = take if P is None else P @ take
-            return float(vals[-1]), back.T
-        return float(vals[-1]), None
-
-    alpha_base, top_vecs = pencil_top(W, n_vecs=min(5, Q_sub.shape[0]))
-    alpha_base = max(alpha_base, 0.0)
+    lam, Y = _pencil(Q_sub, W, P)
+    alpha_base = max(float(lam[-1]), 0.0)
 
     if r_grid is None:
         r_grid = np.geomspace(S * 1e-12, S * 2.0, 81)
@@ -161,131 +290,46 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
 
     # ---- candidate pool for the lower profile --------------------------------
     rng = np.random.default_rng(seed)
-    pool: list[np.ndarray] = []
-
-    def add(f):
-        g = _normalize_sup(np.asarray(f, dtype=float), h_act)
-        if g is None:
-            return
-        if P is not None:
-            g = P @ (P.T @ g)
-            g = _normalize_sup(g, h_act)
-            if g is None:
-                return
-        pool.append(g)
-
-    for v in top_vecs:
-        add(v)
-        base = _normalize_sup(v, h_act)
-        if base is not None:
-            for t in (2.0, 5.0, 20.0):
-                add(np.clip(t * base, -h_act, h_act))
+    top_vecs = Y[:, -min(5, lam.size):].T
+    bases, based = _sup_scaled(top_vecs, h_act)
+    cands = []
+    for v, base, ok in zip(top_vecs, bases, based):
+        cands.append(v)
+        if ok:
+            cands.extend(np.clip(t * base, -h_act, h_act) for t in (2.0, 5.0, 20.0))
     if mode == "hardy":
-        add(h_act)
-    for _ in range(20):
-        add(rng.standard_normal(n))
+        cands.append(h_act)
+    cands.extend(rng.standard_normal((20, n)))
+    pool, ok = _admissible(np.array(cands), h_act, P)
+    pool = pool[ok]
 
-    def ratio_parts(f):
-        return float(np.sum(f * f * W)), float(f @ Q @ f)
-
-    # Projected-gradient ascent at a few representative r values.
     budget_exhausted = False
     note = ""
     if n <= ASCENT_CUTOFF and budget[0] > 0 and budget[1] > 0:
         targets = r_grid[np.linspace(0, len(r_grid) - 1, min(5, len(r_grid)), dtype=int)]
-        starts_per_target = max(1, budget[0] // max(len(targets), 1))
-        for r in targets:
-            for _ in range(starts_per_target):
-                f = _normalize_sup(rng.standard_normal(n), h_act)
-                if f is None:
-                    continue
-                if P is not None:
-                    f = P @ (P.T @ f)
-                    f = _normalize_sup(f, h_act)
-                    if f is None:
-                        continue
-                val = -np.inf
-                improved_at_cap = False
-                step = 0.5
-                for it in range(budget[1]):
-                    A_f, B_f = float(np.sum(f * f * W)), float(f @ Q @ f)
-                    if B_f <= 0:
-                        break
-                    cur = (A_f - r) / B_f
-                    grad = (2.0 * W * f * B_f - (A_f - r) * 2.0 * (Q @ f)) / (B_f * B_f)
-                    if P is not None:
-                        grad = P @ (P.T @ grad)
-                    gnorm = float(np.linalg.norm(grad))
-                    if gnorm == 0:
-                        break
-                    trial = _normalize_sup(f + step * grad / gnorm, h_act)
-                    if trial is None:
-                        break
-                    if P is not None:
-                        trial = P @ (P.T @ trial)
-                        trial = _normalize_sup(trial, h_act)
-                        if trial is None:
-                            break
-                    A_t, B_t = float(np.sum(trial * trial * W)), float(trial @ Q @ trial)
-                    new = (A_t - r) / B_t if B_t > 0 else -np.inf
-                    if new > cur + 1e-15:
-                        f = trial
-                        improved_at_cap = it == budget[1] - 1 and new > val * (1 + 1e-9) + 1e-15
-                        val = new
-                        step = min(step * 1.5, 1e3)
-                    else:
-                        step *= 0.5
-                        if step < 1e-12:
-                            break
-                pool.append(f)
-                budget_exhausted = budget_exhausted or improved_at_cap
+        per_target = max(1, budget[0] // max(len(targets), 1))
+        starts, ok = _admissible(rng.standard_normal((targets.size * per_target, n)), h_act, P)
+        ends, budget_exhausted = _ascent(starts[ok], np.repeat(targets, per_target)[ok],
+                                         W, Q, h_act, P, budget[1])
+        pool = np.vstack([pool, ends])
     elif n > ASCENT_CUTOFF:
         note = "gradient search skipped (size); lower profile uses candidates only"
 
     # ---- vectorized lower profile --------------------------------------------
-    A_vals, B_vals = [], []
-    for f in pool:
-        A_f, B_f = ratio_parts(f)
-        if B_f > 1e-300:
-            A_vals.append(A_f)
-            B_vals.append(B_f)
-    if A_vals:
-        A_arr = np.array(A_vals)
-        B_arr = np.array(B_vals)
-        alpha_lb = np.maximum((A_arr[None, :] - r_grid[:, None]) / B_arr[None, :], 0.0).max(axis=1)
-    else:
-        alpha_lb = np.zeros(len(r_grid))
+    A_arr = np.sum(pool * pool * W, axis=1)
+    B_arr = np.einsum("ij,ij->i", pool, pool @ Q)
+    keep = B_arr > 1e-300
+    pool, A_arr, B_arr = pool[keep], A_arr[keep], B_arr[keep]
+    alpha_lb = np.maximum((A_arr[None, :] - r_grid[:, None]) / B_arr[None, :],
+                          0.0).max(axis=1, initial=0.0)
 
     # Spike locations harvested from the strongest candidates.
-    spike_sites: list[int] = []
-    if A_vals:
-        order = np.argsort(-(A_arr / B_arr))
-        for k in order[:5]:
-            site = int(np.argmax(np.abs(pool[k]) / h_act))
-            if site not in spike_sites:
-                spike_sites.append(site)
+    best = np.argsort(-(A_arr / B_arr))[:5]
+    sites = list(dict.fromkeys(np.argmax(np.abs(pool[best]) / h_act, axis=1).tolist()))
 
     # ---- certificate ----------------------------------------------------------
-    psi_list = [None, W / S]  # None encodes psi = 0 (the flat certificate)
-    for site in spike_sites:
-        spike = np.zeros(n)
-        spike[site] = 1.0 / (h_act[site] ** 2)
-        psi_list.append(spike)
-
-    if n <= REFINE_CUTOFF:
-        alpha_cert = np.empty(len(r_grid))
-        for idx, r in enumerate(r_grid):
-            best = alpha_base
-            for psi in psi_list[1:]:
-                val, _ = pencil_top(W - r * psi)
-                best = min(best, max(val, 0.0))
-            alpha_cert[idx] = best
-    else:
-        alpha_cert = np.full(len(r_grid), alpha_base)
-        note = (note + "; " if note else "") + "per-r refinement skipped (size)"
-
+    alpha_cert = _certificate(lam, Y, h_act, S, sites, r_grid)
     alpha_cert = np.minimum.accumulate(alpha_cert)  # sound: a certificate at r is one at r' > r
-    alpha_lb = np.minimum(alpha_lb, alpha_cert)     # guard roundoff at the touching points
 
     slack = tols["tol_ineq"] * np.maximum(alpha_cert, 1.0)
     if np.any(alpha_lb > alpha_cert + slack):
@@ -294,6 +338,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
             f"witnessed ratio {alpha_lb[k]:.6e} exceeds certificate {alpha_cert[k]:.6e} "
             f"at r={r_grid[k]:.3e}"
         )
+    alpha_lb = np.minimum(alpha_lb, alpha_cert)     # guard roundoff at the touching points
 
     return AlphaProfile(
         r_grid=r_grid,
@@ -404,12 +449,14 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     genuine violations raise ViolationFound with the witness.
     """
     hv = as_domain_function(form, h)
+    act = form.active
+    if act.size == 0:
+        raise BadConfig("form has no non-Dirichlet vertices")
     exc = is_excessive(form, hv)
     if not exc.excessive:
         raise ExcessivityFailure(
             f"h is not excessive (min generator residual {exc.algebraic_min:.3e})"
         )
-    act = form.active
     h_act = hv[act]
     if np.any(h_act <= 0):
         raise ExcessivityFailure("h must be strictly positive off the Dirichlet set")

@@ -342,6 +342,27 @@ def test_tol_flag_and_environment_reach_the_gates_alike(key, tmp_path, monkeypat
     assert seen == [0.125, 0.125]
 
 
+@pytest.mark.parametrize("key", sorted(cf.DEFAULT_TOLERANCES))
+def test_tol_flag_wins_over_environment_and_is_resolved_once(key, tmp_path, monkeypatch):
+    env = "CRITFORM_TOL_" + key[len("tol_"):].upper()
+    seen = []
+
+    def record(job):
+        table = cf.tolerances()
+        table[key] = -1.0                       # a copy: the job's table is untouched
+        monkeypatch.setenv(env, "0.75")         # read when the job started, not now
+        seen.append(cf.tolerances()[key])
+        return {}, {}, 0
+
+    monkeypatch.setitem(cli._RUNNERS, "check", record)
+    monkeypatch.setenv(env, "0.5")
+    prefix = str(tmp_path / "job")
+    assert main(["check", "--seed", "1", "--tol", f"{key}=0.125", "--output", prefix]) == 0
+    assert main(["check", "--seed", "1", "--output", prefix]) == 0
+    assert seen == [0.125, 0.75]
+    assert cf.tolerances()[key] == 0.75         # outside a job the environment is read
+
+
 def test_tol_override_fails_the_hardy_pencil_gate(tmp_path):
     # the pencil top of the optimal weight is exactly 1 > 1 + (-0.5)
     prefix = str(tmp_path / "hw")

@@ -118,6 +118,14 @@ def test_verify_without_samples(pinned_path, all_dirichlet):
     assert gst.validation_max_err == 0.0
 
 
+def test_verify_notes_tell_empty_from_too_large(all_dirichlet, monkeypatch):
+    empty = cf.verify_hardy(all_dirichlet, np.zeros(2), n_samples=3).note
+    monkeypatch.setattr(cf.hardy, "PENCIL_CUTOFF", 2)
+    large = cf.verify_hardy(cf.path_form(3), np.zeros(4), n_samples=3).note
+    assert "no non-Dirichlet vertex" in empty
+    assert "too large" in large and "too large" not in empty
+
+
 def test_perturbed_weight_on_critical_form(two_path):
     hw = cf.perturbed_hardy_bound(two_path, np.ones(2), alpha=1.0, seed=0)
     assert hw.alpha_used == 1.0
