@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .config import job_tolerances, tolerances
 from .criticality import ClassifyConfig, agmon_ground_state, classify
-from .errors import BadConfig, CritformError, GreenInconclusive
+from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
 from .families import builtin_family, constant_exhaustion
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
@@ -107,20 +107,16 @@ def _load_form(job: JobConfig):
 
 
 def _delta_vector(form, vertex_id):
-    if vertex_id not in form.vertices:
-        raise BadConfig(f"vertex {vertex_id!r} not in the graph")
     vec = np.zeros(form.n)
-    vec[form.vertices.index(vertex_id)] = 1.0
+    try:
+        vec[form.index(vertex_id)] = 1.0
+    except DomainMismatch:
+        raise BadConfig(f"vertex {vertex_id!r} not in the graph") from None
     return vec
 
 
-def _function_map(form, values, mask=None):
-    out = {}
-    for k, v in enumerate(form.vertices):
-        if mask is not None and not mask[k]:
-            continue
-        out[v] = float(values[k])
-    return out
+def _function_map(form, values):
+    return {v: float(x) for v, x in zip(form.vertices, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +157,7 @@ def _run_green(job):
         "detail": result.detail,
     }
     if result.finite:
-        idx = form.vertices.index(source)
-        results["value_at_source"] = float(result.value[idx])
+        results["value_at_source"] = float(result.value[form.index(source)])
         results["value_sup"] = float(np.max(np.abs(result.value)))
         results["value"] = _function_map(form, result.value)
     return results, {}, 0
@@ -175,9 +170,7 @@ def _run_hardy(job):
         g = _delta_vector(form, source)
         g_desc = f"delta at {source}"
     else:
-        g = np.ones(form.n)
-        if form.dirichlet:
-            g = np.where(form.boundary_mask, 0.0, g)
+        g = np.where(form.boundary_mask, 0.0, 1.0)
         g_desc = "uniform"
     hw = hardy_weight(form, g, n_samples=int(job.options.get("n_samples", 500)),
                       seed=int(job.seed))
@@ -277,9 +270,7 @@ def _run_decay(job):
     if job.options.get("verify"):
         if form is None:
             form, _ = _load_form(job)
-        h = np.ones(form.n)
-        if form.dirichlet:
-            h = np.where(form.boundary_mask, 0.0, h)
+        h = np.where(form.boundary_mask, 0.0, 1.0)
         ver = verify_decay(form, h, curve, n_samples=int(job.options.get("n_samples", 50)),
                            seed=seed)
         results["verification"] = {
@@ -374,9 +365,7 @@ def _run_check(job):
         con = check_resolvent_contraction(form, f, alpha=float(rng.uniform(0.1, 2.0)))
         if not (con.energy_ok and con.defect_ok):
             contraction_fail += 1
-        h = np.abs(rng.uniform(0.5, 2.0, form.n))
-        if form.dirichlet:
-            h = np.where(form.boundary_mask, 0.0, h)
+        h = np.where(form.boundary_mask, 0.0, rng.uniform(0.5, 2.0, form.n))
         exc = is_excessive(form, h)
         if not exc.agree:
             excessivity_disagree += 1

@@ -393,30 +393,17 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
     # Residual of the generator on window vertices whose neighbors stay inside
     # the window, evaluated on the largest level.
     top = exhaustion.level(levels[-1])
+    window = np.array([top.index(v) for v in window_ids], dtype=np.int64)
+    in_window = np.zeros(top.n, dtype=bool)
+    in_window[window] = True
     hfull = np.zeros(top.n)
-    for v, val in zip(window_ids, h):
-        hfull[top.index(v)] = val
-    window_set = set(window_ids)
-    inner = []
-    neighbor = {v: set() for v in window_ids}
-    for (a, b) in top.edge_index:
-        va, vb = top.vertices[a], top.vertices[b]
-        if va in window_set and vb in window_set:
-            neighbor[va].add(vb)
-            neighbor[vb].add(va)
-        elif va in window_set:
-            neighbor[va].add(None)
-        elif vb in window_set:
-            neighbor[vb].add(None)
-    for v in window_ids:
-        if None not in neighbor[v]:
-            inner.append(v)
-    resid = 0.0
-    Q = top.form_matrix
-    for v in inner:
-        i = top.index(v)
-        row = (Q[i] @ hfull).item()
-        resid = max(resid, abs(row / top.measure[i]))
+    hfull[window] = h
+    i, j = top.edge_index[:, 0], top.edge_index[:, 1]
+    inner = in_window.copy()
+    inner[i[~in_window[j]]] = False
+    inner[j[~in_window[i]]] = False
+    Lh = (top.form_matrix @ hfull) / top.measure
+    resid = float(np.max(np.abs(Lh[inner]), initial=0.0))
 
     return GroundState(
         vertices=tuple(window_ids),

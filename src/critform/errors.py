@@ -16,12 +16,12 @@ class NonPositiveMeasure(CritformError):
 
 
 class FormNotNonnegative(CritformError):
-    def __init__(self, eigenvalue: float, tol: float):
-        self.eigenvalue = eigenvalue
+    def __init__(self, count: int, tol: float):
+        self.count = count
         self.tol = tol
         super().__init__(
-            f"form is not nonnegative: smallest pencil eigenvalue "
-            f"{eigenvalue:.6e} < -{tol:.3e}"
+            f"form is not nonnegative: {count} nonpositive pivot(s) of Q + "
+            f"(tol/2) M, tol = {tol:.3e}"
         )
 
 

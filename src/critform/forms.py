@@ -12,15 +12,12 @@ and the generator L satisfies q(f, g) = <L f, g>_mu on the non-Dirichlet part.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .config import tolerances
 from .errors import (
@@ -371,53 +368,30 @@ def build_form(spec: Mapping) -> GraphForm:
 def _validate_nonnegative(form: GraphForm) -> None:
     """Reject forms whose restricted energy takes negative values.
 
-    With c >= 0 the energy is a sum of squares, so the check is skipped; signed
-    potentials trigger a smallest-pencil-eigenvalue computation.
+    With c >= 0 the energy is a sum of squares, so the check is skipped.  A
+    signed potential needs a proof by Sylvester's law of inertia that the
+    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1):
+    Q + (tol/2) M = L D L^T - E with pivots D > 0 and ||E||_2 at most the
+    rounding bound b <= (tol/2) min mu (a posteriori, after Rump 2006).  A
+    nonpositive pivot raises ``FormNotNonnegative``; a pivot off the
+    diagonal, a breakdown or a larger b raises ``SolverFailure``.
     """
     if np.all(form.potential[form.active] >= 0):
         return
     if form.n_active == 0:
         return
+    from .resolvent import _diagonal_pivots, _rounding_bound
+
     tol = tolerances()["tol_psd"] * max(form.operator_norm_bound(), 1.0)
-    lam = _smallest_pencil_eigenvalue(form)
-    if lam < -tol:
-        raise FormNotNonnegative(lam, tol)
-
-
-def _smallest_pencil_eigenvalue(form: GraphForm) -> float:
-    Q = form.active_form_matrix
     mu = form.active_measure
-    n = Q.shape[0]
-    if n <= 2000:
-        dense = Q.toarray()
-        lam = scipy.linalg.eigh(dense, np.diag(mu), eigvals_only=True,
-                                subset_by_index=[0, 0])[0]
-        return float(lam)
-    # Symmetrize: eigenvalues of mu^{-1/2} Q mu^{-1/2} match the pencil.
-    d = 1.0 / np.sqrt(mu)
-    S = sp.diags(d) @ Q @ sp.diags(d)
-    try:
-        vals = spla.eigsh(S, k=1, which="SA", maxiter=5000,
-                          return_eigenvectors=False, tol=1e-9)
-        return float(vals[0])
-    except Exception:
-        pass
-    # Lanczos stalls on near-semidefinite spectra (smallest eigenvalue ~ 0
-    # with slow separation).  Rayleigh-Ritz values are always >= the true
-    # minimum, so an unconverged LOBPCG result can only err toward acceptance,
-    # and genuinely negative directions surface within a few iterations.
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, min(4, n)))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            theta, _ = spla.lobpcg(S.tocsr(), X, largest=False, maxiter=300,
-                                   tol=1e-10)
-        return float(np.min(theta))
-    except Exception as exc:
-        raise SolverFailure(
-            f"cannot certify nonnegativity of the signed form: {exc}"
-        ) from None
+    L, U = _diagonal_pivots(form.active_form_matrix, 0.5 * tol * mu)
+    count = int(np.count_nonzero(U.diagonal() <= 0))
+    if count:
+        raise FormNotNonnegative(count, tol)
+    bound, limit = _rounding_bound(L, U), 0.5 * tol * float(mu.min())
+    if not bound <= limit:
+        raise SolverFailure(f"cannot certify nonnegativity of the signed form: "
+                            f"rounding bound {bound:.3e} exceeds {limit:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,11 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     W = wv[act] * mu
 
     def max_ratio(X):
+        # a row with no energy but positive weight mass has ratio +inf
         energy = evaluate_rows(form, X) + alpha * np.sum(X * X * mu, axis=1)
-        X, energy = X[energy > 0], energy[energy > 0]
-        return float(np.max(np.sum(X * X * W, axis=1) / energy, initial=0.0))
+        mass = np.sum(X * X * W, axis=1)
+        ratio = np.divide(mass, energy, out=np.where(mass > 0, np.inf, 0.0), where=energy > 0)
+        return float(np.max(ratio, initial=0.0))
 
     # the random samples go first, so their block never sits beside the dense pencil
     rho = 0.0
@@ -142,6 +144,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
 
     lam_max = None
     note = ""
+    pencil_failed = False
     if act.size == 0:
         note = "no non-Dirichlet vertex: every admissible function vanishes"
     elif act.size <= PENCIL_CUTOFF:
@@ -155,10 +158,12 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
             n_samples += take
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
             note = f"pencil eigensolve failed: {exc}"
+            pencil_failed = True
     else:
         note = "level too large for the exact pencil certificate"
 
-    passed = rho <= 1 + tols["tol_ineq"] and (lam_max is None or lam_max <= 1 + tol_e)
+    passed = (rho <= 1 + tols["tol_ineq"] and not pencil_failed
+              and (lam_max is None or lam_max <= 1 + tol_e))
     return HardyVerification(
         rho_sampled=rho,
         pencil_lambda_max=lam_max,

@@ -47,6 +47,55 @@ def _factors(A) -> bool:
     return n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n
 
 
+def _symmetric_lu(A, shift=None):
+    """SuperLU factors Pr (A + diag(shift)) Pc = L U of a symmetric A in
+    symmetric mode (order on the pattern of A + A^T, diagonal pivots while
+    nonzero), the shift added to the stored diagonal of a CSC copy of A.  A
+    breakdown raises ``SolverFailure``."""
+    C = A.tocsc(copy=True)
+    if shift is not None:
+        C.setdiag(C.diagonal() + shift)
+    try:
+        return spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverFailure(f"sparse factorization failed: {exc}") from None
+
+
+def _diagonal_pivots(A, shift=None):
+    """L, U of ``_symmetric_lu`` with every pivot on the diagonal: by
+    Sylvester's law of inertia L D L^T, D = diag(U), has as many nonpositive
+    eigenvalues as D has nonpositive entries.  Else ``SolverFailure``."""
+    lu = _symmetric_lu(A, shift)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverFailure("a pivot left the diagonal; the inertia is not certified")
+    return lu.L, lu.U
+
+
+def _rounding_bound(L, U) -> float:
+    """Bound b >= ||E||_2 on E = L D L^T - Pr A Pc, D = diag(U), for the
+    factors of a symmetric A from ``_diagonal_pivots``.  With k the longest
+    row or column of L, |L U - Pr A Pc| <= gamma_{k+1} |L| |U| (Higham 2002,
+    Thm. 9.3, one more rounding for the shift), and E, being symmetric, has
+    ||E||_2 <= ||E||_inf <= ||(gamma_{k+1} |L| |U| + |L| |U - D L^T|) 1||_inf."""
+    n = U.shape[0]
+    L_count = np.diff(L.indptr)
+    k1 = (max(L_count.max(), np.bincount(L.indices).max()) + 1) * 2.0 ** -53
+    gamma = k1 / (1 - k1)
+    L_col = np.repeat(np.arange(n), L_count)
+    U_col = np.repeat(np.arange(n), np.diff(U.indptr))
+    # U - D L^T entrywise: U(i, j) meets d_i L(j, i) under the key i n + j
+    keys = np.concatenate([U.indices.astype(np.int64) * n + U_col, L_col * n + L.indices])
+    vals = np.concatenate([U.data, -U.diagonal()[L_col] * L.data])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    deviation = np.abs(np.add.reduceat(vals[order], start))
+    v = (gamma * np.bincount(U.indices, weights=np.abs(U.data), minlength=n)
+         + np.bincount(keys[start] // n, weights=deviation, minlength=n))
+    return float(np.bincount(L.indices, weights=np.abs(L.data) * v[L_col], minlength=n).max())
+
+
 def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     """Certified solver for the sparse symmetric positive definite system
     (A + diag(shift)) u = b; ``shift`` defaults to zero.
@@ -62,10 +111,7 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     """
     n = A.shape[0]
     if _factors(A):
-        try:
-            lu = spla.splu(sp.csc_matrix(A if shift is None else A + sp.diags(shift)))
-        except RuntimeError as exc:
-            raise SolverFailure(f"sparse factorization failed: {exc}") from None
+        lu = _symmetric_lu(A, shift)
 
         def backend(b):
             with np.errstate(all="ignore"):

@@ -27,7 +27,7 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _semigroup_block, is_excessive
+from .resolvent import _diagonal_pivots, _semigroup_block, is_excessive
 
 __all__ = [
     "AlphaProfile",
@@ -238,9 +238,8 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     mu = form.active_measure
     wv = np.ones(form.n) if w is None else np.asarray(as_function(form, w), dtype=float).copy()
     hv = np.ones(form.n) if h is None else np.asarray(as_function(form, h), dtype=float).copy()
-    if form.dirichlet:
-        wv[form.boundary_mask] = 0.0
-        hv[form.boundary_mask] = 0.0
+    wv[form.boundary_mask] = 0.0
+    hv[form.boundary_mask] = 0.0
     if np.any(wv[act] < 0):
         raise BadConfig("weight w must be nonnegative")
     if np.any(hv[act] <= 0):
@@ -270,9 +269,10 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
             raise KernelMismatch("orthogonal complement of h is trivial")
         Q_sub = P.T @ Q @ P
     else:
-        lam_min = scipy.linalg.eigh(Q, np.diag(mu), eigvals_only=True,
-                                    subset_by_index=[0, 0])[0]
-        if lam_min <= 1e-12 * max(form.operator_norm_bound(), 1.0):
+        # inertia: Q - tau M has a nonpositive pivot iff lambda_min <= tau
+        tau = 1e-12 * max(form.operator_norm_bound(), 1.0)
+        _, U = _diagonal_pivots(form.active_form_matrix, -tau * mu)
+        if np.any(U.diagonal() <= 0):
             raise KernelMismatch(
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"
             )

@@ -11,6 +11,7 @@ from critform.errors import (
     NonPositiveMeasure,
     NonSymmetricWeights,
     ParseError,
+    SolverFailure,
 )
 
 from conftest import active_vector, form_spec
@@ -171,6 +172,43 @@ def test_signed_but_nonnegative_potential_accepted():
         "mu": {"a": 1.0, "b": 2.0},
     })
     assert cf.evaluate(form, [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def with_constant_potential(form, c):
+    return cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights,
+                                    form.measure, np.full(form.n, c), form.dirichlet)
+
+
+def test_planted_negative_direction_on_a_long_path():
+    # lambda_1 of the Dirichlet path 0..5000 is 4 sin^2(pi / 10^4); the constant
+    # potential -(lambda_1 + 1e-8) plants the pencil eigenvalue -1e-8, 25 times
+    # past tol = tol_psd * 4
+    path = cf.dirichlet_path(5000)
+    lam1 = 4 * np.sin(np.pi / 10_000) ** 2
+    with pytest.raises(FormNotNonnegative) as info:
+        with_constant_potential(path, -(lam1 + 1e-8))
+    assert info.value.count == 1
+    assert info.value.tol == pytest.approx(4e-10)
+    with_constant_potential(path, -(lam1 - 1e-8))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_planted_negative_direction_on_a_3d_box(sign):
+    # lattice(3, 14): 19,683 free vertices, lambda_1 = 12 sin^2(pi / 56)
+    box = cf.lattice(3, 14)
+    c = -(12 * np.sin(np.pi / 56) ** 2 + sign * 1e-6)
+    if sign > 0:
+        with pytest.raises(FormNotNonnegative):
+            with_constant_potential(box, c)
+    else:
+        assert with_constant_potential(box, c).n_active == 27 ** 3
+
+
+def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
+    monkeypatch.setattr(cf.resolvent, "_rounding_bound", lambda L, U: np.inf)
+    with pytest.raises(SolverFailure):
+        cf.random_connected_form(30, seed=2, signed_potential=True)
+    cf.random_connected_form(30, seed=2)            # c >= 0 needs no certificate
 
 
 def test_first_bd_sweep_nonpositive():

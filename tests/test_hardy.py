@@ -126,6 +126,22 @@ def test_verify_notes_tell_empty_from_too_large(all_dirichlet, monkeypatch):
     assert "too large" in large and "too large" not in empty
 
 
+def test_failed_pencil_eigensolve_fails_the_verification(two_path):
+    # Q of the free pair is singular, so the pencil (W, Q) has no eigensolve;
+    # f = 1 gives sum f^2 w mu = 1e-6 > 0 = q(f)
+    rep = cf.verify_hardy(two_path, [1e-6, 0.0], n_samples=200)
+    assert rep.pencil_lambda_max is None and "eigensolve failed" in rep.note
+    assert not rep.passed
+
+
+def test_sample_with_no_energy_but_weight_mass_is_a_violation():
+    # one free vertex without potential: every sample has q(f) = 0
+    lone = cf.build_form({"vertices": ["o"], "edges": []})
+    rep = cf.verify_hardy(lone, [0.5], n_samples=3)
+    assert rep.rho_sampled == np.inf and not rep.passed
+    assert cf.verify_hardy(lone, [0.0], n_samples=3).rho_sampled == 0.0
+
+
 def test_perturbed_weight_on_critical_form(two_path):
     hw = cf.perturbed_hardy_bound(two_path, np.ones(2), alpha=1.0, seed=0)
     assert hw.alpha_used == 1.0

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 import critform as cf
 from critform.errors import GreenInconclusive, SolverFailure
-from critform.resolvent import direct_green_solve, solve_spd
+from critform.resolvent import (
+    _diagonal_pivots, _rounding_bound, _symmetric_lu, direct_green_solve, solve_spd)
 
 from conftest import active_vector, shifted
 
@@ -229,6 +230,93 @@ def test_direct_green_solve_runs_when_every_component_is_anchored(backends):
     u = direct_green_solve(form, {"0,0,0": 1.0})
     assert u is not None and np.all(u > 0)
     assert backends == ["cg"]
+
+
+# --- symmetric factorization and inertia ------------------------------------
+
+def test_pivot_count_matches_dense_eigenvalues():
+    # Sylvester: Q + s M has as many nonpositive pivots as the pencil (Q, M)
+    # has eigenvalues <= -s
+    rng = np.random.default_rng(5)
+    negative = 0
+    for k in range(102):
+        n = int(rng.integers(5, 301))
+        form = cf.random_connected_form(n, seed=k, dirichlet_count=k % 3)
+        mu = form.active_measure
+        Q = (form.active_form_matrix
+             + sp.diags(rng.uniform(-3.0, 1.0, form.n_active) * mu)).tocsr()
+        dense = Q.toarray()
+        lam = scipy.linalg.eigvalsh(dense, np.diag(mu))
+        tol = 1e-10 * max(float(np.max(np.abs(dense).sum(axis=1) / mu)), 1.0)
+        for s in (-tol, 0.0, tol):
+            _, U = _diagonal_pivots(Q, s * mu)
+            assert np.count_nonzero(U.diagonal() <= 0) == np.count_nonzero(lam <= -s)
+        negative += np.count_nonzero(lam < 0)
+    assert negative > 1000
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf.random_connected_form(200, seed=8, dirichlet_count=3),
+    lambda: cf.lattice(2, 8),
+    lambda: cf.random_tree_form(150, seed=9),
+], ids=["graph", "lattice2d", "tree"])
+def test_rounding_bound_covers_the_factorization_error(make):
+    # E = L D L^T - P (Q + s M) P^T in extended precision against the bound
+    form = make()
+    Q, mu = form.active_form_matrix, form.active_measure
+    shift = 1e-3 * mu
+    lu = _symmetric_lu(Q, shift)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    back = np.argsort(lu.perm_c)
+    A = (Q.toarray().astype(np.longdouble) + np.diag(shift.astype(np.longdouble)))[back][:, back]
+    L = lu.L.toarray().astype(np.longdouble)
+    E = (L * lu.U.diagonal().astype(np.longdouble)) @ L.T - A
+    assert np.max(np.abs(E)) > 0
+    assert np.linalg.norm(E.astype(float), 2) <= _rounding_bound(lu.L, lu.U)
+
+
+def reference_rounding_bound(L, U):
+    """||(gamma_{k+1} |L| |U| + |L| |U - D L^T|) 1||_inf with sparse products."""
+    k = max(np.diff(L.indptr).max(), np.diff(L.tocsr().indptr).max())
+    g = (k + 1) * 2.0 ** -53
+    one = np.ones(L.shape[0])
+    dev = abs(U - sp.diags(U.diagonal()) @ L.T) @ one
+    return float((abs(L) @ (g / (1 - g) * (abs(U) @ one) + dev)).max())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf.dirichlet_path(60_000),                # keys i n + j pass 2^31
+    lambda: cf.lattice(2, 20),
+    lambda: cf.random_connected_form(300, seed=1),
+], ids=["long-path", "lattice2d", "graph"])
+def test_rounding_bound_matches_sparse_reference(make):
+    form = make()
+    lu = _symmetric_lu(form.active_form_matrix, 1e-3 * form.active_measure)
+    reference = reference_rounding_bound(lu.L, lu.U)
+    assert _rounding_bound(lu.L, lu.U) == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+def test_pivot_off_the_diagonal_is_not_an_inertia():
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(SolverFailure):
+        _diagonal_pivots(swap)
+
+
+@pytest.mark.parametrize("make, alpha", [
+    (lambda: cf.random_tree_form(1500, seed=3), 0.0),
+    (lambda: cf.lattice(2, 22), 0.0),                 # 1849 unknowns
+    (lambda: cf.lattice(2, 12), 1e-3),
+    (lambda: cf.random_connected_form(800, seed=6, extra_edge_prob=0.5), 0.7),
+    (lambda: cf.random_connected_form(300, seed=7, dirichlet_count=4), 1e-8),
+], ids=["tree", "lattice2d", "lattice2d-shifted", "graph-shifted", "graph-dirichlet"])
+def test_symmetric_mode_solves_match_default_superlu(make, alpha):
+    form = make()
+    Q = form.active_form_matrix
+    shift = alpha * form.active_measure if alpha else None
+    b = np.random.default_rng(1).standard_normal(form.n_active)
+    u = solve_spd(Q, shift)(b)
+    ref = spla.splu(sp.csc_matrix(Q + sp.diags(alpha * form.active_measure))).solve(b)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_constant_is_excessive_without_potential(two_path):

@@ -69,8 +69,11 @@ def test_poincare_mode_requires_harmonic_h(pinned_path):
 
 
 def test_hardy_mode_requires_trivial_kernel(two_path):
-    with pytest.raises(KernelMismatch):
+    with pytest.raises(KernelMismatch, match="nontrivial kernel"):
         cf.alpha_profile(two_path, mode="hardy", seed=0)
+    # lambda_min = 1e-12 lies below tau = 1e-12 * norm bound (about 2e-12)
+    with pytest.raises(KernelMismatch, match="nontrivial kernel"):
+        cf.alpha_profile(shifted(two_path, 1e-12), mode="hardy", seed=0)
 
 
 def test_profile_input_validation(single_vertex):
@@ -453,7 +456,7 @@ def test_large_form_gets_the_refined_certificate(monkeypatch):
     assert prof.alpha_cert[1] < prof.alpha_base * (1 - 1e-3)   # refined, not flat
 
 
-def test_hardy_profile_makes_two_dense_eigensolves(monkeypatch):
+def test_hardy_profile_makes_one_dense_eigensolve(monkeypatch):
     calls = []
 
     def counting(module, name):
@@ -470,7 +473,7 @@ def test_hardy_profile_makes_two_dense_eigensolves(monkeypatch):
         counting(module, name)
     form = cf.random_tree_form(40, seed=1)
     cf.alpha_profile(form, r_grid=np.geomspace(1e-8, 50.0, 101), seed=1)
-    assert len(calls) <= 2
+    assert len(calls) <= 1
 
 
 def test_violation_gate_runs_before_the_clamp(monkeypatch):
