@@ -115,8 +115,13 @@ def _delta_vector(form, vertex_id):
     return vec
 
 
-def _function_map(form, values):
-    return {v: float(x) for v, x in zip(form.vertices, values)}
+def _function_map(form, values, mask=None):
+    out = {}
+    for k, v in enumerate(form.vertices):
+        if mask is not None and not mask[k]:
+            continue
+        out[v] = float(values[k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,9 @@ def _run_hardy(job):
         g = _delta_vector(form, source)
         g_desc = f"delta at {source}"
     else:
-        g = np.where(form.boundary_mask, 0.0, 1.0)
+        g = np.ones(form.n)
+        if form.dirichlet:
+            g = np.where(form.boundary_mask, 0.0, g)
         g_desc = "uniform"
     hw = hardy_weight(form, g, n_samples=int(job.options.get("n_samples", 500)),
                       seed=int(job.seed))
@@ -270,7 +277,9 @@ def _run_decay(job):
     if job.options.get("verify"):
         if form is None:
             form, _ = _load_form(job)
-        h = np.where(form.boundary_mask, 0.0, 1.0)
+        h = np.ones(form.n)
+        if form.dirichlet:
+            h = np.where(form.boundary_mask, 0.0, h)
         ver = verify_decay(form, h, curve, n_samples=int(job.options.get("n_samples", 50)),
                            seed=seed)
         results["verification"] = {
@@ -365,7 +374,9 @@ def _run_check(job):
         con = check_resolvent_contraction(form, f, alpha=float(rng.uniform(0.1, 2.0)))
         if not (con.energy_ok and con.defect_ok):
             contraction_fail += 1
-        h = np.where(form.boundary_mask, 0.0, rng.uniform(0.5, 2.0, form.n))
+        h = np.abs(rng.uniform(0.5, 2.0, form.n))
+        if form.dirichlet:
+            h = np.where(form.boundary_mask, 0.0, h)
         exc = is_excessive(form, h)
         if not exc.agree:
             excessivity_disagree += 1

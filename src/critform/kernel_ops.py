@@ -4,7 +4,7 @@ liminf construction of excessive functions for graph forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -274,7 +274,8 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
     if not is_irreducible(form):
         raise NotIrreducible("construction requires an irreducible (connected) form")
     gv = np.asarray(as_function(form, g), dtype=float).copy()
-    gv[form.boundary_mask] = 0.0
+    if form.dirichlet:
+        gv[form.boundary_mask] = 0.0
     act = form.active
     if np.any(gv[act] < 0) or not np.any(gv[act] > 0):
         raise NonPositiveInput("g must be nonnegative and not identically zero")
@@ -367,17 +368,34 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
         exhaustion = target
         per = []
         for radius in exhaustion.radii:
-            g_level = {exhaustion.root: 1.0} if g is None else g
+            level = exhaustion.level(radius)
+            g_level = g
+            if g_level is None:
+                g_level = {exhaustion.root: 1.0}
             B_ids = tuple(B) if B is not None else (exhaustion.root,)
-            built = _construct_on_form(exhaustion.level(radius), g_level, alpha_schedule,
-                                       B_ids, tol_exc, fatou_t)
+            built = _construct_on_form(level, g_level, alpha_schedule, B_ids,
+                                       tol_exc, fatou_t)
             per.append((radius, built))
-        return replace(per[-1][1], per_level=tuple(per))
+        top = per[-1][1]
+        return ExcessiveConstruction(
+            function=top.function,
+            residual_min=top.residual_min,
+            stabilization_gap=top.stabilization_gap,
+            schedule=top.schedule,
+            reference_set=top.reference_set,
+            excessive=top.excessive,
+            fatou_t=top.fatou_t,
+            fatou_max_violation=top.fatou_max_violation,
+            per_level=tuple(per),
+        )
 
     form = target
     if not isinstance(form, GraphForm):
         raise BadConfig("target must be a GraphForm or an Exhaustion")
-    gv = np.ones(form.n) if g is None else g
+    if g is None:
+        gv = np.ones(form.n)
+    else:
+        gv = g
     if B is not None:
         B_ids = tuple(B)
     else:

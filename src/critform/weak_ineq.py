@@ -238,8 +238,9 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     mu = form.active_measure
     wv = np.ones(form.n) if w is None else np.asarray(as_function(form, w), dtype=float).copy()
     hv = np.ones(form.n) if h is None else np.asarray(as_function(form, h), dtype=float).copy()
-    wv[form.boundary_mask] = 0.0
-    hv[form.boundary_mask] = 0.0
+    if form.dirichlet:
+        wv[form.boundary_mask] = 0.0
+        hv[form.boundary_mask] = 0.0
     if np.any(wv[act] < 0):
         raise BadConfig("weight w must be nonnegative")
     if np.any(hv[act] <= 0):

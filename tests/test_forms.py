@@ -1,6 +1,7 @@
 """Construction, validation, energy evaluation and the structural checks."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import critform as cf
 from critform.forms import SAMPLE_BLOCK_ENTRIES, evaluate_rows, sample_blocks
@@ -202,6 +203,34 @@ def test_planted_negative_direction_on_a_3d_box(sign):
             with_constant_potential(box, c)
     else:
         assert with_constant_potential(box, c).n_active == 27 ** 3
+
+
+def spread_path_spec(c, n=60):
+    # mu falls from 1 to 1e-8 along a Dirichlet path; b = sqrt(mu_v mu_v+1)
+    # keeps the normalized operator, and with it tol, of order one
+    mu = 10.0 ** (-8 * np.arange(n) / (n - 1))
+    return {"vertices": [str(v) for v in range(n)],
+            "edges": [[str(v), str(v + 1), float(np.sqrt(mu[v] * mu[v + 1]))]
+                      for v in range(n - 1)],
+            "mu": {str(v): float(m) for v, m in enumerate(mu)},
+            "potential": {str(v): c for v in range(n)},
+            "dirichlet": ["0", str(n - 1)]}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_signed_document_with_measure_spread_over_eight_orders(sign):
+    # the constant potential -(lambda_1 +- 1e-6) moves the pencil minimum to
+    # -+1e-6; a rounding bound measured against (tol/2) min mu, about 3e-18,
+    # instead of the scaled pencil would refuse the nonnegative form
+    free = cf.build_form(spread_path_spec(0.0))
+    lam1 = scipy.linalg.eigh(free.active_form_matrix.toarray(), np.diag(free.active_measure),
+                             eigvals_only=True, subset_by_index=[0, 0])[0]
+    spec = spread_path_spec(-(lam1 + sign * 1e-6))
+    if sign > 0:
+        with pytest.raises(FormNotNonnegative):
+            cf.build_form(spec)
+    else:
+        assert cf.build_form(spec).potential.min() < 0
 
 
 def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):

@@ -206,6 +206,16 @@ def test_transform_energy_identity():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("base", [cf.path_form, cf.dirichlet_path])
+def test_transform_by_a_steep_h_is_certified_nonnegative(base):
+    # h = 2^-v spreads the new measure h^2 mu over 4^40; the recovered
+    # potential is signed, so the new form needs the inertia certificate
+    form = base(40)
+    gst = cf.ground_state_transform(form, 2.0 ** -np.arange(form.n))
+    assert gst.form.potential.min() < 0
+    assert gst.form.measure.max() / gst.form.measure.min() > 1e20
+
+
 def test_transform_by_excessive_h_makes_one_excessive(pinned_path):
     # h = G g is excessive; the conjugated form must leave 1 excessive
     g = np.array([0.0, 1.0, 0.5, 0.25])
