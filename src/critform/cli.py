@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import job_tolerances, tolerances
-from .criticality import ClassifyConfig, agmon_ground_state, classify
+from .criticality import agmon_ground_state, classify
 from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
 from .families import builtin_family, constant_exhaustion
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
@@ -115,13 +115,8 @@ def _delta_vector(form, vertex_id):
     return vec
 
 
-def _function_map(form, values, mask=None):
-    out = {}
-    for k, v in enumerate(form.vertices):
-        if mask is not None and not mask[k]:
-            continue
-        out[v] = float(values[k])
-    return out
+def _function_map(form, values):
+    return {v: float(x) for v, x in zip(form.vertices, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +125,7 @@ def _function_map(form, values, mask=None):
 
 def _run_classify(job):
     exhaustion = _load_exhaustion(job)
-    cfg = ClassifyConfig(tol_cap=tolerances()["tol_cap"])
-    report = classify(exhaustion, cfg, with_artifacts=bool(job.options.get("artifacts")))
+    report = classify(exhaustion, with_artifacts=bool(job.options.get("artifacts")))
     results = {
         "verdict": report.verdict,
         "reason": report.reason,
@@ -175,9 +169,7 @@ def _run_hardy(job):
         g = _delta_vector(form, source)
         g_desc = f"delta at {source}"
     else:
-        g = np.ones(form.n)
-        if form.dirichlet:
-            g = np.where(form.boundary_mask, 0.0, g)
+        g = np.where(form.boundary_mask, 0.0, 1.0)
         g_desc = "uniform"
     hw = hardy_weight(form, g, n_samples=int(job.options.get("n_samples", 500)),
                       seed=int(job.seed))
@@ -277,9 +269,7 @@ def _run_decay(job):
     if job.options.get("verify"):
         if form is None:
             form, _ = _load_form(job)
-        h = np.ones(form.n)
-        if form.dirichlet:
-            h = np.where(form.boundary_mask, 0.0, h)
+        h = np.where(form.boundary_mask, 0.0, 1.0)
         ver = verify_decay(form, h, curve, n_samples=int(job.options.get("n_samples", 50)),
                            seed=seed)
         results["verification"] = {
@@ -375,8 +365,7 @@ def _run_check(job):
         if not (con.energy_ok and con.defect_ok):
             contraction_fail += 1
         h = np.abs(rng.uniform(0.5, 2.0, form.n))
-        if form.dirichlet:
-            h = np.where(form.boundary_mask, 0.0, h)
+        h = np.where(form.boundary_mask, 0.0, h)
         exc = is_excessive(form, h)
         if not exc.agree:
             excessivity_disagree += 1

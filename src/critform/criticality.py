@@ -3,7 +3,7 @@ and certificate cross-checks."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -144,7 +144,7 @@ class ClassifyConfig:
     """Thresholds steering the capacity-trace verdict (engineering choices,
     echoed into every report)."""
 
-    tol_cap: float = 1e-6            # absolute floor: below this the limit counts as zero
+    tol_cap: float = field(default_factory=lambda: tolerances()["tol_cap"])  # zero-limit floor
     stabilization_rel: float = 1e-4  # relative flatness over the trailing window
     stabilization_window: int = 3    # trailing radii checked for flatness
     slope_threshold: float = -0.2    # log-log slope certifying decay to zero
@@ -203,20 +203,8 @@ def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
     Inconclusive.  Later radii only refine, never flip, a decisive verdict.
     """
     cfg = config or ClassifyConfig()
-    trace = []
-    for radius in exhaustion.radii:
-        level = exhaustion.level(radius)
-        cap = capacity(level, {exhaustion.root})
-        trace.append((radius, cap.value))
-        if len(trace) >= 2 and trace[-1][1] > trace[-2][1] * (1 + 1e-8) + 1e-14:
-            raise ValidationFailure(
-                f"capacity increased from radius {trace[-2][0]} to {radius}: "
-                f"{trace[-2][1]:.6e} -> {trace[-1][1]:.6e} (generator is not nested)"
-            )
-
-    radii = np.array([r for r, _ in trace], dtype=float)
-    caps = np.array([c for _, c in trace], dtype=float)
-    verdict, reason, fit = _verdict(radii, caps, cfg)
+    trace = _capacity_trace(exhaustion, exhaustion.radii)
+    verdict, reason, fit = _verdict(*np.array(trace, dtype=float).T, cfg)
 
     report = ClassificationReport(
         verdict=verdict,
@@ -229,6 +217,23 @@ def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
     if with_artifacts:
         report = _attach_artifacts(exhaustion, report)
     return report
+
+
+def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, cap: None):
+    """Capacity trace ((R, cap_R), ...) along ``radii``, one level alive at a time and
+    passed to ``visit``; a capacity that grows with R raises ``ValidationFailure``."""
+    trace = []
+    for radius in radii:
+        level = exhaustion.level(radius)
+        cap = capacity(level, {exhaustion.root})
+        trace.append((radius, cap.value))
+        if len(trace) >= 2 and trace[-1][1] > trace[-2][1] * (1 + 1e-8) + 1e-14:
+            raise ValidationFailure(
+                f"capacity increased from radius {trace[-2][0]} to {radius}: "
+                f"{trace[-2][1]:.6e} -> {trace[-1][1]:.6e} (generator is not nested)"
+            )
+        visit(radius, level, cap)
+    return trace
 
 
 def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
@@ -343,27 +348,35 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
     Equilibrium potentials of growing levels are extrapolated pointwise
     (linear in 1/R) on the window; convergence demands the last two
     extrapolants agree to ``tol_gs`` in sup norm.  Normalization: value 1 at
-    the root.
+    the root.  Without a ``report`` the same pass over the levels classifies.
     """
     tol = tolerances()["tol_gs"] if tol_gs is None else float(tol_gs)
-    if report is None:
-        report = classify(exhaustion)
-    if report.verdict != "Critical":
+    if report is not None and report.verdict != "Critical":
         raise NotCritical(f"classification verdict is {report.verdict}")
 
-    window_form = exhaustion.level(window_radius)
-    window_ids = [window_form.vertices[i] for i in window_form.active]
-    levels = [r for r in exhaustion.radii if r > window_radius]
+    radii = [r for r in exhaustion.radii if report is None or r > window_radius]
+    values, window_ids, top = [], None, None
+
+    def extract(radius, level, cap):
+        nonlocal window_ids, top
+        if radius >= window_radius and window_ids is None:
+            window_form = level if radius == window_radius else exhaustion.level(window_radius)
+            window_ids = [window_form.vertices[i] for i in window_form.active]
+        if radius > window_radius:
+            values.append([cap.equilibrium[level.index(v)] for v in window_ids])
+            top = level if radius == radii[-1] else None     # the residual's level
+    trace = _capacity_trace(exhaustion, radii, extract)
+    if report is None:
+        verdict = _verdict(*np.array(trace, dtype=float).T, ClassifyConfig())[0]
+        if verdict != "Critical":
+            raise NotCritical(f"classification verdict is {verdict}")
+
+    levels = [r for r in radii if r > window_radius]
     if len(levels) < 3:
         raise NoConvergence(
             f"need at least 3 levels beyond window radius {window_radius}, have {len(levels)}"
         )
-
-    values = np.zeros((len(levels), len(window_ids)))
-    for k, radius in enumerate(levels):
-        level = exhaustion.level(radius)
-        eq = capacity(level, {exhaustion.root}).equilibrium
-        values[k] = [eq[level.index(v)] for v in window_ids]
+    values = np.array(values)
 
     def intercepts(rows) -> np.ndarray:
         rs = np.array([levels[i] for i in rows], dtype=float)
@@ -392,7 +405,6 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
 
     # Residual of the generator on window vertices whose neighbors stay inside
     # the window, evaluated on the largest level.
-    top = exhaustion.level(levels[-1])
     window = np.array([top.index(v) for v in window_ids], dtype=np.int64)
     in_window = np.zeros(top.n, dtype=bool)
     in_window[window] = True

@@ -23,9 +23,9 @@ from .errors import (
 from .forms import GraphForm, VertexFunction, as_function, is_irreducible
 from .resolvent import (
     DENSE_SEMIGROUP_CUTOFF,
+    _excessivity_gate,
     _semigroup_block,
     default_alpha_schedule,
-    is_excessive,
     resolvent_apply,
     semigroup_apply,
 )
@@ -269,13 +269,11 @@ class ExcessiveConstruction:
 
 def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
                        fatou_t) -> ExcessiveConstruction:
-    tols = tolerances()
-    tol = tols["tol_exc"] if tol_exc is None else float(tol_exc)
+    tol = tolerances()["tol_exc"] if tol_exc is None else float(tol_exc)
     if not is_irreducible(form):
         raise NotIrreducible("construction requires an irreducible (connected) form")
     gv = np.asarray(as_function(form, g), dtype=float).copy()
-    if form.dirichlet:
-        gv[form.boundary_mask] = 0.0
+    gv[form.boundary_mask] = 0.0
     act = form.active
     if np.any(gv[act] < 0) or not np.any(gv[act] > 0):
         raise NonPositiveInput("g must be nonnegative and not identically zero")
@@ -327,7 +325,7 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
     h_act = last / float(np.min(last[B_pos]))
     h = np.zeros(form.n)
     h[act] = h_act
-    report = is_excessive(form, h)
+    _, residual_min, excessive = _excessivity_gate(form, h, tol)
 
     fatou_violation = 0.0
     fatou_used = ()
@@ -340,11 +338,11 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
 
     return ExcessiveConstruction(
         function=VertexFunction(vertices=form.vertices, values=h),
-        residual_min=report.algebraic_min,
+        residual_min=residual_min,
         stabilization_gap=gap,
         schedule=schedule,
         reference_set=tuple(B_ids),
-        excessive=report.excessive,
+        excessive=excessive,
         fatou_t=fatou_used,
         fatou_max_violation=fatou_violation,
     )

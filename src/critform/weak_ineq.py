@@ -27,7 +27,7 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _diagonal_pivots, _semigroup_block, is_excessive
+from .resolvent import _diagonal_pivots, _excessivity_gate, _semigroup_block
 
 __all__ = [
     "AlphaProfile",
@@ -238,9 +238,8 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     mu = form.active_measure
     wv = np.ones(form.n) if w is None else np.asarray(as_function(form, w), dtype=float).copy()
     hv = np.ones(form.n) if h is None else np.asarray(as_function(form, h), dtype=float).copy()
-    if form.dirichlet:
-        wv[form.boundary_mask] = 0.0
-        hv[form.boundary_mask] = 0.0
+    wv[form.boundary_mask] = 0.0
+    hv[form.boundary_mask] = 0.0
     if np.any(wv[act] < 0):
         raise BadConfig("weight w must be nonnegative")
     if np.any(hv[act] <= 0):
@@ -449,14 +448,13 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     norm).  Margins tighter than ``flag_margin`` are flagged, not failed;
     genuine violations raise ViolationFound with the witness.
     """
-    hv = as_domain_function(form, h)
+    hv, algebraic_min, excessive = _excessivity_gate(form, h, tolerances()["tol_exc"])
     act = form.active
     if act.size == 0:
         raise BadConfig("form has no non-Dirichlet vertices")
-    exc = is_excessive(form, hv)
-    if not exc.excessive:
+    if not excessive:
         raise ExcessivityFailure(
-            f"h is not excessive (min generator residual {exc.algebraic_min:.3e})"
+            f"h is not excessive (min generator residual {algebraic_min:.3e})"
         )
     h_act = hv[act]
     if np.any(h_act <= 0):
@@ -501,7 +499,7 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
         min_margin_rel=float(min_margin),
         tight_points=tuple(tight),
         n_checks=n_checks,
-        excessivity_algebraic_min=exc.algebraic_min,
+        excessivity_algebraic_min=algebraic_min,
     )
 
 

@@ -30,6 +30,19 @@ def shifted(form, sigma):
     return cf.build_form(spec)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns the list of positional
+    arguments of every call made through it."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 def active_vector(form, rng, scale=1.0):
     """Random full-length vector vanishing on the Dirichlet set."""
     f = np.zeros(form.n)

@@ -6,6 +6,7 @@ import pytest
 
 import critform as cf
 from critform import cli
+from critform.config import job_tolerances
 from critform.cli import main
 from critform.reports import emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
@@ -371,3 +372,23 @@ def test_tol_override_fails_the_hardy_pencil_gate(tmp_path):
                  "--output", prefix])
     assert code == 1
     assert read_json(prefix + ".json")["results"]["verification"]["passed"] is False
+
+
+@pytest.mark.parametrize("via", ["job", "env"])
+def test_tol_cap_override_reaches_classify_and_ground_state(via, monkeypatch, capsys):
+    # a floor of 10 lies above every capacity of this 3-D trace: Critical
+    params = {"d": 3, "radii": [4, 8, 12, 16]}
+    args = ["ground-state", "--family", "lattice", "--param", "d=3",
+            "--param", "radii=[4,8,12,16]", "--window", "2", "--tol", "tol_gs=1"]
+    overrides = {}
+    if via == "env":
+        monkeypatch.setenv("CRITFORM_TOL_CAP", "10")
+    else:
+        overrides = {"tol_cap": 10.0}
+        args += ["--tol", "tol_cap=10"]
+    with job_tolerances(overrides):
+        assert cf.classify(cf.builtin_family("lattice", params)).verdict == "Critical"
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["tolerances"]["tol_cap"] == 10.0
+    assert doc["results"]["levels_used"] == [4, 8, 12, 16]

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 import critform as cf
-from critform import resolvent
+from critform import criticality, resolvent
 from critform.errors import DomainMismatch, NotCritical, ValidationFailure
+
+from conftest import count_calls
 
 WATSON_U3 = 1.516386059151978   # Watson's simple-cubic lattice Green's constant
 
@@ -173,6 +175,32 @@ def test_ground_state_of_designed_chain_matches_design():
         expect = 1.0 / (int(v) + 1.0)
         assert got == pytest.approx(expect, rel=1e-3), v
     assert gs.residual_sup <= 1e-4
+
+
+def test_ground_state_builds_and_solves_each_level_once(monkeypatch):
+    base = cf.lattice_exhaustion(1, radii=(5, 10, 20, 40, 80))
+    built = []                      # (radius, level); holding the levels keeps them distinct
+
+    def generator(radius):
+        built.append((radius, base.generator(radius)))
+        return built[-1][1]
+    exh = cf.Exhaustion(generator=generator, radii=base.radii, root=base.root)
+    solves = count_calls(monkeypatch, criticality, "capacity")
+
+    def radii_built_and_solved():
+        return (sorted(r for r, _ in built),
+                sorted(r for level, _ in solves for r, form in built if form is level))
+
+    gs = cf.agmon_ground_state(exh, window_radius=10)
+    assert radii_built_and_solved() == ([5, 10, 20, 40, 80], [5, 10, 20, 40, 80])
+
+    report = cf.classify(exh)
+    built.clear()
+    solves.clear()
+    again = cf.agmon_ground_state(exh, window_radius=10, report=report)
+    assert radii_built_and_solved() == ([10, 20, 40, 80], [20, 40, 80])
+    assert np.array_equal(again.values, gs.values)
+    assert again.residual_sup == gs.residual_sup
 
 
 def test_certificates_consistent_on_subcritical_family():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import critform as cf
+from critform import resolvent
 from critform.errors import (
     BadConfig,
     NonPositiveInput,
@@ -16,7 +17,7 @@ from critform.errors import (
 )
 from critform.kernel_ops import ergodicity_check, heat_kernel_operator, ktilde
 
-from conftest import shifted
+from conftest import count_calls, shifted
 
 
 def make_op(n_target, n_source, seed, p=2.0):
@@ -231,6 +232,27 @@ def test_construct_schedule_too_short(pinned_path):
         # three widely spaced shifts cannot witness stabilization
         cf.construct_excessive(pinned_path, g={"1": 1.0}, B=("1",),
                                alpha_schedule=[1.0, 0.5, 0.25])
+
+
+def test_construct_makes_one_solve_per_schedule_shift(pinned_path, monkeypatch):
+    schedule = cf.default_alpha_schedule(1.0, 1e-10, 0.5)
+    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    built = cf.construct_excessive(pinned_path, g={"1": 1.0}, B=("1",), alpha_schedule=schedule)
+    assert built.excessive
+    assert [alpha for _, alpha, _ in solves] == list(schedule)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_construct_judges_excessivity_at_the_given_tolerance(seed):
+    # three widely spaced shifts leave L h well below zero (about -0.17), which
+    # tol_exc = 10 accepts in both the stabilization and the excessivity gate
+    form = cf.random_connected_form(12, seed=seed)
+    g = np.zeros(form.n)
+    g[0] = 1.0
+    built = cf.construct_excessive(form, g=g, B=[form.vertices[0]],
+                                   alpha_schedule=(1.0, 0.5, 0.25), tol_exc=10)
+    assert built.residual_min < -0.1
+    assert built.excessive
 
 
 def test_construct_rejects_boundary_reference(pinned_path):

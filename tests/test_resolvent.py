@@ -7,11 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import critform as cf
+from critform import resolvent
 from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
     _diagonal_pivots, _rounding_bound, _symmetric_lu, direct_green_solve, solve_spd)
 
-from conftest import active_vector, shifted
+from conftest import active_vector, count_calls, shifted
 
 
 def dense_resolvent(form, alpha):
@@ -343,6 +344,14 @@ def test_strict_interior_minimum_is_not_excessive(pinned_path):
     h = np.array([0.0, 1.0, 0.2, 1.0])
     rep = cf.is_excessive(pinned_path, h)
     assert not rep.excessive and not rep.grid_excessive and rep.agree
+
+
+def test_is_excessive_solves_its_nine_shift_grid(monkeypatch):
+    form = cf.random_connected_form(18, seed=4)
+    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    rep = cf.is_excessive(form, np.ones(form.n))
+    assert rep.agree
+    assert len(solves) == 9
 
 
 def test_excessive_rejects_negative_h(two_path):

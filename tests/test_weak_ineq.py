@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import critform as cf
-from critform import weak_ineq
+from critform import resolvent, weak_ineq
 from critform.errors import (
     BadConfig,
     ExcessivityFailure,
@@ -14,7 +14,7 @@ from critform.errors import (
     ViolationFound,
 )
 
-from conftest import shifted
+from conftest import count_calls, shifted
 
 
 def test_single_vertex_profile_exact(single_vertex):
@@ -223,6 +223,15 @@ def test_verify_decay_without_samples():
     margins, n_checks, _ = _decay_reference(form, np.ones(form.n), curve, 0, 0)
     assert rep.n_checks == n_checks == 2       # h alone, at each time
     assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12)
+
+
+def test_verify_decay_gates_excessivity_without_resolvent_solves(monkeypatch):
+    form = cf.random_tree_form(15, seed=2)
+    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]), rel_tol=1e-10)
+    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=10, seed=2)
+    assert rep.passed
+    assert solves == []
 
 
 def test_verify_decay_needs_a_free_vertex(all_dirichlet):
