@@ -2,7 +2,6 @@
 and certificate cross-checks."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,7 +17,7 @@ from .errors import (
     NotCritical,
     ValidationFailure,
 )
-from .forms import GraphForm, as_function, evaluate_rows, sample_blocks
+from .forms import GraphForm, as_function, evaluate_rows
 from .resolvent import green_apply, solve_spd
 
 __all__ = [
@@ -203,7 +202,7 @@ def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
     Inconclusive.  Later radii only refine, never flip, a decisive verdict.
     """
     cfg = config or ClassifyConfig()
-    trace = _capacity_trace(exhaustion, exhaustion.radii)
+    trace, top = _capacity_trace(exhaustion, exhaustion.radii)
     verdict, reason, fit = _verdict(*np.array(trace, dtype=float).T, cfg)
 
     report = ClassificationReport(
@@ -215,14 +214,14 @@ def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
         notes=_EXCLUSION_NOTE,
     )
     if with_artifacts:
-        report = _attach_artifacts(exhaustion, report)
+        report = _attach_artifacts(exhaustion, report, top)
     return report
 
 
 def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, cap: None):
-    """Capacity trace ((R, cap_R), ...) along ``radii``, one level alive at a time and
-    passed to ``visit``; a capacity that grows with R raises ``ValidationFailure``."""
-    trace = []
+    """Capacity trace ((R, cap_R), ...) along ``radii`` and its last level, one level alive
+    at a time and passed to ``visit``; a capacity that grows with R raises ``ValidationFailure``."""
+    trace, level = [], None
     for radius in radii:
         level = exhaustion.level(radius)
         cap = capacity(level, {exhaustion.root})
@@ -233,7 +232,7 @@ def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, c
                 f"{trace[-2][1]:.6e} -> {trace[-1][1]:.6e} (generator is not nested)"
             )
         visit(radius, level, cap)
-    return trace
+    return trace, level
 
 
 def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
@@ -290,7 +289,8 @@ def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
     return "Inconclusive", "trace neither vanished, stabilized, nor fit a model", fit
 
 
-def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport) -> ClassificationReport:
+def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
+                      last_level: GraphForm) -> ClassificationReport:
     """Populate the ground-state or weight summary demanded by the verdict."""
     import dataclasses
 
@@ -311,11 +311,10 @@ def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport) -> C
     elif report.verdict == "Subcritical":
         from .hardy import hardy_weight
 
-        level = exhaustion.level(exhaustion.radii[-1])
-        g = np.zeros(level.n)
-        g[level.index(exhaustion.root)] = 1.0
+        g = np.zeros(last_level.n)
+        g[last_level.index(exhaustion.root)] = 1.0
         try:
-            hw = hardy_weight(level, g, n_samples=100, seed=0)
+            hw = hardy_weight(last_level, g, n_samples=100, seed=0)
             hardy_summary = {
                 "alpha_used": hw.alpha_used,
                 "max_weight": float(np.max(hw.values)),
@@ -355,17 +354,16 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
         raise NotCritical(f"classification verdict is {report.verdict}")
 
     radii = [r for r in exhaustion.radii if report is None or r > window_radius]
-    values, window_ids, top = [], None, None
+    values, window_ids = [], None
 
     def extract(radius, level, cap):
-        nonlocal window_ids, top
+        nonlocal window_ids
         if radius >= window_radius and window_ids is None:
             window_form = level if radius == window_radius else exhaustion.level(window_radius)
             window_ids = [window_form.vertices[i] for i in window_form.active]
         if radius > window_radius:
             values.append([cap.equilibrium[level.index(v)] for v in window_ids])
-            top = level if radius == radii[-1] else None     # the residual's level
-    trace = _capacity_trace(exhaustion, radii, extract)
+    trace, top = _capacity_trace(exhaustion, radii, extract)       # top: the residual's level
     if report is None:
         verdict = _verdict(*np.array(trace, dtype=float).T, ClassifyConfig())[0]
         if verdict != "Critical":
@@ -437,14 +435,11 @@ class NullSequenceTerm:
 
 def null_sequence(exhaustion: Exhaustion, n_terms: int) -> list[NullSequenceTerm]:
     """Equilibrium potentials of the first ``n_terms`` levels; for critical
-    forms their energies are the vanishing capacity trace."""
+    forms their energies are the vanishing capacity trace (a growing one
+    raises ``ValidationFailure``)."""
     terms = []
-    for radius in exhaustion.radii[:n_terms]:
-        level = exhaustion.level(radius)
-        cap = capacity(level, {exhaustion.root})
-        terms.append(NullSequenceTerm(
-            radius=radius, level=level, function=cap.equilibrium, energy=cap.value,
-        ))
+    _capacity_trace(exhaustion, exhaustion.radii[:n_terms], lambda radius, level, cap:
+                    terms.append(NullSequenceTerm(radius, level, cap.equilibrium, cap.value)))
     return terms
 
 
@@ -459,25 +454,21 @@ class CertificateBundle:
     notes: str
 
 
-def subcriticality_certificates(exhaustion: Exhaustion, g=None, n_samples: int = 200,
-                                seed: int = 0, alpha_schedule=None,
+def subcriticality_certificates(exhaustion: Exhaustion, g=None, alpha_schedule=None,
                                 report: ClassificationReport | None = None) -> CertificateBundle:
     """Cross-check three equivalent subcriticality witnesses along the levels:
     boundedness of the smoothing limit applied to g, boundedness of the best
     constant kappa in the L1(g)-energy inequality, and the capacity verdict.
+    Without a ``report`` the same pass over the levels classifies.
 
     Raises InconsistentCertificates when decisive signals disagree.
     """
-    if report is None:
-        report = classify(exhaustion)
-    rng = np.random.default_rng(seed)
-
     per_level = []
     kappa_sampled = 0.0
     root_trace = []
-    diverged = False
-    for radius in exhaustion.radii:
-        level = exhaustion.level(radius)
+
+    def certify(radius, level, cap=None):
+        nonlocal kappa_sampled
         if g is None:
             gv = np.zeros(level.n)
             gv[level.index(exhaustion.root)] = 1.0
@@ -498,23 +489,30 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, n_samples: int =
             # A level with a diverging limit certifies criticality outright
             # (possible when the level itself carries no Dirichlet boundary).
             per_level.append((radius, np.inf, np.inf))
-            diverged = True
-            continue
+            return
         kappa_exact = float(np.sqrt(max(np.sum(green.value * gv * level.measure), 0.0)))
         green_sup = float(np.max(np.abs(green.value)))
         per_level.append((radius, kappa_exact, green_sup))
         root_trace.append(green.value[level.index(exhaustion.root)])
 
         if radius == exhaustion.radii[-1]:
+            # the L1(g)-energy ratio of G g, which maximizes it over all f
             act = level.active
-            for X in itertools.chain([green.value[None, act]],
-                                     sample_blocks(rng, n_samples, act.size)):
-                energy = evaluate_rows(level, X)
-                X, energy = X[energy > 0], energy[energy > 0]
-                vals = np.sum(np.abs(X) * gv[act] * level.active_measure, axis=1) / np.sqrt(energy)
-                kappa_sampled = max(kappa_sampled, float(np.max(vals, initial=0.0)))
+            energy = evaluate_rows(level, green.value[None, act])[0]
+            if energy > 0:
+                kappa_sampled = float(np.sum(np.abs(green.value[act]) * gv[act]
+                                             * level.active_measure) / np.sqrt(energy))
+
+    if report is None:
+        trace, _ = _capacity_trace(exhaustion, exhaustion.radii, certify)
+        verdict = _verdict(*np.array(trace, dtype=float).T, ClassifyConfig())[0]
+    else:
+        for radius in exhaustion.radii:
+            certify(radius, exhaustion.level(radius))
+        verdict = report.verdict
 
     kappas = np.array([k for _, k, _ in per_level])
+    diverged = bool(np.any(np.isinf(kappas)))
     if diverged:
         trend = "growing"
     elif len(kappas) >= 3:
@@ -534,13 +532,13 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, n_samples: int =
         )
 
     consistent = True
-    if report.verdict == "Subcritical" and trend == "growing":
+    if verdict == "Subcritical" and trend == "growing":
         consistent = False
-    if report.verdict == "Critical" and trend == "stable":
+    if verdict == "Critical" and trend == "stable":
         consistent = False
     if not consistent:
         raise InconsistentCertificates(
-            f"kappa trend {trend!r} contradicts capacity verdict {report.verdict!r}"
+            f"kappa trend {trend!r} contradicts capacity verdict {verdict!r}"
         )
 
     extrap = None
@@ -556,7 +554,7 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, n_samples: int =
         per_level=tuple(per_level),
         kappa_sampled=kappa_sampled,
         kappa_trend=trend,
-        capacity_verdict=report.verdict,
+        capacity_verdict=verdict,
         consistent=consistent,
         extrapolated_green_at_root=extrap,
         notes="per-level smoothing limits are finite by construction; the "

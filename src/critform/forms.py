@@ -370,35 +370,23 @@ def _validate_nonnegative(form: GraphForm) -> None:
 
     With c >= 0 the energy is a sum of squares, so the check is skipped.  A
     signed potential needs a proof by Sylvester's law of inertia that the
-    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1).
-    Scaling by powers of two, D = diag(2^-e) with D M D = diag(w), w in
-    [1/2, 2), is exact and keeps the pencil; then D Q D + (tol/2) D M D =
-    L D' L^T - E with pivots D' > 0 and ||E||_2 at most the rounding bound
-    b <= (tol/2) min w (a posteriori, after Rump 2006) proves it.  Without
-    the scaling b would be measured against min mu, and a measure spread
-    over many orders would leave no room for it.  A nonpositive pivot raises
-    ``FormNotNonnegative``; a pivot off the diagonal, a breakdown or a
-    larger b raises ``SolverFailure``.
+    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1):
+    ``resolvent._inertia`` finds no nonpositive pivot of Q + (tol/2) M and a
+    rounding bound s <= tol/2, so Q + (tol/2) M >= -s M.  A nonpositive pivot
+    raises ``FormNotNonnegative``; a pivot off the diagonal, a breakdown or a
+    larger s raises ``SolverFailure``.
     """
-    if np.all(form.potential[form.active] >= 0):
+    if np.all(form.potential[form.active] >= 0):     # also when no vertex is free
         return
-    if form.n_active == 0:
-        return
-    from .resolvent import _diagonal_pivots, _rounding_bound
+    from .resolvent import _inertia
 
     tol = tolerances()["tol_psd"] * max(form.operator_norm_bound(), 1.0)
-    e = np.frexp(form.active_measure)[1] // 2
-    w = np.ldexp(form.active_measure, -2 * e)
-    S = form.active_form_matrix.copy()
-    S.data = np.ldexp(S.data, -e[S.indices] - np.repeat(e, np.diff(S.indptr)))
-    L, U = _diagonal_pivots(S, 0.5 * tol * w)
-    count = int(np.count_nonzero(U.diagonal() <= 0))
+    _, count, s = _inertia(form.active_form_matrix, form.active_measure, 0.5 * tol)
     if count:
         raise FormNotNonnegative(count, tol)
-    bound, limit = _rounding_bound(L, U), 0.5 * tol * float(w.min())
-    if not bound <= limit:
+    if not s <= 0.5 * tol:
         raise SolverFailure(f"cannot certify nonnegativity of the signed form: "
-                            f"rounding bound {bound:.3e} exceeds {limit:.3e}")
+                            f"rounding bound {s:.3e} exceeds {0.5 * tol:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import tolerances
 from .errors import (
@@ -24,7 +23,7 @@ from .forms import (
     evaluate_rows,
     sample_blocks,
 )
-from .resolvent import default_alpha_schedule, green_apply, resolvent_apply
+from .resolvent import _inertia, default_alpha_schedule, green_apply, resolvent_apply
 
 __all__ = [
     "HardyWeight",
@@ -37,17 +36,17 @@ __all__ = [
     "ground_state_transform",
 ]
 
-PENCIL_CUTOFF = 2000  # vertices; above this the certificate eigensolve is skipped
+PENCIL_CUTOFF = 2000  # read by no code here; bench/workloads.py sizes its trees by it
 
 
 @dataclass(frozen=True)
 class HardyVerification:
-    """Sampled and spectral evidence for sum f^2 w mu <= q(f) + alpha |f|^2."""
+    """Sampled evidence and an inertia proof for sum f^2 w mu <= q(f) + alpha |f|^2."""
 
-    rho_sampled: float            # max sampled ratio, must be <= 1 + tol_ineq
-    pencil_lambda_max: float | None  # exact certificate when computed
-    passed: bool
-    n_samples: int
+    rho_sampled: float            # max ratio over the samples and the witness, <= 1 + tol_ineq
+    pencil_lambda_max: float | None  # witness Rayleigh quotient, a lower bound on the top
+    passed: bool                  # rho_sampled gate and the inertia proof of top <= 1 + tol_eig
+    n_samples: int                # random samples plus the witness
     alpha: float
     note: str = ""
 
@@ -95,29 +94,39 @@ def hardy_weight(form: GraphForm, g, alpha_schedule=None,
             )
         alpha_used = float(schedule[-1])
         denom = resolvent_apply(form, gv, alpha_used)
+    return _weight(form, gv, denom, alpha_used, verify=verify, n_samples=n_samples, seed=seed)
 
+
+def _weight(form: GraphForm, gv, denom, alpha: float, verify: bool,
+            n_samples: int, seed: int) -> HardyWeight:
+    """w = g / denom on the support of g, verified at shift alpha if ``verify``."""
     support = gv > 0
     if np.any(denom[support] <= 0):
         raise SolverFailure("smoothing limit is not positive on the support of g")
     w = np.zeros(form.n)
     w[support] = gv[support] / denom[support]
-
-    verification = None
-    if verify:
-        verification = verify_hardy(form, w, n_samples=n_samples, seed=seed,
-                                    alpha=alpha_used)
-    return HardyWeight(values=w, alpha_used=alpha_used, g=gv,
-                       denominator=denom, verification=verification)
+    verification = (verify_hardy(form, w, n_samples=n_samples, seed=seed, alpha=alpha)
+                    if verify else None)
+    return HardyWeight(values=w, alpha_used=alpha, g=gv, denominator=denom,
+                       verification=verification)
 
 
 def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
                  alpha: float = 0.0, tol_eig: float | None = None) -> HardyVerification:
-    """Check sum f^2 w mu <= q(f) + alpha |f|_mu^2 by sampling plus, when the
-    level is small enough, the exact largest pencil eigenvalue.
+    """Check sum f^2 w mu <= q(f) + alpha |f|_mu^2 by sampling, and prove the
+    pencil top lambda_max(W, Q_a) <= 1 + tol at every size by inertia, with
+    tol = tol_eig, Q_a = Q + alpha M and W = diag(w mu).
 
-    Adversarial directions (top eigenvectors of the weight-against-energy
-    pencil) are folded into the sample set, so the sampled ratio is sharp
-    whenever the eigensolve runs.
+    Lemma.  Let t' = 1/(1 + tol) be the claimed level (rounded up) and t > t'
+    the factored one: t = 1/(1 + tol/2) when tol > 0, else 2 t'.  (a) No
+    pivot <= 0 of Q_a - t W proves Q_a - t W >= -s1 M.  (b) With s = s1 t' /
+    (t - t') (rounded up), no pivot <= 0 of Q_a - 2s M and s2 <= s prove
+    Q_a >= s M.  Then Q_a - t' W = (t'/t)(Q_a - t W) + (1 - t'/t) Q_a >= 0.
+    s1, s2 (``resolvent._inertia``) bound the rounding of the factors and the
+    shifts.  Nothing is factored where c + alpha - t' w >= 0 at every vertex:
+    q + alpha - t' w is then a sum of squares.  The witness u = (Q_a - t W)^-1
+    W 1 (the top direction when W has rank one) joins the samples, and
+    ``pencil_lambda_max`` is its Rayleigh quotient, a lower bound on the top.
     """
     tols = tolerances()
     tol_e = tols["tol_eig"] if tol_eig is None else float(tol_eig)
@@ -137,37 +146,32 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
         ratio = np.divide(mass, energy, out=np.where(mass > 0, np.inf, 0.0), where=energy > 0)
         return float(np.max(ratio, initial=0.0))
 
-    # the random samples go first, so their block never sits beside the dense pencil
     rho = 0.0
     for X in sample_blocks(np.random.default_rng(seed), n_samples, act.size):
         rho = max(rho, max_ratio(X))
 
-    lam_max = None
-    note = ""
-    pencil_failed = False
+    lam_max, proved, note = None, act.size == 0, ""
     if act.size == 0:
         note = "no non-Dirichlet vertex: every admissible function vanishes"
-    elif act.size <= PENCIL_CUTOFF:
-        A = np.diag(W)
-        B = Q.toarray() + alpha * np.diag(mu)
-        try:
-            vals, vecs = scipy.linalg.eigh(A, B)
-            lam_max = float(vals[-1])
-            take = min(5, vecs.shape[1])
-            rho = max(rho, max_ratio(vecs[:, -take:].T))
-            n_samples += take
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            note = f"pencil eigensolve failed: {exc}"
-            pencil_failed = True
-    else:
-        note = "level too large for the exact pencil certificate"
+    elif tol_e > -1:        # a claimed level 1 + tol <= 0 is never proved
+        claim = (1 + 2.0 ** -51) / (1 + tol_e)
+        theta = 1 / (1 + tol_e / 2) if tol_e > 0 else 2 * claim
+        c = form.potential[act] + alpha
+        if np.all(c - claim * wv[act] >= 2.0 ** -50 * (np.abs(c) + claim * wv[act])):
+            proved, note = True, "the potential c + alpha - w/(1 + tol_eig) is nonnegative"
+        else:
+            solve, count, s1 = _inertia(Q, mu, alpha, theta, wv[act])
+            lam_max = max_ratio(solve(W)[None, :])
+            rho, n_samples = max(rho, lam_max), n_samples + 1
+            if count == 0 and theta > claim:
+                sigma = s1 * claim / (theta - claim) * (1 + 2.0 ** -51)
+                _, count, s2 = _inertia(Q, mu, alpha, 2 * sigma, 1.0)
+                proved = count == 0 and s2 <= sigma
 
-    passed = (rho <= 1 + tols["tol_ineq"] and not pencil_failed
-              and (lam_max is None or lam_max <= 1 + tol_e))
     return HardyVerification(
         rho_sampled=rho,
         pencil_lambda_max=lam_max,
-        passed=passed,
+        passed=bool(proved and rho <= 1 + tols["tol_ineq"]),
         n_samples=n_samples,
         alpha=alpha,
         note=note,
@@ -192,15 +196,8 @@ def perturbed_hardy_bound(form: GraphForm, g, alpha: float,
     gv = as_domain_function(form, g)
     if np.any(gv < 0) or not np.any(gv > 0):
         raise NonPositiveInput("g must be nonnegative and not identically zero")
-    denom = resolvent_apply(form, gv, alpha)
-    support = gv > 0
-    if np.any(denom[support] <= 0):
-        raise SolverFailure("shifted solve is not positive on the support of g")
-    w = np.zeros(form.n)
-    w[support] = gv[support] / denom[support]
-    verification = verify_hardy(form, w, n_samples=n_samples, seed=seed, alpha=alpha)
-    return HardyWeight(values=w, alpha_used=float(alpha), g=gv,
-                       denominator=denom, verification=verification)
+    return _weight(form, gv, resolvent_apply(form, gv, alpha), float(alpha), verify=True,
+                   n_samples=n_samples, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -51,30 +51,42 @@ def _symmetric_lu(A, shift=None):
     """SuperLU factors Pr (A + diag(shift)) Pc = L U of a symmetric A in
     symmetric mode (order on the pattern of A + A^T, diagonal pivots while
     nonzero), the shift added to the stored diagonal of a CSC copy of A.  A
-    breakdown raises ``SolverFailure``."""
+    breakdown or a pivot off the diagonal raises ``SolverFailure``, so that
+    L D L^T, D = diag(U), has the inertia of D (Sylvester's law)."""
     C = A.tocsc(copy=True)
     if shift is not None:
         C.setdiag(C.diagonal() + shift)
     try:
-        return spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from None
-
-
-def _diagonal_pivots(A, shift=None):
-    """L, U of ``_symmetric_lu`` with every pivot on the diagonal: by
-    Sylvester's law of inertia L D L^T, D = diag(U), has as many nonpositive
-    eigenvalues as D has nonpositive entries.  Else ``SolverFailure``."""
-    lu = _symmetric_lu(A, shift)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverFailure("a pivot left the diagonal; the inertia is not certified")
-    return lu.L, lu.U
+    return lu
+
+
+def _inertia(Q, mu, alpha, theta=0.0, w=0.0):
+    """(solve, count, s) for A = Q + alpha M - theta diag(w mu), M = diag(mu):
+    solve(b) = A^-1 b, count the pivots <= 0, and A >= -s M when count is 0
+    (else s = inf).  ``_symmetric_lu`` factors D A D, D = diag(2^-e) with
+    D M D = diag(m), m in [1/2, 2), so s is its ``_rounding_bound`` over min m
+    (not min mu, which a spread measure drives to 0) plus 2^-50 max(|alpha| +
+    theta |w|), the rounding of the computed shift (alpha - theta w) m."""
+    e = np.frexp(mu)[1] // 2
+    m = np.ldexp(mu, -2 * e)
+    S = Q.copy()
+    S.data = np.ldexp(S.data, -e[S.indices] - np.repeat(e, np.diff(S.indptr)))
+    lu = _symmetric_lu(S, (alpha - theta * w) * m)
+    count = int(np.count_nonzero(lu.U.diagonal() <= 0))
+    s = np.inf if count else (_rounding_bound(lu.L, lu.U) / float(m.min())
+                              + 2.0 ** -50 * float(np.max(abs(alpha) + theta * np.abs(w))))
+    return (lambda b: np.ldexp(lu.solve(np.ldexp(b, -e)), -e)), count, s
 
 
 def _rounding_bound(L, U) -> float:
     """Bound b >= ||E||_2 on E = L D L^T - Pr A Pc, D = diag(U), for the
-    factors of a symmetric A from ``_diagonal_pivots``.  With k the longest
+    factors of a symmetric A from ``_symmetric_lu``.  With k the longest
     row or column of L, |L U - Pr A Pc| <= gamma_{k+1} |L| |U| (Higham 2002,
     Thm. 9.3, one more rounding for the shift), and E, being symmetric, has
     ||E||_2 <= ||E||_inf <= ||(gamma_{k+1} |L| |U| + |L| |U - D L^T|) 1||_inf."""
@@ -107,9 +119,11 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||`` and raises
     ``SolverFailure`` when the residual fails, the factorization breaks down
     or the system has a nonpositive diagonal.  The function may be kept and
-    reused for many b; it keeps A, the shift and, for SuperLU, the factors.
+    reused for many b; it keeps A, the shift, ``tol_solve`` as it was when
+    built and, for SuperLU, the factors.
     """
     n = A.shape[0]
+    limit = 1e3 * tolerances()["tol_solve"]
     if _factors(A):
         lu = _symmetric_lu(A, shift)
 
@@ -139,7 +153,7 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
             r += shift * u
         resid = float(np.linalg.norm(r))
         scale = float(np.linalg.norm(b))
-        if scale > 0 and resid > tolerances()["tol_solve"] * scale * 1e3:
+        if scale > 0 and resid > limit * scale:
             raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
         return u
 

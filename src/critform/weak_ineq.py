@@ -27,7 +27,7 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _diagonal_pivots, _excessivity_gate, _semigroup_block
+from .resolvent import _excessivity_gate, _semigroup_block, _symmetric_lu
 
 __all__ = [
     "AlphaProfile",
@@ -271,7 +271,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     else:
         # inertia: Q - tau M has a nonpositive pivot iff lambda_min <= tau
         tau = 1e-12 * max(form.operator_norm_bound(), 1.0)
-        _, U = _diagonal_pivots(form.active_form_matrix, -tau * mu)
+        U = _symmetric_lu(form.active_form_matrix, -tau * mu).U
         if np.any(U.diagonal() <= 0):
             raise KernelMismatch(
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"

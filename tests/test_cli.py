@@ -245,7 +245,7 @@ def test_zero_sample_count_is_kept(capsys):
                  "--seed", "1", "--n-samples", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["options"]["n_samples"] == 0
-    assert doc["results"]["verification"]["n_samples"] == 5    # the pencil directions alone
+    assert doc["results"]["verification"]["n_samples"] == 1    # the witness alone
 
 
 def test_zero_form_count_is_kept(capsys):

@@ -177,14 +177,19 @@ def test_ground_state_of_designed_chain_matches_design():
     assert gs.residual_sup <= 1e-4
 
 
-def test_ground_state_builds_and_solves_each_level_once(monkeypatch):
-    base = cf.lattice_exhaustion(1, radii=(5, 10, 20, 40, 80))
-    built = []                      # (radius, level); holding the levels keeps them distinct
+def counting_exhaustion(base):
+    """``base`` with a generator that records (radius, level) of every build;
+    holding the levels keeps them distinct."""
+    built = []
 
     def generator(radius):
         built.append((radius, base.generator(radius)))
         return built[-1][1]
-    exh = cf.Exhaustion(generator=generator, radii=base.radii, root=base.root)
+    return cf.Exhaustion(generator=generator, radii=base.radii, root=base.root), built
+
+
+def test_ground_state_builds_and_solves_each_level_once(monkeypatch):
+    exh, built = counting_exhaustion(cf.lattice_exhaustion(1, radii=(5, 10, 20, 40, 80)))
     solves = count_calls(monkeypatch, criticality, "capacity")
 
     def radii_built_and_solved():
@@ -205,20 +210,41 @@ def test_ground_state_builds_and_solves_each_level_once(monkeypatch):
 
 def test_certificates_consistent_on_subcritical_family():
     exh = cf.birth_death_exhaustion(2.0, gamma=None, radii=(20, 40, 80))
-    bundle = cf.subcriticality_certificates(exh, seed=1)
+    bundle = cf.subcriticality_certificates(exh)
     assert bundle.consistent
     assert bundle.capacity_verdict == "Subcritical"
     assert bundle.kappa_trend == "stable"
-    # sampled constant never beats the exact one
+    # the smoothing limit G g attains the exact constant: q(G g) = <G g, g>_mu
     _, kappa_last, _ = bundle.per_level[-1]
-    assert bundle.kappa_sampled <= kappa_last * (1 + 1e-6)
-    # the smoothing limit itself is the best candidate, with or without samples
-    assert cf.subcriticality_certificates(exh, n_samples=0).kappa_sampled == bundle.kappa_sampled
+    assert bundle.kappa_sampled == pytest.approx(kappa_last, rel=1e-9)
+
+
+def test_certificates_build_and_solve_each_level_once(monkeypatch):
+    exh, built = counting_exhaustion(cf.birth_death_exhaustion(2.0, gamma=None,
+                                                               radii=(20, 40, 80)))
+    solves = count_calls(monkeypatch, criticality, "capacity")
+    bundle = cf.subcriticality_certificates(exh)
+    assert [r for r, _ in built] == [20, 40, 80] and len(solves) == 3
+    assert bundle.capacity_verdict == "Subcritical"
+
+    report = cf.classify(exh)
+    built.clear()
+    solves.clear()
+    again = cf.subcriticality_certificates(exh, report=report)
+    assert [r for r, _ in built] == [20, 40, 80] and solves == []
+    assert again == bundle
+
+
+def test_classify_with_artifacts_builds_the_top_level_once():
+    exh, built = counting_exhaustion(cf.lattice_exhaustion(3, radii=(3, 4, 5)))
+    report = cf.classify(exh, with_artifacts=True)
+    assert [r for r, _ in built] == [3, 4, 5]
+    assert report.verdict == "Subcritical" and report.hardy_summary["passed"]
 
 
 def test_certificates_track_growth_on_critical_family():
     exh = cf.lattice_exhaustion(1, radii=(10, 20, 40, 80))
-    bundle = cf.subcriticality_certificates(exh, seed=2)
+    bundle = cf.subcriticality_certificates(exh)
     assert bundle.capacity_verdict == "Critical"
     assert bundle.kappa_trend == "growing"
     kappas = [k for _, k, _ in bundle.per_level]

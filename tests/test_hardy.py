@@ -1,5 +1,7 @@
 """Weight generation, the two-sided verification gates, the positive-function
 energy identity, and the conjugated form."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -73,15 +75,14 @@ def test_verify_pencil_and_sampling_agree(pinned_path):
 
 
 def _rho_reference(form, w, n_samples, seed, alpha):
-    """Per-sample Rayleigh-quotient loop over the random draws and the top
-    pencil directions (exact eigh on the levels used here)."""
+    """Per-sample Rayleigh-quotient loop over the random draws and the witness
+    (Q + alpha M - theta W)^-1 W 1, theta = 1/(1 + tol_eig/2), solved dense."""
     act, mu = form.active, form.active_measure
     W = w[act] * mu
     rng = np.random.default_rng(seed)
     samples = [rng.standard_normal(act.size) for _ in range(n_samples)]
     B = form.active_form_matrix.toarray() + alpha * np.diag(mu)
-    vecs = scipy.linalg.eigh(np.diag(W), B)[1]
-    samples.extend(vecs[:, -min(5, act.size):].T)
+    samples.append(np.linalg.solve(B - np.diag(W) / (1 + 0.5e-8), W))
     rho = 0.0
     for x in samples:
         f = np.zeros(form.n)
@@ -110,28 +111,143 @@ def test_verify_matches_per_sample_loop(block_cap):
 def test_verify_without_samples(pinned_path, all_dirichlet):
     w = cf.hardy_weight(pinned_path, {"2": 1.0}, verify=False).values
     rep = cf.verify_hardy(pinned_path, w, n_samples=0)
-    assert rep.n_samples == 3 and rep.rho_sampled == pytest.approx(rep.pencil_lambda_max)
+    assert rep.n_samples == 1 and rep.rho_sampled == pytest.approx(rep.pencil_lambda_max)
     rep = cf.verify_hardy(all_dirichlet, np.zeros(2), n_samples=7)
     assert (rep.rho_sampled, rep.n_samples, rep.pencil_lambda_max) == (0.0, 7, None)
+    assert "no non-Dirichlet vertex" in rep.note
     assert cf.ground_state_transform(all_dirichlet, np.ones(2)).validation_max_err == 0.0
     gst = cf.ground_state_transform(pinned_path, [0.0, 1.0, 2.0, 3.0], n_validation=0)
     assert gst.validation_max_err == 0.0
 
 
-def test_verify_notes_tell_empty_from_too_large(all_dirichlet, monkeypatch):
-    empty = cf.verify_hardy(all_dirichlet, np.zeros(2), n_samples=3).note
-    monkeypatch.setattr(cf.hardy, "PENCIL_CUTOFF", 2)
-    large = cf.verify_hardy(cf.path_form(3), np.zeros(4), n_samples=3).note
-    assert "no non-Dirichlet vertex" in empty
-    assert "too large" in large and "too large" not in empty
-
-
-def test_failed_pencil_eigensolve_fails_the_verification(two_path):
-    # Q of the free pair is singular, so the pencil (W, Q) has no eigensolve;
+def test_singular_energy_with_weight_mass_fails_the_verification(two_path):
+    # Q of the free pair is singular and w has mass on its kernel:
     # f = 1 gives sum f^2 w mu = 1e-6 > 0 = q(f)
     rep = cf.verify_hardy(two_path, [1e-6, 0.0], n_samples=200)
-    assert rep.pencil_lambda_max is None and "eigensolve failed" in rep.note
-    assert not rep.passed
+    assert rep.pencil_lambda_max == np.inf and not rep.passed
+
+
+# --- the inertia proof of the pencil top -------------------------------------
+
+TOL_EIG = 1e-8
+
+
+def _pencil_top(form, w, alpha):
+    """Reference: largest eigenvalue of the dense pencil (W, Q + alpha M)."""
+    mu = form.active_measure
+    B = form.active_form_matrix.toarray() + alpha * np.diag(mu)
+    return float(scipy.linalg.eigh(np.diag(w[form.active] * mu), B, eigvals_only=True)[-1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf.dirichlet_path(2000),
+    lambda: cf.random_tree_form(2001, seed=3),
+    lambda: cf.random_tree_form(2400, seed=4),
+    lambda: cf.lattice(2, 50),
+], ids=["path", "tree-2001", "tree-2400", "lattice2d"])
+def test_verify_proves_at_every_size_without_dense_algebra(make, monkeypatch):
+    form = make()
+    g = np.zeros(form.n)
+    g[form.active[form.n_active // 3]] = 1.0
+    w = cf.hardy_weight(form, g, verify=False).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, refuse)
+    tracemalloc.start()
+    try:
+        rep = cf.verify_hardy(form, w, n_samples=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.note == "" and rep.n_samples == 201
+    # g is a point source, so W has rank one and the witness is the top direction
+    assert rep.pencil_lambda_max == pytest.approx(1.0, abs=1e-12)
+    assert peak < form.n_active ** 2        # a dense n x n block takes 8 n^2 bytes
+
+
+@pytest.mark.parametrize("env_ineq", [None, "1"])
+def test_planted_top_above_tolerance_fails_and_optimal_weights_pass(env_ineq, monkeypatch):
+    # CRITFORM_TOL_INEQ=1 leaves the verdict to the inertia proof alone
+    if env_ineq:
+        monkeypatch.setenv("CRITFORM_TOL_INEQ", env_ineq)
+    for form, alpha in ((cf.random_tree_form(300, seed=7), 0.0),
+                        (cf.dirichlet_path(80), 0.0),
+                        (cf.random_connected_form(60, seed=3, signed_potential=True,
+                                                  dirichlet_count=2), 0.0),
+                        (cf.random_connected_form(40, seed=5), 0.4)):
+        rng = np.random.default_rng(form.n)
+        g = np.zeros(form.n)
+        g[rng.choice(form.active, size=3, replace=False)] = rng.uniform(0.5, 2.0, 3)
+        hw = (cf.hardy_weight(form, g, verify=False) if alpha == 0
+              else cf.perturbed_hardy_bound(form, g, alpha))
+        rep = cf.verify_hardy(form, hw.values, alpha=alpha)
+        assert rep.passed
+        w = hw.values * (1 + 2 * TOL_EIG) / _pencil_top(form, hw.values, alpha)
+        assert _pencil_top(form, w, alpha) == pytest.approx(1 + 2 * TOL_EIG, abs=1e-13)
+        assert not cf.verify_hardy(form, w, alpha=alpha).passed
+
+
+def test_pass_fail_agrees_with_the_dense_pencil():
+    # signed potentials, Dirichlet vertices, alpha > 0, tops on both sides of 1 + tol
+    rng = np.random.default_rng(11)
+    passed = []
+    for k in range(56):
+        form = cf.random_connected_form(int(rng.integers(5, 80)), seed=100 + k,
+                                        signed_potential=bool(k // 4 % 2), dirichlet_count=k % 3)
+        alpha = (0.0, 0.3)[k // 8 % 2]
+        w0 = np.zeros(form.n)
+        support = rng.choice(form.active, size=max(1, form.n_active // 3), replace=False)
+        w0[support] = rng.uniform(0.1, 1.0, support.size)
+        target = (1 - 2 * TOL_EIG, 1 + 2 * TOL_EIG, 0.5, 1.5)[k % 4]
+        w = w0 * target / _pencil_top(form, w0, alpha)
+        top = _pencil_top(form, w, alpha)
+        rep = cf.verify_hardy(form, w, n_samples=50, seed=k, alpha=alpha)
+        assert rep.passed == (top <= 1 + TOL_EIG), (k, top)
+        # no witness where the shifted potential alone proves the claim
+        assert rep.pencil_lambda_max is None or rep.pencil_lambda_max <= top * (1 + 1e-12)
+        passed.append(rep.passed)
+    assert 20 <= sum(passed) <= 36
+
+
+def test_nearly_singular_energy_needs_the_second_factorization(monkeypatch):
+    # Q = Laplacian + c M with c = 1e-12 and W = c (1 + 2 tol) M: the top is
+    # 1 + 2 tol at the constants, yet rounding leaves no nonpositive pivot
+    # of Q - theta W.  Only the certified floor sigma of Q rejects the claim.
+    monkeypatch.setenv("CRITFORM_TOL_INEQ", "1")
+    c = 1e-12
+    form = cf.random_tree_form(6, seed=2, potential_low=c, potential_high=c)
+    w = np.full(form.n, c * (1 + 2 * TOL_EIG))
+    ones = np.ones(form.n_active)
+    assert form.active_form_matrix @ ones == pytest.approx(c * form.active_measure, rel=1e-3)
+    theta = 1 / (1 + TOL_EIG / 2)
+    assert cf.resolvent._inertia(form.active_form_matrix, form.active_measure,
+                                 0.0, theta, w)[1] == 0
+    assert not cf.verify_hardy(form, w, n_samples=20).passed
+
+
+def test_inertia_bound_covers_the_rounding_of_the_shift():
+    # isolated vertices, mu = 1: the factors are the computed diagonal
+    # c + alpha - theta w exactly, and theta w nearly cancels c, so the
+    # rounding of the shift dominates the error of the factorization
+    rng = np.random.default_rng(3)
+    c = rng.uniform(1.0, 2.0, 40)
+    ids = [f"v{k:02d}" for k in range(40)]
+    form = cf.build_form({"vertices": ids, "edges": [],
+                          "potential": dict(zip(ids, c.tolist()))})
+    alpha, theta = 0.25, 1 / (1 + TOL_EIG / 2)
+    w = (c + alpha) / theta * (1 - 1e-6 * rng.uniform(0.5, 1.0, 40))
+    solve, count, s = cf.resolvent._inertia(form.active_form_matrix, form.active_measure,
+                                            alpha, theta, w)
+    assert count == 0
+    pivots = 1.0 / solve(np.ones(40))
+    exact = (c.astype(np.longdouble) + np.longdouble(alpha)
+             - np.longdouble(theta) * w.astype(np.longdouble))
+    error = np.abs(pivots.astype(np.longdouble) - exact)
+    assert error.max() > 0
+    assert error.max() <= s
 
 
 def test_sample_with_no_energy_but_weight_mass_is_a_violation():

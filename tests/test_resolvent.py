@@ -10,7 +10,7 @@ import critform as cf
 from critform import resolvent
 from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
-    _diagonal_pivots, _rounding_bound, _symmetric_lu, direct_green_solve, solve_spd)
+    _rounding_bound, _symmetric_lu, direct_green_solve, solve_spd)
 
 from conftest import active_vector, count_calls, shifted
 
@@ -250,7 +250,7 @@ def test_pivot_count_matches_dense_eigenvalues():
         lam = scipy.linalg.eigvalsh(dense, np.diag(mu))
         tol = 1e-10 * max(float(np.max(np.abs(dense).sum(axis=1) / mu)), 1.0)
         for s in (-tol, 0.0, tol):
-            _, U = _diagonal_pivots(Q, s * mu)
+            U = _symmetric_lu(Q, s * mu).U
             assert np.count_nonzero(U.diagonal() <= 0) == np.count_nonzero(lam <= -s)
         negative += np.count_nonzero(lam < 0)
     assert negative > 1000
@@ -297,10 +297,25 @@ def test_rounding_bound_matches_sparse_reference(make):
     assert _rounding_bound(lu.L, lu.U) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("make", [lambda: cf.lattice(2, 8), lambda: cf.lattice(2, 50)],
+                         ids=["superlu", "cg"])
+def test_solver_reads_tol_solve_once_when_built(make, monkeypatch):
+    Q = make().active_form_matrix
+    b = np.ones(Q.shape[0])
+    calls = count_calls(monkeypatch, resolvent, "tolerances")
+    solve = solve_spd(Q)
+    monkeypatch.setenv("CRITFORM_TOL_SOLVE", "1e-30")    # no residual meets this
+    for _ in range(5):
+        solve(b)
+    assert len(calls) == 1
+    with pytest.raises(SolverFailure):
+        solve_spd(Q)(b)
+
+
 def test_pivot_off_the_diagonal_is_not_an_inertia():
     swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SolverFailure):
-        _diagonal_pivots(swap)
+        _symmetric_lu(swap)
 
 
 @pytest.mark.parametrize("make, alpha", [
