@@ -339,6 +339,7 @@ def _run_check(job):
     n_forms = int(job.options.get("n_forms", 10))
     n_samples = int(job.options.get("n_samples", 50))
     rng = np.random.default_rng(seed)
+    tol = tolerances()["tol_ineq"]
     worst_bd = -np.inf            # max of q(|f|) - q(f); must stay <= tol
     worst_lattice = np.inf        # min lattice gap; must stay >= -tol
     contraction_fail = 0
@@ -369,7 +370,7 @@ def _run_check(job):
         exc = is_excessive(form, h)
         if not exc.agree:
             excessivity_disagree += 1
-    violations = int(worst_bd > 1e-10) + int(worst_lattice < -1e-10) + \
+    violations = int(worst_bd > tol) + int(worst_lattice < -tol) + \
         contraction_fail + invariant_mismatch + excessivity_disagree
     results = {
         "n_forms": n_forms,
@@ -399,11 +400,12 @@ _RUNNERS = {
 def run(job: JobConfig) -> tuple[dict, dict, int]:
     """Dispatch a validated job; returns (report, csv tables, exit code).
 
-    The job's tolerance overrides apply to every gate while it runs."""
+    The job's tolerance overrides apply to every gate while it runs, and the
+    provenance echoes the table and environment as read when it started."""
     validate_job(job)
     with job_tolerances(job.tolerances):
         results, tables, code = _RUNNERS[job.command](job)
-        resolved = tolerances()
+        provenance = provenance_block(job.seed, tolerances())
     report = {
         "command": job.command,
         "config": {
@@ -414,7 +416,7 @@ def run(job: JobConfig) -> tuple[dict, dict, int]:
             "options": jsonable({k: job.options[k] for k in sorted(job.options)}),
         },
         "results": results,
-        "provenance": provenance_block(job.seed, resolved),
+        "provenance": provenance,
     }
     return report, tables, code
 

@@ -19,12 +19,16 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 
 ENV_PREFIX = "CRITFORM_TOL_"
 
-# Table of the job in progress, resolved once when the job starts.
-_JOB_TABLE: ContextVar[dict[str, float] | None] = ContextVar("job_tolerance_table", default=None)
+# (table, environment overrides) of the job in progress, both read when the job starts.
+_JOB: ContextVar[tuple[dict, dict] | None] = ContextVar("job_tolerances", default=None)
 
 
 def env_overrides() -> dict[str, float]:
-    """Collect recognized environment overrides (echoed into reports)."""
+    """Recognized environment overrides (echoed into reports); inside a job,
+    as they were read when the job started."""
+    job = _JOB.get()
+    if job is not None:
+        return dict(job[1])
     found: dict[str, float] = {}
     for key in DEFAULT_TOLERANCES:
         raw = os.environ.get(ENV_PREFIX + key[len("tol_"):].upper())
@@ -36,22 +40,25 @@ def env_overrides() -> dict[str, float]:
 @contextlib.contextmanager
 def job_tolerances(overrides: dict[str, float]):
     """Resolve defaults, environment and ``overrides`` once; every
-    :func:`tolerances` call inside the block starts from that table."""
-    token = _JOB_TABLE.set(tolerances(overrides))
+    :func:`tolerances` and :func:`env_overrides` call inside the block
+    returns that resolution.  The one way to override a tolerance in code."""
+    outer = _JOB.get()
+    env = env_overrides()
+    table = dict(outer[0]) if outer is not None else {**DEFAULT_TOLERANCES, **env}
+    for key, val in overrides.items():
+        if key not in table:
+            raise KeyError(f"unknown tolerance key: {key!r}")
+        table[key] = float(val)
+    token = _JOB.set((table, env))
     try:
         yield
     finally:
-        _JOB_TABLE.reset(token)
+        _JOB.reset(token)
 
 
-def tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
+def tolerances() -> dict[str, float]:
     """Resolved tolerance table: defaults, then environment, then the running
-    job's overrides (all three as resolved when the job started), then
-    explicit overrides.  Each call returns a fresh dict."""
-    table = _JOB_TABLE.get()
-    tols = {**DEFAULT_TOLERANCES, **env_overrides()} if table is None else dict(table)
-    for key, val in (overrides or {}).items():
-        if key not in tols:
-            raise KeyError(f"unknown tolerance key: {key!r}")
-        tols[key] = float(val)
-    return tols
+    job's overrides (all three as resolved when the job started).  Each call
+    returns a fresh dict."""
+    job = _JOB.get()
+    return {**DEFAULT_TOLERANCES, **env_overrides()} if job is None else dict(job[0])

@@ -2,7 +2,7 @@
 and certificate cross-checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "Exhaustion",
     "CapacityResult",
     "ClassificationReport",
-    "ClassifyConfig",
     "GroundState",
     "capacity",
     "classify",
@@ -43,6 +42,15 @@ _EXCLUSION_NOTE = (
     "the degenerate alternative is excluded; Inconclusive only reflects an "
     "insufficient radius schedule"
 )
+
+# Engineering thresholds of the capacity-trace verdict; the zero-limit floor is ``tol_cap``.
+STABILIZATION_REL = 1e-4        # relative flatness over the trailing window
+STABILIZATION_WINDOW = 3        # trailing radii checked for flatness
+SLOPE_THRESHOLD = -0.2          # log-log slope certifying decay to zero
+SLOPE_BAND = 2.0                # stderr multiples that must stay below zero
+EXTRAPOLATION_REL_RESID = 0.05  # model fit quality gate (range-normalized)
+COMPETITION_FACTOR = 4.0        # winning model must fit this much better
+POSITIVE_FLOOR_FACTOR = 10.0    # limit must exceed factor * tol_cap
 
 
 @dataclass(frozen=True)
@@ -139,27 +147,11 @@ def capacity(form: GraphForm, source) -> CapacityResult:
 
 
 @dataclass(frozen=True)
-class ClassifyConfig:
-    """Thresholds steering the capacity-trace verdict (engineering choices,
-    echoed into every report)."""
-
-    tol_cap: float = field(default_factory=lambda: tolerances()["tol_cap"])  # zero-limit floor
-    stabilization_rel: float = 1e-4  # relative flatness over the trailing window
-    stabilization_window: int = 3    # trailing radii checked for flatness
-    slope_threshold: float = -0.2    # log-log slope certifying decay to zero
-    slope_band: float = 2.0          # stderr multiples that must stay below zero
-    extrapolation_rel_resid: float = 0.05  # model fit quality gate (range-normalized)
-    competition_factor: float = 4.0  # winning model must fit this much better
-    positive_floor_factor: float = 10.0    # limit must exceed factor * tol_cap
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     verdict: str                      # "Subcritical" | "Critical" | "Inconclusive"
     capacity_trace: tuple             # ((R, cap_R), ...)
     reason: str
     fit: dict
-    config: ClassifyConfig
     notes: str
     ground_state: dict | None = None
     hardy_summary: dict | None = None
@@ -191,8 +183,7 @@ def _linear_fit_normalized(x: np.ndarray, y: np.ndarray):
     return coef, float(np.max(np.abs(resid)) / scale)
 
 
-def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
-             with_artifacts: bool = False) -> ClassificationReport:
+def classify(exhaustion: Exhaustion, with_artifacts: bool = False) -> ClassificationReport:
     """Run the capacity trace along the exhaustion and decide the verdict.
 
     Decision order: (1) trace below the absolute floor -> Critical;
@@ -201,16 +192,14 @@ def classify(exhaustion: Exhaustion, config: ClassifyConfig | None = None,
     certified 1/R extrapolation with shallow slope -> Subcritical; otherwise
     Inconclusive.  Later radii only refine, never flip, a decisive verdict.
     """
-    cfg = config or ClassifyConfig()
     trace, top = _capacity_trace(exhaustion, exhaustion.radii)
-    verdict, reason, fit = _verdict(*np.array(trace, dtype=float).T, cfg)
+    verdict, reason, fit = _verdict(*np.array(trace, dtype=float).T)
 
     report = ClassificationReport(
         verdict=verdict,
         capacity_trace=tuple(trace),
         reason=reason,
         fit=fit,
-        config=cfg,
         notes=_EXCLUSION_NOTE,
     )
     if with_artifacts:
@@ -235,16 +224,18 @@ def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, c
     return trace, level
 
 
-def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
+def _verdict(radii: np.ndarray, caps: np.ndarray):
     fit: dict = {}
-    if caps[-1] <= cfg.tol_cap:
-        return "Critical", f"capacity {caps[-1]:.3e} below floor {cfg.tol_cap:.1e}", fit
+    tol_cap = tolerances()["tol_cap"]
+    floor = POSITIVE_FLOOR_FACTOR * tol_cap
+    if caps[-1] <= tol_cap:
+        return "Critical", f"capacity {caps[-1]:.3e} below floor {tol_cap:.1e}", fit
 
-    k = cfg.stabilization_window
+    k = STABILIZATION_WINDOW
     if len(caps) >= k:
         window = caps[-k:]
-        flat = (window.max() - window.min()) <= cfg.stabilization_rel * abs(window[-1])
-        if flat and caps[-1] > cfg.positive_floor_factor * cfg.tol_cap:
+        flat = (window.max() - window.min()) <= STABILIZATION_REL * abs(window[-1])
+        if flat and caps[-1] > floor:
             fit["stabilized_value"] = float(caps[-1])
             return "Subcritical", f"trace flat at {caps[-1]:.6e} over last {k} radii", fit
 
@@ -254,7 +245,7 @@ def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
         slope, se = _power_fit(tail_r, tail_c)
         fit["slope"] = slope
         fit["slope_se"] = se
-        if slope <= cfg.slope_threshold and slope + cfg.slope_band * se < 0:
+        if slope <= SLOPE_THRESHOLD and slope + SLOPE_BAND * se < 0:
             return "Critical", f"decisive power-law decay (slope {slope:.3f} +- {se:.3f})", fit
 
         # Model competition on the trailing window.  A slow decay to zero
@@ -270,11 +261,9 @@ def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
         fit["reciprocal_log_resid"] = r2
         fit["reciprocal_log_slope"] = log_slope
 
-        gate = cfg.extrapolation_rel_resid
-        factor = cfg.competition_factor
-        floor = cfg.positive_floor_factor * cfg.tol_cap
+        gate, factor = EXTRAPOLATION_REL_RESID, COMPETITION_FACTOR
         log_wins = r2 <= gate and r2 * factor <= r1 and log_slope > 0
-        lim_wins = r1 <= gate and r1 * factor <= r2 and slope > cfg.slope_threshold
+        lim_wins = r1 <= gate and r1 * factor <= r2 and slope > SLOPE_THRESHOLD
         if log_wins:
             return (
                 "Critical",
@@ -292,8 +281,6 @@ def _verdict(radii: np.ndarray, caps: np.ndarray, cfg: ClassifyConfig):
 def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
                       last_level: GraphForm) -> ClassificationReport:
     """Populate the ground-state or weight summary demanded by the verdict."""
-    import dataclasses
-
     ground_state = None
     hardy_summary = None
     if report.verdict == "Critical":
@@ -323,7 +310,7 @@ def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
             }
         except Exception as exc:  # report, never crash the verdict
             hardy_summary = {"error": f"{type(exc).__name__}: {exc}"}
-    return dataclasses.replace(report, ground_state=ground_state, hardy_summary=hardy_summary)
+    return replace(report, ground_state=ground_state, hardy_summary=hardy_summary)
 
 
 @dataclass(frozen=True)
@@ -340,16 +327,16 @@ class GroundState:
 
 
 def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
-                       report: ClassificationReport | None = None,
-                       tol_gs: float | None = None) -> GroundState:
+                       report: ClassificationReport | None = None) -> GroundState:
     """Extract the normalized positive kernel profile of a critical form.
 
     Equilibrium potentials of growing levels are extrapolated pointwise
     (linear in 1/R) on the window; convergence demands the last two
-    extrapolants agree to ``tol_gs`` in sup norm.  Normalization: value 1 at
-    the root.  Without a ``report`` the same pass over the levels classifies.
+    extrapolants agree to the table's ``tol_gs`` in sup norm.  Normalization:
+    value 1 at the root.  Without a ``report`` the same pass over the levels
+    classifies.
     """
-    tol = tolerances()["tol_gs"] if tol_gs is None else float(tol_gs)
+    tol = tolerances()["tol_gs"]
     if report is not None and report.verdict != "Critical":
         raise NotCritical(f"classification verdict is {report.verdict}")
 
@@ -365,7 +352,7 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
             values.append([cap.equilibrium[level.index(v)] for v in window_ids])
     trace, top = _capacity_trace(exhaustion, radii, extract)       # top: the residual's level
     if report is None:
-        verdict = _verdict(*np.array(trace, dtype=float).T, ClassifyConfig())[0]
+        verdict = _verdict(*np.array(trace, dtype=float).T)[0]
         if verdict != "Critical":
             raise NotCritical(f"classification verdict is {verdict}")
 
@@ -505,7 +492,7 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, alpha_schedule=N
 
     if report is None:
         trace, _ = _capacity_trace(exhaustion, exhaustion.radii, certify)
-        verdict = _verdict(*np.array(trace, dtype=float).T, ClassifyConfig())[0]
+        verdict = _verdict(*np.array(trace, dtype=float).T)[0]
     else:
         for radius in exhaustion.radii:
             certify(radius, exhaustion.level(radius))

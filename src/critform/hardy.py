@@ -112,10 +112,10 @@ def _weight(form: GraphForm, gv, denom, alpha: float, verify: bool,
 
 
 def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
-                 alpha: float = 0.0, tol_eig: float | None = None) -> HardyVerification:
+                 alpha: float = 0.0) -> HardyVerification:
     """Check sum f^2 w mu <= q(f) + alpha |f|_mu^2 by sampling, and prove the
     pencil top lambda_max(W, Q_a) <= 1 + tol at every size by inertia, with
-    tol = tol_eig, Q_a = Q + alpha M and W = diag(w mu).
+    tol = the table's tol_eig, Q_a = Q + alpha M and W = diag(w mu).
 
     Lemma.  Let t' = 1/(1 + tol) be the claimed level (rounded up) and t > t'
     the factored one: t = 1/(1 + tol/2) when tol > 0, else 2 t'.  (a) No
@@ -129,7 +129,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     ``pencil_lambda_max`` is its Rayleigh quotient, a lower bound on the top.
     """
     tols = tolerances()
-    tol_e = tols["tol_eig"] if tol_eig is None else float(tol_eig)
+    tol_e = tols["tol_eig"]
     wv = as_function(form, w)
     if np.any(wv[form.active] < 0):
         raise NonPositiveInput("weight must be nonnegative")

@@ -4,7 +4,7 @@ liminf construction of excessive functions for graph forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -267,9 +267,9 @@ class ExcessiveConstruction:
     per_level: tuple = field(default_factory=tuple)  # (radius, construction) pairs
 
 
-def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
+def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
                        fatou_t) -> ExcessiveConstruction:
-    tol = tolerances()["tol_exc"] if tol_exc is None else float(tol_exc)
+    tol = tolerances()["tol_exc"]
     if not is_irreducible(form):
         raise NotIrreducible("construction requires an irreducible (connected) form")
     gv = np.asarray(as_function(form, g), dtype=float).copy()
@@ -349,7 +349,7 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids, tol_exc,
 
 
 def construct_excessive(target, g=None, alpha_schedule=None, B=None,
-                        tol_exc=None, fatou_t=(0.1, 1.0, 10.0),
+                        fatou_t=(0.1, 1.0, 10.0),
                         harnack_target_mass: float = 0.5) -> ExcessiveConstruction:
     """Build a nonnegative excessive function as the (finite-schedule) liminf
     of normalized resolvents f_alpha = G_alpha g, normalized to min = 1 on the
@@ -359,6 +359,8 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     construction runs per level (B defaults to the root) and the top level's
     result is returned with the per-level trail attached.  For a bare form
     with no B given, a weak-Harnack set of the time-1 heat kernel is used.
+    Both the tail stabilization and the excessivity gate use the table's
+    ``tol_exc``.
     """
     from .criticality import Exhaustion  # local import to avoid a cycle
 
@@ -371,21 +373,9 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
             if g_level is None:
                 g_level = {exhaustion.root: 1.0}
             B_ids = tuple(B) if B is not None else (exhaustion.root,)
-            built = _construct_on_form(level, g_level, alpha_schedule, B_ids,
-                                       tol_exc, fatou_t)
-            per.append((radius, built))
-        top = per[-1][1]
-        return ExcessiveConstruction(
-            function=top.function,
-            residual_min=top.residual_min,
-            stabilization_gap=top.stabilization_gap,
-            schedule=top.schedule,
-            reference_set=top.reference_set,
-            excessive=top.excessive,
-            fatou_t=top.fatou_t,
-            fatou_max_violation=top.fatou_max_violation,
-            per_level=tuple(per),
-        )
+            per.append((radius, _construct_on_form(level, g_level, alpha_schedule, B_ids,
+                                                   fatou_t)))
+        return replace(per[-1][1], per_level=tuple(per))
 
     form = target
     if not isinstance(form, GraphForm):
@@ -402,7 +392,7 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
         cert = harnack_sets(op, harnack_target_mass, lam)
         act = form.active
         B_ids = tuple(form.vertices[act[i]] for i in cert.members)
-    return _construct_on_form(form, gv, alpha_schedule, B_ids, tol_exc, fatou_t)
+    return _construct_on_form(form, gv, alpha_schedule, B_ids, fatou_t)
 
 
 @dataclass(frozen=True)

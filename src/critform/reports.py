@@ -197,7 +197,8 @@ def canonical_json(obj) -> str:
 
 def provenance_block(seed: int | None, tolerances: dict) -> dict:
     """Everything a reader needs to reproduce the run; no wall time here —
-    reports must be byte-stable."""
+    reports must be byte-stable.  Inside a job the environment overrides are
+    those read when the job started."""
     env = env_overrides()
     return {
         "tool": "critform",

@@ -234,10 +234,9 @@ def _dense_spectral(form: GraphForm):
     return form._cached("dense_spectral", make)
 
 
-def semigroup_apply(form: GraphForm, f, t: float,
-                    dense_cutoff: int = DENSE_SEMIGROUP_CUTOFF) -> np.ndarray:
-    """Apply exp(-t L).  Dense eigendecomposition below ``dense_cutoff`` vertices,
-    Krylov propagation of the symmetrized generator above."""
+def semigroup_apply(form: GraphForm, f, t: float) -> np.ndarray:
+    """Apply exp(-t L).  Dense eigendecomposition up to ``DENSE_SEMIGROUP_CUTOFF``
+    vertices, Krylov propagation of the symmetrized generator above."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     vec = as_function(form, f)
@@ -245,19 +244,18 @@ def semigroup_apply(form: GraphForm, f, t: float,
     out = np.zeros(form.n)
     if act.size == 0:
         return out
-    out[act] = _semigroup_block(form, vec[act, None], t, dense_cutoff)[:, 0]
+    out[act] = _semigroup_block(form, vec[act, None], t)[:, 0]
     return out
 
 
-def _semigroup_block(form: GraphForm, F, t: float,
-                     dense_cutoff: int = DENSE_SEMIGROUP_CUTOFF) -> np.ndarray:
+def _semigroup_block(form: GraphForm, F, t: float) -> np.ndarray:
     """exp(-t L) applied to each column of ``F``, an (n_active, k) block of
     values on the non-Dirichlet vertices: V e^{-tw} V^T in the dense
-    eigenbasis below ``dense_cutoff`` vertices, Krylov propagation of the
-    symmetrized generator above."""
+    eigenbasis up to ``DENSE_SEMIGROUP_CUTOFF`` vertices (read at call time),
+    Krylov propagation of the symmetrized generator above."""
     d = np.sqrt(form.active_measure)[:, None]
     X = d * F
-    if form.n_active <= dense_cutoff:
+    if form.n_active <= DENSE_SEMIGROUP_CUTOFF:
         w, V = _dense_spectral(form)
         Y = V @ (np.exp(-t * w)[:, None] * (V.T @ X))
     else:
@@ -290,30 +288,28 @@ class GreenResult:
         return self.status == "finite"
 
 
-def green_apply(form: GraphForm, f, alpha_schedule=None,
-                tol_green: float | None = None, try_direct: bool = True) -> GreenResult:
+def green_apply(form: GraphForm, f, alpha_schedule=None) -> GreenResult:
     """Drive the shift to zero and classify the limit.
 
     Nonsingular systems are solved exactly at shift zero.  Otherwise the trace
     of resolvents along the schedule is extrapolated (first-order Richardson
     in alpha); the limit counts as finite once consecutive extrapolants agree
-    to ``tol_green`` in relative sup norm.  Divergence is declared on a
-    sup-norm blowup past ``1e12 * sup|f|`` or a terminal log-log slope steeper
-    than -0.9.  Anything else raises ``GreenInconclusive`` with the trace
+    to the table's ``tol_green`` in relative sup norm.  Divergence is declared
+    on a sup-norm blowup past ``1e12 * sup|f|`` or a terminal log-log slope
+    steeper than -0.9.  Anything else raises ``GreenInconclusive`` with the trace
     attached.
     """
-    tol = tolerances()["tol_green"] if tol_green is None else float(tol_green)
+    tol = tolerances()["tol_green"]
     schedule = default_alpha_schedule() if alpha_schedule is None else np.asarray(alpha_schedule, dtype=float)
     if schedule.size < 2 or np.any(np.diff(schedule) >= 0) or np.any(schedule <= 0):
         raise ValueError("alpha schedule must be positive and strictly decreasing")
 
     vec = as_function(form, f)
-    if try_direct:
-        direct = direct_green_solve(form, vec)
-        if direct is not None:
-            sup = float(np.max(np.abs(direct))) if direct.size else 0.0
-            return GreenResult("finite", direct, ((0.0, sup),),
-                               detail="direct solve of the zero-shift system")
+    direct = direct_green_solve(form, vec)
+    if direct is not None:
+        sup = float(np.max(np.abs(direct))) if direct.size else 0.0
+        return GreenResult("finite", direct, ((0.0, sup),),
+                           detail="direct solve of the zero-shift system")
     f_sup = float(np.max(np.abs(vec))) if vec.size else 0.0
     blow = DIVERGENCE_FACTOR * max(f_sup, 1e-300)
 
@@ -388,10 +384,11 @@ def _excessivity_gate(form: GraphForm, h, tol_exc: float):
     return hv, algebraic_min, algebraic_min >= -tol_exc * scale_L
 
 
-def is_excessive(form: GraphForm, h, tol: float | None = None) -> ExcessivityReport:
+def is_excessive(form: GraphForm, h) -> ExcessivityReport:
     """Test whether h is excessive: the gate L h >= 0 (ground truth), cross-checked
-    by alpha * G_alpha h <= h at 9 shifts from 1e-2 to 1e2 times ||L||."""
-    tol_exc = tolerances()["tol_exc"] if tol is None else float(tol)
+    by alpha * G_alpha h <= h at 9 shifts from 1e-2 to 1e2 times ||L||, both at
+    the table's ``tol_exc``."""
+    tol_exc = tolerances()["tol_exc"]
     hv, algebraic_min, alg_ok = _excessivity_gate(form, h, tol_exc)
 
     worst = -np.inf
@@ -412,21 +409,14 @@ def is_excessive(form: GraphForm, h, tol: float | None = None) -> ExcessivityRep
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Energy and defect bounds for the smoothed function alpha * G_alpha f."""
+    """Energy and defect bounds for the smoothed function alpha * G_alpha f,
+    judged once, with slack tol_ineq * max(q_input, 1), when the report is built."""
 
     q_smoothed: float    # q(alpha * G_alpha f), bounded by q_input
     q_input: float       # q(f)
     defect_energy: float # alpha * ||f - alpha G_alpha f||_mu^2, bounded by q_input
-
-    @property
-    def energy_ok(self) -> bool:
-        slack = tolerances()["tol_ineq"] * max(self.q_input, 1.0)
-        return self.q_smoothed <= self.q_input + slack
-
-    @property
-    def defect_ok(self) -> bool:
-        slack = tolerances()["tol_ineq"] * max(self.q_input, 1.0)
-        return self.defect_energy <= self.q_input + slack
+    energy_ok: bool
+    defect_ok: bool
 
 
 def check_resolvent_contraction(form: GraphForm, f, alpha: float) -> ContractionReport:
@@ -437,8 +427,12 @@ def check_resolvent_contraction(form: GraphForm, f, alpha: float) -> Contraction
     u = alpha * resolvent_apply(form, vec, alpha)
     diff = vec - u
     defect = alpha * float(np.sum(diff * diff * form.measure))
+    q_smoothed, q_input = evaluate(form, u), evaluate(form, vec)
+    bound = q_input + tolerances()["tol_ineq"] * max(q_input, 1.0)
     return ContractionReport(
-        q_smoothed=evaluate(form, u),
-        q_input=evaluate(form, vec),
+        q_smoothed=q_smoothed,
+        q_input=q_input,
         defect_energy=defect,
+        energy_ok=q_smoothed <= bound,
+        defect_ok=defect <= bound,
     )

@@ -44,6 +44,8 @@ __all__ = [
 
 DENSE_PROFILE_CUTOFF = 2000   # vertices; the profiler is a dense-algebra tool
 ASCENT_CUTOFF = 300           # vertices; above this the gradient search is skipped
+DECAY_REL_TOL = 1e-8          # relative excess of |T_t f|^2 over its bound that fails verify_decay
+DECAY_FLAG_MARGIN = 1e-3      # relative margins below this are flagged as tight
 
 
 @dataclass(frozen=True)
@@ -440,13 +442,12 @@ class DecayVerification:
 
 
 def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
-                 seed: int = 0, tol_rel: float = 1e-8,
-                 flag_margin: float = 1e-3) -> DecayVerification:
+                 seed: int = 0) -> DecayVerification:
     """Check |T_t f|_mu^2 <= xi(t) * (|f|_mu^2 + sup|f/h|^2) on random samples.
 
     Requires h excessive (the semigroup then contracts the h-weighted sup
-    norm).  Margins tighter than ``flag_margin`` are flagged, not failed;
-    genuine violations raise ViolationFound with the witness.
+    norm).  Margins tighter than ``DECAY_FLAG_MARGIN`` are flagged, not failed;
+    excesses beyond ``DECAY_REL_TOL`` raise ViolationFound with the witness.
     """
     hv, algebraic_min, excessive = _excessivity_gate(form, h, tolerances()["tol_exc"])
     act = form.active
@@ -481,11 +482,11 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
             pos = rhs > 0
             margins = (rhs[pos] - lhs[pos]) / rhs[pos]
             t_margin = min(t_margin, float(np.min(margins, initial=np.inf)))
-            bad = np.flatnonzero(np.where(pos, lhs > rhs * (1 + tol_rel), lhs > 0))
+            bad = np.flatnonzero(np.where(pos, lhs > rhs * (1 + DECAY_REL_TOL), lhs > 0))
             if bad.size:
                 worst = (float(t), X[bad[-1]].copy(), float(lhs[bad[-1]]), float(rhs[bad[-1]]))
         min_margin = min(min_margin, t_margin)
-        if worst is None and t_margin < flag_margin:
+        if worst is None and t_margin < DECAY_FLAG_MARGIN:
             tight.append((float(t), float(t_margin)))
 
     if worst is not None:

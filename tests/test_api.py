@@ -1,0 +1,50 @@
+"""Public signatures: gate thresholds are set only through the tolerance table
+(``cf.job_tolerances``, ``CRITFORM_TOL_*``) or module constants."""
+import inspect
+
+import critform as cf
+
+# per-call thresholds, cutoffs and backend switches that no report would echo
+REMOVED_EVERYWHERE = {
+    "tol_eig", "tol_green", "try_direct", "tol_exc", "tol_gs", "tol_cap", "config",
+    "tol_rel", "flag_margin", "dense_cutoff", "stabilization_rel", "stabilization_window",
+    "slope_threshold", "slope_band", "extrapolation_rel_resid", "competition_factor",
+    "positive_floor_factor",
+}
+# names that other callables keep for other meanings (lambda_of(tol), job_tolerances(overrides))
+REMOVED_FROM = {"is_excessive": {"tol"}, "tolerances": {"overrides"}}
+
+
+def _exported_callables():
+    for name in dir(cf):
+        obj = getattr(cf, name)
+        if not name.startswith("_") and callable(obj) and not inspect.ismodule(obj):
+            if getattr(obj, "__module__", "").startswith("critform"):
+                yield name, obj
+
+
+def test_no_removed_parameter_reappears():
+    checked = 0
+    for name, obj in _exported_callables():
+        try:
+            params = set(inspect.signature(obj).parameters)
+        except (TypeError, ValueError):
+            continue
+        checked += 1
+        banned = REMOVED_EVERYWHERE | REMOVED_FROM.get(name, set())
+        assert not params & banned, (name, sorted(params & banned))
+    assert checked > 50
+    for helper in (cf.resolvent._semigroup_block, cf.kernel_ops._construct_on_form):
+        assert not set(inspect.signature(helper).parameters) & REMOVED_EVERYWHERE
+
+
+def test_classify_config_is_gone():
+    assert not hasattr(cf, "ClassifyConfig")
+    assert not hasattr(cf.criticality, "ClassifyConfig")
+    assert "config" not in {f.name for f in cf.ClassificationReport.__dataclass_fields__.values()}
+
+
+def test_job_tolerances_is_the_exported_override():
+    with cf.job_tolerances({"tol_gs": 0.5}):
+        assert cf.tolerances()["tol_gs"] == 0.5
+    assert cf.tolerances()["tol_gs"] == cf.DEFAULT_TOLERANCES["tol_gs"]

@@ -6,9 +6,8 @@ import pytest
 
 import critform as cf
 from critform import cli
-from critform.config import job_tolerances
 from critform.cli import main
-from critform.reports import emit_graph_document
+from critform.reports import JobConfig, emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
 
 
@@ -240,6 +239,18 @@ def test_check_command(tmp_path):
     assert res["lattice_min_gap"] >= -1e-10
 
 
+def test_check_gates_both_inequalities_with_tol_ineq(tmp_path):
+    # tol_ineq = -1 demands a margin of 1: q(|f|) - q(f) <= -1 and every lattice gap >= 1
+    prefix = str(tmp_path / "chk")
+    assert main(["check", "--seed", "1", "--n-forms", "4", "--tol", "tol_ineq=-1",
+                 "--output", prefix]) == 1
+    res = read_json(prefix + ".json")["results"]
+    assert res["first_bd_worst_gap"] > -1 and res["lattice_min_gap"] < 1
+    others = (res["resolvent_contraction_failures"] + res["invariant_set_mismatches"]
+              + res["excessivity_test_disagreements"])
+    assert res["violations"] == others + 2
+
+
 def test_zero_sample_count_is_kept(capsys):
     assert main(["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
                  "--seed", "1", "--n-samples", "0"]) == 0
@@ -364,6 +375,19 @@ def test_tol_flag_wins_over_environment_and_is_resolved_once(key, tmp_path, monk
     assert cf.tolerances()[key] == 0.75         # outside a job the environment is read
 
 
+def test_provenance_echoes_the_environment_the_job_read(monkeypatch):
+    def record(job):
+        monkeypatch.setenv("CRITFORM_TOL_INEQ", "0.75")
+        return {"seen": cf.tolerances()["tol_ineq"]}, {}, 0
+
+    monkeypatch.setitem(cli._RUNNERS, "check", record)
+    monkeypatch.setenv("CRITFORM_TOL_INEQ", "0.5")
+    report, _, _ = cli.run(JobConfig(command="check", seed=1))
+    assert report["results"]["seen"] == 0.5
+    assert report["provenance"]["env_overrides"] == {"tol_ineq": 0.5}
+    assert report["provenance"]["tolerances"]["tol_ineq"] == 0.5
+
+
 def test_tol_override_fails_the_hardy_pencil_gate(tmp_path):
     # the pencil top of the optimal weight is exactly 1 > 1 + (-0.5)
     prefix = str(tmp_path / "hw")
@@ -386,7 +410,7 @@ def test_tol_cap_override_reaches_classify_and_ground_state(via, monkeypatch, ca
     else:
         overrides = {"tol_cap": 10.0}
         args += ["--tol", "tol_cap=10"]
-    with job_tolerances(overrides):
+    with cf.job_tolerances(overrides):
         assert cf.classify(cf.builtin_family("lattice", params)).verdict == "Critical"
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -170,7 +170,8 @@ def test_ground_state_of_designed_chain_matches_design():
     # the equilibrium profiles carry a log(R)/R correction, so the pointwise
     # 1/R extrapolants drift at ~1e-4 even at R = 1600; request that tolerance
     exh = cf.birth_death_exhaustion(2.0, gamma=1.0, radii=(100, 200, 400, 800, 1600))
-    gs = cf.agmon_ground_state(exh, window_radius=8, tol_gs=2e-4)
+    with cf.job_tolerances({"tol_gs": 2e-4}):
+        gs = cf.agmon_ground_state(exh, window_radius=8)
     for v, got in zip(gs.vertices, gs.values):
         expect = 1.0 / (int(v) + 1.0)
         assert got == pytest.approx(expect, rel=1e-3), v

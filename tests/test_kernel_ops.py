@@ -249,8 +249,9 @@ def test_construct_judges_excessivity_at_the_given_tolerance(seed):
     form = cf.random_connected_form(12, seed=seed)
     g = np.zeros(form.n)
     g[0] = 1.0
-    built = cf.construct_excessive(form, g=g, B=[form.vertices[0]],
-                                   alpha_schedule=(1.0, 0.5, 0.25), tol_exc=10)
+    with cf.job_tolerances({"tol_exc": 10}):
+        built = cf.construct_excessive(form, g=g, B=[form.vertices[0]],
+                                       alpha_schedule=(1.0, 0.5, 0.25))
     assert built.residual_min < -0.1
     assert built.excessive
 

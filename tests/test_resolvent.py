@@ -86,12 +86,13 @@ def test_semigroup_matches_dense_expm():
     assert np.allclose(got, expect, rtol=1e-9, atol=1e-11)
 
 
-def test_krylov_path_agrees_with_dense():
+def test_krylov_path_agrees_with_dense(monkeypatch):
     form = cf.random_connected_form(30, seed=2)
     rng = np.random.default_rng(2)
     f = active_vector(form, rng)
     dense = cf.semigroup_apply(form, f, 0.9)
-    krylov = cf.semigroup_apply(form, f, 0.9, dense_cutoff=1)
+    monkeypatch.setattr(resolvent, "DENSE_SEMIGROUP_CUTOFF", 1)
+    krylov = cf.semigroup_apply(form, f, 0.9)
     assert np.allclose(dense, krylov, rtol=1e-8, atol=1e-10)
 
 
@@ -108,11 +109,12 @@ def test_green_on_pinned_path_is_min(pinned_path):
                 min(n, m), rel=1e-10, abs=1e-12)
 
 
-def test_green_direct_and_schedule_paths_agree(pinned_path):
+def test_green_direct_and_schedule_paths_agree(pinned_path, monkeypatch):
     g = {"2": 1.0}
     direct = cf.green_apply(pinned_path, g)
     assert "direct" in direct.detail
-    limit = cf.green_apply(pinned_path, g, try_direct=False)
+    monkeypatch.setattr(resolvent, "direct_green_solve", lambda form, f: None)
+    limit = cf.green_apply(pinned_path, g)
     assert limit.finite
     assert np.allclose(direct.value, limit.value, rtol=1e-7, atol=1e-9)
     # the trace documents a monotone increasing limit as alpha decreases
@@ -132,11 +134,11 @@ def test_green_diverges_without_killing(two_path):
     assert sups[-1] == pytest.approx(1.0 / alphas[-1], rel=1e-6)
 
 
-def test_green_inconclusive_on_truncated_schedule(pinned_path):
+def test_green_inconclusive_on_truncated_schedule(pinned_path, monkeypatch):
     # two shifts are not enough evidence either way
+    monkeypatch.setattr(resolvent, "direct_green_solve", lambda form, f: None)
     with pytest.raises(GreenInconclusive):
-        cf.green_apply(pinned_path, {"2": 1.0}, alpha_schedule=[1.0, 0.9],
-                       try_direct=False)
+        cf.green_apply(pinned_path, {"2": 1.0}, alpha_schedule=[1.0, 0.9])
 
 
 def test_direct_green_solve_rejects_singular(two_path):
@@ -384,6 +386,13 @@ def test_contraction_single_vertex_exact(single_vertex):
     assert rep.q_smoothed == pytest.approx(1.0, rel=1e-12)   # (1/2 * 2)^2
     assert rep.defect_energy == pytest.approx(1.0, rel=1e-12)
     assert rep.energy_ok and rep.defect_ok
+
+
+def test_contraction_verdict_is_fixed_when_judged(single_vertex):
+    # judged inside the job, where a slack of -10 fails both bounds, and read after it
+    with cf.job_tolerances({"tol_ineq": -10.0}):
+        rep = cf.check_resolvent_contraction(single_vertex, np.array([2.0]), 1.0)
+    assert not rep.energy_ok and not rep.defect_ok
 
 
 def test_contraction_bounds_random_sweep():

@@ -176,14 +176,15 @@ def _decay_reference(form, h, curve, n_samples, seed, tol_rel=1e-8):
     return np.array(margins), n_checks, worst
 
 
-def test_verify_decay_matches_per_sample_loop(block_cap):
+def test_verify_decay_matches_per_sample_loop(block_cap, monkeypatch):
     base = cf.random_tree_form(20, seed=7)
     form = shifted(base, 1.0)
     h = cf.resolvent_apply(base, np.where(base.boundary_mask, 0.0, 1.0), 1.0)
     prof = cf.alpha_profile(form, h=h, r_grid=np.geomspace(1e-8, 10.0, 81), seed=7)
     curve = cf.decay_rate(prof, [0.1, 1.0, 3.0])
+    monkeypatch.setattr(weak_ineq, "DECAY_FLAG_MARGIN", 0.5)
     for seed in (0, 7):
-        rep = cf.verify_decay(form, h, curve, n_samples=40, seed=seed, flag_margin=0.5)
+        rep = cf.verify_decay(form, h, curve, n_samples=40, seed=seed)
         margins, n_checks, worst = _decay_reference(form, h, curve, 40, seed)
         assert worst is None and rep.passed
         assert rep.n_checks == n_checks
