@@ -6,6 +6,7 @@ needed), 1 errors and failed verifications.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -437,7 +438,9 @@ def _emit(report: dict, tables: dict, job: JobConfig) -> None:
                 sys.stdout.write(table)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="critform",
         description="criticality analysis for quadratic forms on weighted graphs",

@@ -293,6 +293,24 @@ def test_set_flags_and_family_reach_the_options(monkeypatch, capsys):
                                "params": {"d": 1}}
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_jobs(tmp_path):
+    # a fresh parser serves the first job; the same one serves a check job
+    # with other flags and then the first job again
+    cli._build_parser.cache_clear()
+    args = ["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
+            "--seed", "1"]
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(args + ["--output", first]) == 0
+    assert main(["check", "--seed", "3", "--n-forms", "2", "--n-samples", "20",
+                 "--tol", "tol_ineq=1e-9", "--output", str(tmp_path / "c")]) == 0
+    assert main(args + ["--output", second]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    # the whole report, its config included, is what a fresh parser gave
+    with open(first + ".json", encoding="utf-8") as fa, \
+            open(second + ".json", encoding="utf-8") as fb:
+        assert fa.read() == fb.read()
+
+
 def test_reports_are_byte_stable(tmp_path):
     args = ["classify", "--family", "lattice", "--param", "d=1",
             "--param", "radii=[5,10,20]"]

@@ -5,6 +5,7 @@ import scipy.linalg
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import critform as cf
 from critform import resolvent
@@ -159,22 +160,24 @@ def laplacian(form):
 def backends(monkeypatch):
     """Record which backend each solve_spd call picks."""
     calls = []
-    for name in ("splu", "cg"):
-        real = getattr(spla, name)
+    for module, name in ((lapack, "dgetrf"), (spla, "splu"), (spla, "cg")):
+        real = getattr(module, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(spla, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("make,backend", [
+    (lambda: cf.random_connected_form(60, seed=3), "dgetrf"),   # <= 100 unknowns: dense LU
+    (lambda: cf.lattice(2, 12), "splu"),              # 529 unknowns, 5 nonzeros per row
     (lambda: cf.path_form(10_000), "splu"),           # 10^4 unknowns, 3 nonzeros per row
     (lambda: cf.random_tree_form(3000, seed=4), "splu"),
     (lambda: cf.lattice(3, 8), "cg"),                 # 3375 unknowns, 7 nonzeros per row
-], ids=["path", "tree", "lattice3d"])
+], ids=["dense", "lattice2d", "path", "tree", "lattice3d"])
 def test_solve_spd_backend_rule(make, backend, backends):
     form = make()
     A = form.active_form_matrix + sp.identity(form.n_active)
@@ -184,13 +187,25 @@ def test_solve_spd_backend_rule(make, backend, backends):
     assert np.linalg.norm(A @ u - b) <= 1e-10 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("R", [1, 6])                 # 27 unknowns (LU), 2197 (CG)
-def test_solve_spd_rejects_inconsistent_singular_system(R):
+@pytest.mark.parametrize("R, backend", [(1, "dgetrf"), (2, "splu"), (6, "cg")],
+                         ids=["27-dense", "125-superlu", "2197-cg"])
+def test_solve_spd_rejects_inconsistent_singular_system(R, backend, backends):
     A = laplacian(cf.lattice(3, R))
     b = np.zeros(A.shape[0])
     b[0] = 1.0                                        # not orthogonal to the constants
     with pytest.raises(SolverFailure):
         solve_spd(A)(b)
+    assert backends == [backend]
+
+
+def test_dense_factorization_with_a_zero_pivot_fails():
+    # the Laplacian of a 40-vertex path in its own order: elimination without
+    # row swaps leaves the last pivot exactly 0
+    A = sp.diags([-np.ones(39), np.r_[1.0, 2.0 * np.ones(38), 1.0], -np.ones(39)],
+                 [-1, 0, 1], format="csr")
+    assert lapack.dgetrf(A.toarray())[2] == 40
+    with pytest.raises(SolverFailure, match="getrf"):
+        solve_spd(A)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-8])
@@ -299,8 +314,9 @@ def test_rounding_bound_matches_sparse_reference(make):
     assert _rounding_bound(lu.L, lu.U) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("make", [lambda: cf.lattice(2, 8), lambda: cf.lattice(2, 50)],
-                         ids=["superlu", "cg"])
+@pytest.mark.parametrize("make", [lambda: cf.lattice(2, 4), lambda: cf.lattice(2, 8),
+                                  lambda: cf.lattice(2, 50)],
+                         ids=["dense", "superlu", "cg"])
 def test_solver_reads_tol_solve_once_when_built(make, monkeypatch):
     Q = make().active_form_matrix
     b = np.ones(Q.shape[0])
@@ -326,7 +342,9 @@ def test_pivot_off_the_diagonal_is_not_an_inertia():
     (lambda: cf.lattice(2, 12), 1e-3),
     (lambda: cf.random_connected_form(800, seed=6, extra_edge_prob=0.5), 0.7),
     (lambda: cf.random_connected_form(300, seed=7, dirichlet_count=4), 1e-8),
-], ids=["tree", "lattice2d", "lattice2d-shifted", "graph-shifted", "graph-dirichlet"])
+    (lambda: cf.random_connected_form(80, seed=2, dirichlet_count=3), 1e-3),   # dense LU
+], ids=["tree", "lattice2d", "lattice2d-shifted", "graph-shifted", "graph-dirichlet",
+        "dense-shifted"])
 def test_symmetric_mode_solves_match_default_superlu(make, alpha):
     form = make()
     Q = form.active_form_matrix

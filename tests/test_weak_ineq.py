@@ -76,6 +76,19 @@ def test_hardy_mode_requires_trivial_kernel(two_path):
         cf.alpha_profile(shifted(two_path, 1e-12), mode="hardy", seed=0)
 
 
+def test_hardy_kernel_check_ignores_a_spread_measure():
+    # conjugating by h = 2^-index spreads mu over 80 octaves: the row sums of
+    # M^-1 |Q| reach 8e11, 1e-12 of which exceeds lambda_min, while the pencil
+    # spectrum stays in [0.0062, 3.99]
+    path = cf.dirichlet_path(40)
+    form = cf.ground_state_transform(path, 2.0 ** -np.arange(path.n)).form
+    assert form.operator_norm_bound() > 1e11
+    lam = scipy.linalg.eigvalsh(form.active_form_matrix.toarray(), np.diag(form.active_measure))
+    assert 5e-3 < lam[0] and lam[-1] < 4.0
+    prof = cf.alpha_profile(form, mode="hardy", seed=0)
+    assert np.all(np.isfinite(prof.alpha_cert)) and np.all(prof.alpha_cert >= 0)
+
+
 def test_profile_input_validation(single_vertex):
     with pytest.raises(BadConfig):
         cf.alpha_profile(single_vertex, mode="weird", seed=0)
