@@ -188,7 +188,7 @@ def test_solve_spd_backend_rule(make, backend, backends):
 
 
 @pytest.mark.parametrize("R, backend", [(1, "dgetrf"), (2, "splu"), (6, "cg")],
-                         ids=["27-dense", "125-superlu", "2197-cg"])
+                         ids=["1", "2", "6"])             # 27 (dense LU), 125 (SuperLU), 2197 (CG) unknowns
 def test_solve_spd_rejects_inconsistent_singular_system(R, backend, backends):
     A = laplacian(cf.lattice(3, R))
     b = np.zeros(A.shape[0])
