@@ -141,7 +141,7 @@ def capacity(form: GraphForm, source) -> CapacityResult:
         if joined.size < free.size:
             A, rhs, free = A[joined][:, joined], rhs[joined], free[joined]
         if free.size:
-            e[free] = solve_spd(A)(rhs)
+            e[free] = solve_spd(A, rhs)
     value = float(e @ (form.form_matrix @ e))
     return CapacityResult(value=value, equilibrium=e)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .criticality import Exhaustion
 from .errors import BadConfig, UnknownFamily
-from .forms import GraphForm, build_form
+from .forms import GraphForm
 
 __all__ = [
     "lattice",
@@ -207,17 +207,15 @@ def random_tree_form(n: int, seed: int, potential_low: float = 0.1,
     rng = np.random.default_rng(seed)
     width = len(str(n - 1))
     ids = [str(k).zfill(width) for k in range(n)]
-    edges = []
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    weights = np.empty(n - 1)
     for k in range(1, n):
-        parent = int(rng.integers(0, k))
-        edges.append([ids[parent], ids[k], float(rng.uniform(0.5, 2.0))])
-    return build_form({
-        "vertices": ids,
-        "edges": edges,
-        "mu": {v: float(rng.uniform(0.5, 2.0)) for v in ids},
-        "potential": {v: float(rng.uniform(potential_low, potential_high)) for v in ids},
-        "name": f"random-tree-{n}-{seed}",
-    })
+        edges[k - 1] = rng.integers(0, k), k
+        weights[k - 1] = rng.uniform(0.5, 2.0)
+    mu = rng.uniform(0.5, 2.0, n)
+    potential = rng.uniform(potential_low, potential_high, n)
+    return GraphForm.from_arrays(ids, edges, weights, measure=mu, potential=potential,
+                                 name=f"random-tree-{n}-{seed}")
 
 
 def random_connected_form(n: int, seed: int, extra_edge_prob: float = 0.15,
@@ -230,46 +228,37 @@ def random_connected_form(n: int, seed: int, extra_edge_prob: float = 0.15,
     rng = np.random.default_rng(seed)
     width = len(str(n - 1))
     ids = [str(k).zfill(width) for k in range(n)]
-    seen = set()
-    edges = []
+    edges, weights = [], []
     for k in range(1, n):
-        parent = int(rng.integers(0, k))
-        seen.add((parent, k))
-        edges.append([ids[parent], ids[k], float(rng.uniform(0.5, 2.0))])
+        edges.append((int(rng.integers(0, k)), k))
+        weights.append(rng.uniform(0.5, 2.0))
+    seen = set(edges)
     n_extra = rng.binomial(n, extra_edge_prob)
     for _ in range(int(n_extra)):
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         if (u, v) in seen:
             continue
         seen.add((u, v))
-        edges.append([ids[u], ids[v], float(rng.uniform(0.5, 2.0))])
-    mu = {v: float(rng.uniform(0.5, 2.0)) for v in ids}
+        edges.append((u, v))
+        weights.append(rng.uniform(0.5, 2.0))
+    edges, weights = np.array(edges, dtype=np.int64), np.array(weights)
+    mu = rng.uniform(0.5, 2.0, n)
     if signed_potential:
         # genuinely signed but provably nonnegative: pick h > 0, choose c so
         # that h is annihilated by the edge part, then add a nonnegative bump
-        h = {v: float(rng.uniform(0.5, 2.0)) for v in ids}
-        raw = {v: 0.0 for v in ids}
-        for u, v, b in edges:
-            raw[u] += b * (h[u] - h[v])
-            raw[v] += b * (h[v] - h[u])
-        pot = {
-            v: -raw[v] / (h[v] * mu[v]) + float(rng.uniform(0.0, 0.3))
-            for v in ids
-        }
+        h = rng.uniform(0.5, 2.0, n)
+        flow = weights * (h[edges[:, 0]] - h[edges[:, 1]])
+        raw = np.zeros(n)
+        np.add.at(raw, edges.ravel(), np.column_stack([flow, -flow]).ravel())
+        potential = -raw / (h * mu) + rng.uniform(0.0, 0.3, n)
     else:
-        pot = {v: float(rng.uniform(0.0, 0.5)) for v in ids}
+        potential = rng.uniform(0.0, 0.5, n)
     boundary = []
     if dirichlet_count > 0:
         boundary = [ids[int(i)] for i in rng.choice(n, size=min(dirichlet_count, n - 1),
                                                     replace=False)]
-    return build_form({
-        "vertices": ids,
-        "edges": edges,
-        "mu": mu,
-        "potential": pot,
-        "dirichlet": boundary,
-        "name": f"random-graph-{n}-{seed}",
-    })
+    return GraphForm.from_arrays(ids, edges, weights, measure=mu, potential=potential,
+                                 dirichlet=boundary, name=f"random-graph-{n}-{seed}")
 
 
 def random_kernel_data(n_target: int, n_source: int, seed: int):

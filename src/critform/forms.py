@@ -254,6 +254,13 @@ class GraphForm:
             return float(vals[act].max()) if act.size else 0.0
         return self._cached("norm_bound", make)
 
+    def symmetric_norm_bound(self) -> float:
+        """Top row sum of |M^-1/2 Q M^-1/2| on the non-Dirichlet part.  M^-1 Q
+        is self-adjoint in l2(mu), so this bounds its spectrum too, and unlike
+        ``operator_norm_bound`` a spread measure cannot inflate it."""
+        d = 1.0 / np.sqrt(self.active_measure)
+        return float(np.max(d * (abs(self.active_form_matrix) @ d), initial=0.0))
+
     def _cached(self, key, make):
         cache = self._cache
         if key not in cache:
@@ -370,7 +377,8 @@ def _validate_nonnegative(form: GraphForm) -> None:
 
     With c >= 0 the energy is a sum of squares, so the check is skipped.  A
     signed potential needs a proof by Sylvester's law of inertia that the
-    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1):
+    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1),
+    norm = ``symmetric_norm_bound()``:
     ``resolvent._inertia`` finds no nonpositive pivot of Q + (tol/2) M and a
     rounding bound s <= tol/2, so Q + (tol/2) M >= -s M.  A nonpositive pivot
     raises ``FormNotNonnegative``; a pivot off the diagonal, a breakdown or a
@@ -380,7 +388,7 @@ def _validate_nonnegative(form: GraphForm) -> None:
         return
     from .resolvent import _inertia
 
-    tol = tolerances()["tol_psd"] * max(form.operator_norm_bound(), 1.0)
+    tol = tolerances()["tol_psd"] * max(form.symmetric_norm_bound(), 1.0)
     _, count, s = _inertia(form.active_form_matrix, form.active_measure, 0.5 * tol)
     if count:
         raise FormNotNonnegative(count, tol)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -36,17 +35,6 @@ CG_RTOL = 1e-12                 # relative residual the conjugate gradients aim 
 DENSE_SEMIGROUP_CUTOFF = 500    # vertices; above this use Krylov propagation
 DIVERGENCE_FACTOR = 1e12        # sup-norm blowup factor declaring divergence
 DIVERGENCE_SLOPE = -0.9         # log-log slope of the trace declaring divergence
-
-
-def _factors(A) -> bool:
-    """Backend rule of ``solve_spd``: factor A when it is small or path-,
-    chain- or tree-like (no fill-in); conjugate gradients otherwise.  Timed
-    per solve, CG wins above about 1500 unknowns on 2-D lattices and random
-    sparse graphs and at every size on 3-D lattices; SuperLU wins on smaller
-    systems and on paths, where CG needs n iterations.
-    """
-    n = A.shape[0]
-    return n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n
 
 
 def _symmetric_lu(A, shift=None):
@@ -110,27 +98,28 @@ def _rounding_bound(L, U) -> float:
     return float(np.bincount(L.indices, weights=np.abs(L.data) * v[L_col], minlength=n).max())
 
 
-def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Certified solver for the sparse symmetric positive definite system
+def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
+    """Certified solution u of the sparse symmetric positive definite system
     (A + diag(shift)) u = b; ``shift`` defaults to zero.
 
     Three backends, chosen by size.  Up to 100 unknowns the system is
-    densified and factored once by LAPACK ``getrf`` (LU with partial
-    pivoting, backward stable); each solve is one ``getrs``.  Timed per
-    factorization and solve on fresh random trees and graphs, dense LU beats
-    SuperLU's per-call overhead up to about 128 unknowns.  SuperLU factors
-    larger systems with at most 2000 unknowns or at most 3 stored nonzeros per
-    row; otherwise Jacobi-preconditioned conjugate gradients run to a
-    relative residual of 1e-12 (LU fill-in explodes on 3-D lattices).  Every
-    solve of the returned function certifies
-    ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||`` and raises
-    ``SolverFailure`` when the residual fails, the factorization breaks down
-    or the system has a nonpositive diagonal.  The function may be kept and
-    reused for many b; it keeps A, the shift, ``tol_solve`` as it was when
-    built and, for the direct backends, the factors.
+    densified and solved by LAPACK ``getrf``/``getrs`` (LU with partial
+    pivoting, backward stable).  Timed per factorization and solve on fresh
+    random trees and graphs, dense LU beats SuperLU's per-call overhead up to
+    about 128 unknowns.  SuperLU factors larger systems with at most 2000
+    unknowns or at most 3 stored nonzeros per row (paths, chains and trees
+    factor without fill-in); otherwise Jacobi-preconditioned conjugate
+    gradients run to a relative residual of 1e-12.  Timed per solve, CG wins
+    above about 1500 unknowns on 2-D lattices and random sparse graphs and at
+    every size on 3-D lattices, where LU fill-in explodes; SuperLU wins on
+    smaller systems and on paths, where CG needs n iterations.  Each call
+    factors, solves and certifies
+    ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||``; no
+    factorization is kept.  ``SolverFailure`` is raised when the residual
+    fails, the factorization breaks down or the system has a nonpositive
+    diagonal.
     """
     n = A.shape[0]
-    limit = 1e3 * tolerances()["tol_solve"]
     if 0 < n <= DENSE_MAX_UNKNOWNS:
         dense = A.toarray()
         if shift is not None:
@@ -138,15 +127,11 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
         lu, piv, info = lapack.dgetrf(dense)
         if info:
             raise SolverFailure(f"dense factorization failed (getrf info {info})")
-
-        def backend(b):
-            return lapack.dgetrs(lu, piv, b)[0]
-    elif _factors(A):
+        u = lapack.dgetrs(lu, piv, b)[0]
+    elif n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n:
         lu = _symmetric_lu(A, shift)
-
-        def backend(b):
-            with np.errstate(all="ignore"):
-                return lu.solve(b)
+        with np.errstate(all="ignore"):
+            u = lu.solve(b)
     else:
         A = sp.csr_matrix(A)
         diag = A.diagonal() if shift is None else A.diagonal() + shift
@@ -155,41 +140,27 @@ def solve_spd(A, shift=None) -> Callable[[np.ndarray], np.ndarray]:
         system = A if shift is None else spla.LinearOperator(
             A.shape, matvec=lambda x: A @ x + shift * x, dtype=float)
         jacobi = spla.LinearOperator(A.shape, matvec=lambda x: x / diag, dtype=float)
+        # In exact arithmetic CG ends within n steps; 2n allows for rounding.
+        u, _ = spla.cg(system, b, rtol=CG_RTOL, atol=0.0, M=jacobi, maxiter=2 * n)
 
-        def backend(b):
-            # In exact arithmetic CG ends within n steps; 2n allows for rounding.
-            u, _ = spla.cg(system, b, rtol=CG_RTOL, atol=0.0, M=jacobi, maxiter=2 * n)
-            return u
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        u = backend(b)
-        if not np.all(np.isfinite(u)):
-            raise SolverFailure("solve produced non-finite values")
-        r = A @ u - b
-        if shift is not None:
-            r += shift * u
-        resid = float(np.linalg.norm(r))
-        scale = float(np.linalg.norm(b))
-        if scale > 0 and resid > limit * scale:
-            raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
-        return u
-
-    return solve
+    if not np.all(np.isfinite(u)):
+        raise SolverFailure("solve produced non-finite values")
+    r = A @ u - b
+    if shift is not None:
+        r += shift * u
+    resid = float(np.linalg.norm(r))
+    scale = float(np.linalg.norm(b))
+    if scale > 0 and resid > 1e3 * tolerances()["tol_solve"] * scale:
+        raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
+    return u
 
 
 def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
-    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0).
-
-    Factored solvers (dense or SuperLU) are cached per shift; a CG solver
-    keeps nothing worth the memory and is built afresh."""
+    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0)."""
     Q = form.active_form_matrix
     if Q.shape[0] == 0:
         return np.zeros(0)
-    shift = alpha * form.active_measure if alpha > 0 else None
-    if not _factors(Q):
-        return solve_spd(Q, shift)(rhs_active)
-    solve = form._cached(("spd", float(alpha)), lambda: solve_spd(Q, shift))
-    return solve(rhs_active)
+    return solve_spd(Q, rhs_active, alpha * form.active_measure if alpha > 0 else None)
 
 
 def _has_floating_component(form: GraphForm) -> bool:
@@ -247,7 +218,7 @@ def _dense_spectral(form: GraphForm):
         Q = form.active_form_matrix.toarray()
         d = np.sqrt(form.active_measure)
         S = Q / np.outer(d, d)
-        return scipy.linalg.eigh(0.5 * (S + S.T))
+        return scipy.linalg.eigh(S)
     return form._cached("dense_spectral", make)
 
 

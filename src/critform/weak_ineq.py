@@ -255,7 +255,6 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
         raise BadConfig("h must carry positive w-mass")
 
     Q = form.active_form_matrix.toarray()
-    Q = 0.5 * (Q + Q.T)
 
     # Admissible subspace.
     if mode == "poincare":
@@ -271,10 +270,8 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
             raise KernelMismatch("orthogonal complement of h is trivial")
         Q_sub = P.T @ Q @ P
     else:
-        # inertia: Q - tau M has a nonpositive pivot iff lambda_min <= tau; tau scales with
-        # the top row sum of |M^-1/2 Q M^-1/2|, which a spread measure cannot inflate
-        d = 1.0 / np.sqrt(mu)
-        tau = 1e-12 * max(float(np.max(d * (abs(form.active_form_matrix) @ d))), 1.0)
+        # inertia: Q - tau M has a nonpositive pivot iff lambda_min <= tau
+        tau = 1e-12 * max(form.symmetric_norm_bound(), 1.0)
         U = _symmetric_lu(form.active_form_matrix, -tau * mu).U
         if np.any(U.diagonal() <= 0):
             raise KernelMismatch(

@@ -2,6 +2,8 @@
 (``cf.job_tolerances``, ``CRITFORM_TOL_*``) or module constants."""
 import inspect
 
+import numpy as np
+
 import critform as cf
 
 # per-call thresholds, cutoffs and backend switches that no report would echo
@@ -48,3 +50,12 @@ def test_job_tolerances_is_the_exported_override():
     with cf.job_tolerances({"tol_gs": 0.5}):
         assert cf.tolerances()["tol_gs"] == 0.5
     assert cf.tolerances()["tol_gs"] == cf.DEFAULT_TOLERANCES["tol_gs"]
+
+
+def test_solve_spd_takes_the_right_hand_side_and_returns_the_solution():
+    # one call factors, solves and certifies: no solver closure to keep
+    params = inspect.signature(cf.resolvent.solve_spd).parameters
+    assert list(params) == ["A", "b", "shift"]
+    assert params["b"].default is inspect.Parameter.empty
+    u = cf.resolvent.solve_spd(cf.lattice(1, 3).active_form_matrix, np.ones(5))
+    assert isinstance(u, np.ndarray) and u.shape == (5,)

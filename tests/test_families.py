@@ -183,3 +183,66 @@ def test_birth_death_matches_graph_description(beta, gamma):
     for R in (2, 25, 200):
         assert_same_form(cf.birth_death(beta, R, gamma),
                          cf.build_form(spec_birth_death(beta, R, gamma)))
+
+
+def spec_random_tree(n, seed):
+    """Reference: the random tree as a graph description, drawn one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    ids = [str(k).zfill(len(str(n - 1))) for k in range(n)]
+    edges = []
+    for k in range(1, n):
+        parent = int(rng.integers(0, k))
+        edges.append([ids[parent], ids[k], float(rng.uniform(0.5, 2.0))])
+    return {
+        "vertices": ids,
+        "edges": edges,
+        "mu": {v: float(rng.uniform(0.5, 2.0)) for v in ids},
+        "potential": {v: float(rng.uniform(0.1, 1.0)) for v in ids},
+        "name": f"random-tree-{n}-{seed}",
+    }
+
+
+def spec_random_graph(n, seed, signed, dirichlet_count):
+    """Reference: the random connected graph as a graph description."""
+    rng = np.random.default_rng(seed)
+    ids = [str(k).zfill(len(str(n - 1))) for k in range(n)]
+    seen, edges = set(), []
+    for k in range(1, n):
+        parent = int(rng.integers(0, k))
+        seen.add((parent, k))
+        edges.append([ids[parent], ids[k], float(rng.uniform(0.5, 2.0))])
+    for _ in range(int(rng.binomial(n, 0.15))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        edges.append([ids[u], ids[v], float(rng.uniform(0.5, 2.0))])
+    mu = {v: float(rng.uniform(0.5, 2.0)) for v in ids}
+    if signed:
+        h = {v: float(rng.uniform(0.5, 2.0)) for v in ids}
+        raw = {v: 0.0 for v in ids}
+        for u, v, b in edges:
+            raw[u] += b * (h[u] - h[v])
+            raw[v] += b * (h[v] - h[u])
+        pot = {v: -raw[v] / (h[v] * mu[v]) + float(rng.uniform(0.0, 0.3)) for v in ids}
+    else:
+        pot = {v: float(rng.uniform(0.0, 0.5)) for v in ids}
+    boundary = []
+    if dirichlet_count > 0:
+        boundary = [ids[int(i)] for i in rng.choice(n, size=min(dirichlet_count, n - 1),
+                                                    replace=False)]
+    return {"vertices": ids, "edges": edges, "mu": mu, "potential": pot,
+            "dirichlet": boundary, "name": f"random-graph-{n}-{seed}"}
+
+
+def test_random_generators_match_graph_descriptions():
+    for n in [*range(2, 60), 100, 200, 1000]:
+        for seed in range(6):
+            assert_same_form(cf.random_tree_form(n, seed),
+                             cf.build_form(spec_random_tree(n, seed)))
+            for signed in (False, True):
+                for count in (0, 2):
+                    assert_same_form(
+                        cf.random_connected_form(n, seed, signed_potential=signed,
+                                                 dirichlet_count=count),
+                        cf.build_form(spec_random_graph(n, seed, signed, count)))

@@ -233,6 +233,23 @@ def test_signed_document_with_measure_spread_over_eight_orders(sign):
         assert cf.build_form(spec).potential.min() < 0
 
 
+def test_spread_measure_does_not_inflate_the_nonnegativity_tolerance():
+    # conjugating a Dirichlet path by h = 2^-index spreads mu over 80 octaves:
+    # the row sums of M^-1 |Q| reach 8e11, and tol_psd times them (82) would
+    # hide the planted pencil eigenvalue 0.0062 - 0.0162 = -0.010
+    path = cf.dirichlet_path(40)
+    form = cf.ground_state_transform(path, 2.0 ** -np.arange(path.n)).form
+    assert form.operator_norm_bound() > 1e11
+    assert form.symmetric_norm_bound() <= 4.0
+    lam = scipy.linalg.eigvalsh(form.active_form_matrix.toarray(), np.diag(form.active_measure))
+    assert 5e-3 < lam[0] < 7e-3
+    with pytest.raises(FormNotNonnegative) as info:
+        cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights, form.measure,
+                                 form.potential - 0.0162, form.dirichlet)
+    assert info.value.count == 1
+    assert info.value.tol < 1e-9
+
+
 def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
     monkeypatch.setattr(cf.resolvent, "_rounding_bound", lambda L, U: np.inf)
     with pytest.raises(SolverFailure):

@@ -182,7 +182,7 @@ def test_solve_spd_backend_rule(make, backend, backends):
     form = make()
     A = form.active_form_matrix + sp.identity(form.n_active)
     b = np.random.default_rng(0).standard_normal(form.n_active)
-    u = solve_spd(A)(b)
+    u = solve_spd(A, b)
     assert backends == [backend]
     assert np.linalg.norm(A @ u - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -194,7 +194,7 @@ def test_solve_spd_rejects_inconsistent_singular_system(R, backend, backends):
     b = np.zeros(A.shape[0])
     b[0] = 1.0                                        # not orthogonal to the constants
     with pytest.raises(SolverFailure):
-        solve_spd(A)(b)
+        solve_spd(A, b)
     assert backends == [backend]
 
 
@@ -205,7 +205,7 @@ def test_dense_factorization_with_a_zero_pivot_fails():
                  [-1, 0, 1], format="csr")
     assert lapack.dgetrf(A.toarray())[2] == 40
     with pytest.raises(SolverFailure, match="getrf"):
-        solve_spd(A)
+        solve_spd(A, np.ones(40))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-8])
@@ -219,7 +219,25 @@ def test_shifted_cg_solve_matches_lu(alpha, backends):
     A = sp.csc_matrix(form.active_form_matrix + alpha * sp.diags(form.active_measure))
     ref = spla.splu(A).solve(form.measure[act] * f[act])
     assert np.max(np.abs(u[act] - ref)) <= 1e-10 * np.max(np.abs(ref))
-    # a CG solver is rebuilt per call, not cached on the form
+
+
+@pytest.mark.parametrize("make,backend", [
+    (lambda: cf.random_connected_form(60, seed=3, dirichlet_count=2), "dgetrf"),
+    (lambda: cf.lattice(2, 12), "splu"),              # 529 unknowns
+    (lambda: cf.lattice(3, 8), "cg"),                 # 3375 unknowns
+], ids=["dense", "superlu", "cg"])
+def test_no_factorization_outlives_its_solve(make, backend, backends, monkeypatch):
+    form = make()
+    solves = count_calls(monkeypatch, resolvent, "solve_spd")
+    f = np.zeros(form.n)
+    f[form.active[0]] = 1.0
+    first = cf.resolvent_apply(form, f, 0.5)
+    assert np.array_equal(cf.resolvent_apply(form, f, 0.5), first)
+    res = cf.green_apply(form, f)
+    assert res.finite
+    assert cf.is_excessive(form, res.value).excessive
+    assert len(solves) == 12                          # 2 shifted, 1 direct, 9 on the grid
+    assert backends == [backend] * len(solves)        # each solve factored afresh
     assert not any(isinstance(key, tuple) for key in form._cache)
 
 
@@ -317,17 +335,17 @@ def test_rounding_bound_matches_sparse_reference(make):
 @pytest.mark.parametrize("make", [lambda: cf.lattice(2, 4), lambda: cf.lattice(2, 8),
                                   lambda: cf.lattice(2, 50)],
                          ids=["dense", "superlu", "cg"])
-def test_solver_reads_tol_solve_once_when_built(make, monkeypatch):
+def test_each_solve_reads_tol_solve_once(make, monkeypatch):
     Q = make().active_form_matrix
     b = np.ones(Q.shape[0])
     calls = count_calls(monkeypatch, resolvent, "tolerances")
-    solve = solve_spd(Q)
+    for k in range(1, 4):
+        solve_spd(Q, b)
+        assert len(calls) == k
     monkeypatch.setenv("CRITFORM_TOL_SOLVE", "1e-30")    # no residual meets this
-    for _ in range(5):
-        solve(b)
-    assert len(calls) == 1
     with pytest.raises(SolverFailure):
-        solve_spd(Q)(b)
+        solve_spd(Q, b)
+    assert len(calls) == 4
 
 
 def test_pivot_off_the_diagonal_is_not_an_inertia():
@@ -350,7 +368,7 @@ def test_symmetric_mode_solves_match_default_superlu(make, alpha):
     Q = form.active_form_matrix
     shift = alpha * form.active_measure if alpha else None
     b = np.random.default_rng(1).standard_normal(form.n_active)
-    u = solve_spd(Q, shift)(b)
+    u = solve_spd(Q, b, shift)
     ref = spla.splu(sp.csc_matrix(Q + sp.diags(alpha * form.active_measure))).solve(b)
     assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
