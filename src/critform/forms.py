@@ -213,13 +213,8 @@ class GraphForm:
     def form_matrix(self) -> sp.csr_matrix:
         """Sparse n x n matrix Q with q(f) = f @ Q @ f for boundary-vanishing f."""
         def make():
-            i = self.edge_index[:, 0]
-            j = self.edge_index[:, 1]
-            b = self.weights
-            deg = np.zeros(self.n)
-            np.add.at(deg, i, b)
-            np.add.at(deg, j, b)
-            diag = deg + self.potential * self.measure
+            (i, j), b = self.edge_index.T, self.weights
+            diag = self._degree() + self.potential * self.measure
             rows = np.concatenate([i, j, np.arange(self.n)])
             cols = np.concatenate([j, i, np.arange(self.n)])
             vals = np.concatenate([-b, -b, diag])
@@ -228,7 +223,10 @@ class GraphForm:
 
     @property
     def active_form_matrix(self) -> sp.csr_matrix:
+        """Q restricted to the non-Dirichlet vertices (Q itself when there are none)."""
         def make():
+            if not self.dirichlet:
+                return self.form_matrix
             act = self.active
             return self.form_matrix[act][:, act].tocsr()
         return self._cached("active_form_matrix", make)
@@ -244,22 +242,27 @@ class GraphForm:
     def operator_norm_bound(self) -> float:
         """Row-sum bound on the mu-weighted operator norm of L."""
         def make():
-            i = self.edge_index[:, 0]
-            j = self.edge_index[:, 1]
-            deg = np.zeros(self.n)
-            np.add.at(deg, i, self.weights)
-            np.add.at(deg, j, self.weights)
-            vals = (2.0 * deg + np.abs(self.potential) * self.measure) / self.measure
-            act = self.active
-            return float(vals[act].max()) if act.size else 0.0
+            vals = (2.0 * self._degree() + np.abs(self.potential) * self.measure) / self.measure
+            return float(np.max(vals[self.active], initial=0.0))
         return self._cached("norm_bound", make)
 
     def symmetric_norm_bound(self) -> float:
         """Top row sum of |M^-1/2 Q M^-1/2| on the non-Dirichlet part.  M^-1 Q
         is self-adjoint in l2(mu), so this bounds its spectrum too, and unlike
         ``operator_norm_bound`` a spread measure cannot inflate it."""
-        d = 1.0 / np.sqrt(self.active_measure)
-        return float(np.max(d * (abs(self.active_form_matrix) @ d), initial=0.0))
+        def make():
+            i, j = self.edge_index.T
+            b = self.weights * ~(self.boundary_mask[i] | self.boundary_mask[j])
+            d = 1.0 / np.sqrt(self.measure)
+            off = np.bincount(i, b * d[j], minlength=self.n) + np.bincount(j, b * d[i], self.n)
+            rows = d * (np.abs(self.form_matrix.diagonal()) * d + off)
+            return float(np.max(rows[self.active], initial=0.0))
+        return self._cached("symmetric_norm_bound", make)
+
+    def _degree(self) -> np.ndarray:
+        """Weighted degree of every vertex, Dirichlet edges included, summed in edge order."""
+        return self._cached("degree", lambda: np.bincount(
+            self.edge_index.T.ravel(), np.concatenate([self.weights] * 2), minlength=self.n))
 
     def _cached(self, key, make):
         cache = self._cache
@@ -376,25 +379,25 @@ def _validate_nonnegative(form: GraphForm) -> None:
     """Reject forms whose restricted energy takes negative values.
 
     With c >= 0 the energy is a sum of squares, so the check is skipped.  A
-    signed potential needs a proof by Sylvester's law of inertia that the
-    pencil (Q, M) has no eigenvalue below -tol = -tol_psd * max(norm, 1),
-    norm = ``symmetric_norm_bound()``:
-    ``resolvent._inertia`` finds no nonpositive pivot of Q + (tol/2) M and a
-    rounding bound s <= tol/2, so Q + (tol/2) M >= -s M.  A nonpositive pivot
-    raises ``FormNotNonnegative``; a pivot off the diagonal, a breakdown or a
-    larger s raises ``SolverFailure``.
+    signed potential needs a proof that the pencil (Q, M) has no eigenvalue
+    below -tol = -tol_psd * max(norm, 1), norm = ``symmetric_norm_bound()``:
+    u = (Q + (tol/2) M)^-1 mu must be a positive supersolution of Q + tol M.
+    Otherwise a positive count of pivots <= 0 of Q + (tol/2) M raises
+    ``FormNotNonnegative``, and a zero count or a failed factorization
+    ``SolverFailure``.
     """
     if np.all(form.potential[form.active] >= 0):     # also when no vertex is free
         return
-    from .resolvent import _inertia
+    from .resolvent import _shifted_supersolution_proves, _symmetric_lu
 
     tol = tolerances()["tol_psd"] * max(form.symmetric_norm_bound(), 1.0)
-    _, count, s = _inertia(form.active_form_matrix, form.active_measure, 0.5 * tol)
+    Q, mu = form.active_form_matrix, form.active_measure
+    if _shifted_supersolution_proves(Q, mu, tol, 0.5 * tol):
+        return
+    count = int(np.count_nonzero(_symmetric_lu(Q, 0.5 * tol * mu).U.diagonal() <= 0))
     if count:
         raise FormNotNonnegative(count, tol)
-    if not s <= 0.5 * tol:
-        raise SolverFailure(f"cannot certify nonnegativity of the signed form: "
-                            f"rounding bound {s:.3e} exceeds {0.5 * tol:.3e}")
+    raise SolverFailure("cannot certify the signed form: no supersolution, no nonpositive pivot")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +450,7 @@ def operator_apply(form: GraphForm, f) -> np.ndarray:
     vec = as_domain_function(form, f)
     out = np.zeros(form.n)
     act = form.active
-    out[act] = (form.form_matrix[act] @ vec) / form.measure[act]
+    out[act] = (form.active_form_matrix @ vec[act]) / form.measure[act]
     return out
 
 

@@ -23,7 +23,8 @@ from .forms import (
     evaluate_rows,
     sample_blocks,
 )
-from .resolvent import _inertia, default_alpha_schedule, green_apply, resolvent_apply
+from .resolvent import (_solve, _supersolution_proves, default_alpha_schedule, green_apply,
+                        resolvent_apply)
 
 __all__ = [
     "HardyWeight",
@@ -41,11 +42,11 @@ PENCIL_CUTOFF = 2000  # read by no code here; bench/workloads.py sizes its trees
 
 @dataclass(frozen=True)
 class HardyVerification:
-    """Sampled evidence and an inertia proof for sum f^2 w mu <= q(f) + alpha |f|^2."""
+    """Sampled evidence and a supersolution proof for sum f^2 w mu <= q(f) + alpha |f|^2."""
 
     rho_sampled: float            # max ratio over the samples and the witness, <= 1 + tol_ineq
     pencil_lambda_max: float | None  # witness Rayleigh quotient, a lower bound on the top
-    passed: bool                  # rho_sampled gate and the inertia proof of top <= 1 + tol_eig
+    passed: bool                  # rho_sampled gate and the proof of top <= 1 + tol_eig
     n_samples: int                # random samples plus the witness
     alpha: float
     note: str = ""
@@ -114,19 +115,16 @@ def _weight(form: GraphForm, gv, denom, alpha: float, verify: bool,
 def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
                  alpha: float = 0.0) -> HardyVerification:
     """Check sum f^2 w mu <= q(f) + alpha |f|_mu^2 by sampling, and prove the
-    pencil top lambda_max(W, Q_a) <= 1 + tol at every size by inertia, with
-    tol = the table's tol_eig, Q_a = Q + alpha M and W = diag(w mu).
-
-    Lemma.  Let t' = 1/(1 + tol) be the claimed level (rounded up) and t > t'
-    the factored one: t = 1/(1 + tol/2) when tol > 0, else 2 t'.  (a) No
-    pivot <= 0 of Q_a - t W proves Q_a - t W >= -s1 M.  (b) With s = s1 t' /
-    (t - t') (rounded up), no pivot <= 0 of Q_a - 2s M and s2 <= s prove
-    Q_a >= s M.  Then Q_a - t' W = (t'/t)(Q_a - t W) + (1 - t'/t) Q_a >= 0.
-    s1, s2 (``resolvent._inertia``) bound the rounding of the factors and the
-    shifts.  Nothing is factored where c + alpha - t' w >= 0 at every vertex:
-    q + alpha - t' w is then a sum of squares.  The witness u = (Q_a - t W)^-1
-    W 1 (the top direction when W has rank one) joins the samples, and
-    ``pencil_lambda_max`` is its Rayleigh quotient, a lower bound on the top.
+    pencil top lambda_max(W, Q_a) <= 1 + tol, i.e. Q_a - t' W >= 0, at every
+    size, with tol = the table's tol_eig, Q_a = Q + alpha M, W = diag(w mu)
+    and t' = 1/(1 + tol) rounded up.  Where c + alpha - t' w >= 0 at every
+    vertex, q + alpha - t' w is a sum of squares.  Otherwise one solve at
+    t = 1/(1 + tol/2) gives U = (Q_a - t W)^-1 [W 1, W 1 + 1e-3 mu max W / max mu],
+    and the proof is that the second column is a positive supersolution of
+    Q_a - t' W (``resolvent._supersolution_proves``); a failed solve proves
+    nothing.  The first column, the witness (the top direction when W has
+    rank one), joins the samples, and ``pencil_lambda_max`` is its Rayleigh
+    quotient, a lower bound on the top.
     """
     tols = tolerances()
     tol_e = tols["tol_eig"]
@@ -155,18 +153,20 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
         note = "no non-Dirichlet vertex: every admissible function vanishes"
     elif tol_e > -1:        # a claimed level 1 + tol <= 0 is never proved
         claim = (1 + 2.0 ** -51) / (1 + tol_e)
-        theta = 1 / (1 + tol_e / 2) if tol_e > 0 else 2 * claim
         c = form.potential[act] + alpha
         if np.all(c - claim * wv[act] >= 2.0 ** -50 * (np.abs(c) + claim * wv[act])):
             proved, note = True, "the potential c + alpha - w/(1 + tol_eig) is nonnegative"
         else:
-            solve, count, s1 = _inertia(Q, mu, alpha, theta, wv[act])
-            lam_max = max_ratio(solve(W)[None, :])
-            rho, n_samples = max(rho, lam_max), n_samples + 1
-            if count == 0 and theta > claim:
-                sigma = s1 * claim / (theta - claim) * (1 + 2.0 ** -51)
-                _, count, s2 = _inertia(Q, mu, alpha, 2 * sigma, 1.0)
-                proved = count == 0 and s2 <= sigma
+            lift = 1e-3 * (W.max() or 1.0) / mu.max() * mu    # positive even where W = 0
+            try:
+                U = _solve(Q, np.column_stack([W, W + lift]), alpha * mu - W / (1 + tol_e / 2))
+            except SolverFailure:
+                pass
+            else:
+                lam_max = max_ratio(U[:, 0][None, :])
+                rho, n_samples = max(rho, lam_max), n_samples + 1
+                proved = _supersolution_proves(Q, alpha * mu - claim * W, U[:, 1],
+                                               abs(alpha) * mu + claim * W)
 
     return HardyVerification(
         rho_sampled=rho,
@@ -227,17 +227,15 @@ def ground_state_transform(form: GraphForm, h, alpha: float = 0.0,
     if np.any(hv < 0):
         raise NonPositiveH("h must be nonnegative on the Dirichlet set")
 
-    i = form.edge_index[:, 0]
-    j = form.edge_index[:, 1]
+    i, j = form.edge_index.T
     new_weights = form.weights * hv[i] * hv[j]
 
     new_measure = np.where(hv > 0, hv * hv * form.measure, form.measure)
 
     # Residual assembly: the diagonal of the new form matrix must be
     # h(v)^2 * (Q + alpha M)_vv; subtract the new off-diagonal mass.
-    deg_new = np.zeros(form.n)
-    np.add.at(deg_new, i, new_weights)
-    np.add.at(deg_new, j, new_weights)
+    deg_new = np.bincount(form.edge_index.T.ravel(), np.concatenate([new_weights] * 2),
+                          minlength=form.n)
     Q_diag = np.asarray(form.form_matrix.diagonal()).ravel()
     target_diag = hv * hv * (Q_diag + alpha * form.measure)
     new_potential = np.zeros(form.n)

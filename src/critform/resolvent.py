@@ -40,9 +40,8 @@ DIVERGENCE_SLOPE = -0.9         # log-log slope of the trace declaring divergenc
 def _symmetric_lu(A, shift=None):
     """SuperLU factors Pr (A + diag(shift)) Pc = L U of a symmetric A in
     symmetric mode (order on the pattern of A + A^T, diagonal pivots while
-    nonzero), the shift added to the stored diagonal of a CSC copy of A.  A
-    breakdown or a pivot off the diagonal raises ``SolverFailure``, so that
-    L D L^T, D = diag(U), has the inertia of D (Sylvester's law)."""
+    nonzero).  A breakdown or a pivot off the diagonal raises
+    ``SolverFailure``, so L D L^T, D = diag(U), has the inertia of D (Sylvester)."""
     C = A.tocsc(copy=True)
     if shift is not None:
         C.setdiag(C.diagonal() + shift)
@@ -56,46 +55,37 @@ def _symmetric_lu(A, shift=None):
     return lu
 
 
-def _inertia(Q, mu, alpha, theta=0.0, w=0.0):
-    """(solve, count, s) for A = Q + alpha M - theta diag(w mu), M = diag(mu):
-    solve(b) = A^-1 b, count the pivots <= 0, and A >= -s M when count is 0
-    (else s = inf).  ``_symmetric_lu`` factors D A D, D = diag(2^-e) with
-    D M D = diag(m), m in [1/2, 2), so s is its ``_rounding_bound`` over min m
-    (not min mu, which a spread measure drives to 0) plus 2^-50 max(|alpha| +
-    theta |w|), the rounding of the computed shift (alpha - theta w) m."""
-    e = np.frexp(mu)[1] // 2
-    m = np.ldexp(mu, -2 * e)
-    S = Q.copy()
-    S.data = np.ldexp(S.data, -e[S.indices] - np.repeat(e, np.diff(S.indptr)))
-    lu = _symmetric_lu(S, (alpha - theta * w) * m)
-    count = int(np.count_nonzero(lu.U.diagonal() <= 0))
-    s = np.inf if count else (_rounding_bound(lu.L, lu.U) / float(m.min())
-                              + 2.0 ** -50 * float(np.max(abs(alpha) + theta * np.abs(w))))
-    return (lambda b: np.ldexp(lu.solve(np.ldexp(b, -e)), -e)), count, s
+def _supersolution_proves(Q, s, u, s_abs=None) -> bool:
+    """Whether u proves Q + diag(s) >= 0, for a symmetric Q with no positive
+    entry off the diagonal (every form matrix here).  For u > 0,
+    f^T A f = sum_{x<y} -A_xy u_x u_y (f_x/u_x - f_y/u_y)^2 + sum_x (A u)_x f_x^2/u_x,
+    so A u >= 0 proves A >= 0.  The check, in extended precision with unit
+    roundoff e (2^-64 for an 80-bit ``np.longdouble``), asks u > 0 and
+    A u >= gamma_{k+8} (|Q| u + |s u|) + 2^-50 s_abs u + (k + 8) tiny row by row:
+    k is the longest row of Q, gamma_m = m e / (1 - m e), s_abs (default |s|)
+    the magnitude of the terms of s before its at most four roundings in
+    double precision, and tiny the smallest subnormal.  So a near-critical u
+    whose margin is a few ulps of |Q| u still passes.  No factor is formed."""
+    if not (np.all(u > 0) and np.all(np.isfinite(u))):
+        return False
+    ext = np.finfo(np.longdouble)
+    k = int(np.diff(Q.indptr).max(initial=0)) + 8
+    gamma = k * (ext.eps / 2) / (1 - k * (ext.eps / 2))
+    u = u.astype(np.longdouble)
+    su = s * u
+    bound = (gamma * (abs(Q) @ u + np.abs(su))
+             + 2.0 ** -50 * (np.abs(s) if s_abs is None else s_abs) * u
+             + k * ext.smallest_subnormal)
+    return bool(np.all(Q @ u + su >= bound))
 
 
-def _rounding_bound(L, U) -> float:
-    """Bound b >= ||E||_2 on E = L D L^T - Pr A Pc, D = diag(U), for the
-    factors of a symmetric A from ``_symmetric_lu``.  With k the longest
-    row or column of L, |L U - Pr A Pc| <= gamma_{k+1} |L| |U| (Higham 2002,
-    Thm. 9.3, one more rounding for the shift), and E, being symmetric, has
-    ||E||_2 <= ||E||_inf <= ||(gamma_{k+1} |L| |U| + |L| |U - D L^T|) 1||_inf."""
-    n = U.shape[0]
-    L_count = np.diff(L.indptr)
-    k1 = (max(L_count.max(), np.bincount(L.indices).max()) + 1) * 2.0 ** -53
-    gamma = k1 / (1 - k1)
-    L_col = np.repeat(np.arange(n), L_count)
-    U_col = np.repeat(np.arange(n), np.diff(U.indptr))
-    # U - D L^T entrywise: U(i, j) meets d_i L(j, i) under the key i n + j
-    keys = np.concatenate([U.indices.astype(np.int64) * n + U_col, L_col * n + L.indices])
-    vals = np.concatenate([U.data, -U.diagonal()[L_col] * L.data])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    deviation = np.abs(np.add.reduceat(vals[order], start))
-    v = (gamma * np.bincount(U.indices, weights=np.abs(U.data), minlength=n)
-         + np.bincount(keys[start] // n, weights=deviation, minlength=n))
-    return float(np.bincount(L.indices, weights=np.abs(L.data) * v[L_col], minlength=n).max())
+def _shifted_supersolution_proves(Q, mu, s: float, t: float) -> bool:
+    """Whether u = (Q + t M)^-1 mu, M = diag(mu), proves Q + s M >= 0; a
+    failed solve proves nothing."""
+    try:
+        return _supersolution_proves(Q, s * mu, _solve(Q, mu, t * mu))
+    except SolverFailure:
+        return False
 
 
 def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
@@ -113,12 +103,29 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
     above about 1500 unknowns on 2-D lattices and random sparse graphs and at
     every size on 3-D lattices, where LU fill-in explodes; SuperLU wins on
     smaller systems and on paths, where CG needs n iterations.  Each call
-    factors, solves and certifies
+    factors and solves (``_solve``), then certifies
     ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||``; no
     factorization is kept.  ``SolverFailure`` is raised when the residual
     fails, the factorization breaks down or the system has a nonpositive
     diagonal.
     """
+    u = _solve(A, b, shift)
+    r = A @ u - b
+    if shift is not None:
+        r += shift * u
+    resid, scale = float(np.linalg.norm(r)), float(np.linalg.norm(b))
+    if scale > 0 and resid > 1e3 * tolerances()["tol_solve"] * scale:
+        raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
+    return u
+
+
+def _solve(A, b: np.ndarray, shift=None) -> np.ndarray:
+    """(A + diag(shift))^-1 b by the backend rule of ``solve_spd`` without its
+    residual certificate, for a vector or an (n, k) block b (one factorization;
+    CG solves column by column).  A u that feeds ``_supersolution_proves``
+    needs no accuracy, and near-critical systems such as Q - t W below an
+    optimal Hardy weight leave residuals far above the certificate.  A
+    breakdown or a non-finite value raises ``SolverFailure``."""
     n = A.shape[0]
     if 0 < n <= DENSE_MAX_UNKNOWNS:
         dense = A.toarray()
@@ -141,17 +148,11 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
             A.shape, matvec=lambda x: A @ x + shift * x, dtype=float)
         jacobi = spla.LinearOperator(A.shape, matvec=lambda x: x / diag, dtype=float)
         # In exact arithmetic CG ends within n steps; 2n allows for rounding.
-        u, _ = spla.cg(system, b, rtol=CG_RTOL, atol=0.0, M=jacobi, maxiter=2 * n)
-
+        u = np.column_stack([spla.cg(system, col, rtol=CG_RTOL, atol=0.0, M=jacobi,
+                                     maxiter=2 * n)[0] for col in b.reshape(n, -1).T])
+        u = u.reshape(b.shape)
     if not np.all(np.isfinite(u)):
         raise SolverFailure("solve produced non-finite values")
-    r = A @ u - b
-    if shift is not None:
-        r += shift * u
-    resid = float(np.linalg.norm(r))
-    scale = float(np.linalg.norm(b))
-    if scale > 0 and resid > 1e3 * tolerances()["tol_solve"] * scale:
-        raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
     return u
 
 
@@ -367,7 +368,7 @@ def _excessivity_gate(form: GraphForm, h, tol_exc: float):
     scale_L = max(form.operator_norm_bound() * max(h_sup, 1.0), 1.0)
 
     act = form.active
-    Lh = (form.form_matrix[act] @ hv) / form.measure[act]
+    Lh = (form.active_form_matrix @ hv[act]) / form.measure[act]
     algebraic_min = float(Lh.min()) if Lh.size else 0.0
     return hv, algebraic_min, algebraic_min >= -tol_exc * scale_L
 

@@ -27,7 +27,7 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _excessivity_gate, _semigroup_block, _symmetric_lu
+from .resolvent import _excessivity_gate, _semigroup_block, _shifted_supersolution_proves
 
 __all__ = [
     "AlphaProfile",
@@ -258,9 +258,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
 
     # Admissible subspace.
     if mode == "poincare":
-        hfull = np.zeros(form.n)
-        hfull[act] = h_act
-        Lh = form.form_matrix[act] @ hfull
+        Lh = form.active_form_matrix @ h_act
         scale = max(form.operator_norm_bound() * float(np.max(h_act)), 1.0)
         if float(np.max(np.abs(Lh / mu))) > 1e-8 * scale:
             raise KernelMismatch("h does not span the kernel (L h != 0)")
@@ -270,10 +268,9 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
             raise KernelMismatch("orthogonal complement of h is trivial")
         Q_sub = P.T @ Q @ P
     else:
-        # inertia: Q - tau M has a nonpositive pivot iff lambda_min <= tau
+        # a positive supersolution of Q - tau M proves lambda_min >= tau
         tau = 1e-12 * max(form.symmetric_norm_bound(), 1.0)
-        U = _symmetric_lu(form.active_form_matrix, -tau * mu).U
-        if np.any(U.diagonal() <= 0):
+        if not _shifted_supersolution_proves(form.active_form_matrix, mu, -tau, -tau):
             raise KernelMismatch(
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"
             )

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import critform as cf
 from critform.forms import SAMPLE_BLOCK_ENTRIES, evaluate_rows, sample_blocks
@@ -251,10 +252,66 @@ def test_spread_measure_does_not_inflate_the_nonnegativity_tolerance():
 
 
 def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
-    monkeypatch.setattr(cf.resolvent, "_rounding_bound", lambda L, U: np.inf)
+    # a supersolution that never clears its rounding bound proves nothing, and
+    # a factorization without a nonpositive pivot does not reject the form
+    monkeypatch.setattr(cf.resolvent, "_supersolution_proves", lambda Q, s, u: False)
     with pytest.raises(SolverFailure):
         cf.random_connected_form(30, seed=2, signed_potential=True)
     cf.random_connected_form(30, seed=2)            # c >= 0 needs no certificate
+
+
+def test_nonnegativity_proof_needs_one_solve_and_no_factorization(monkeypatch):
+    # accepting a signed form takes one solve and one supersolution check;
+    # only a rejection counts pivots
+    calls = []
+    real = cf.resolvent._symmetric_lu
+    monkeypatch.setattr(cf.resolvent, "_symmetric_lu",
+                        lambda *args: calls.append(args) or real(*args))
+    form = cf.random_connected_form(300, seed=3, signed_potential=True, dirichlet_count=2)
+    assert form.potential.min() < 0
+    assert len(calls) == 1                          # the SuperLU solve of 298 unknowns
+    lam1 = scipy.linalg.eigvalsh(form.active_form_matrix.toarray(),
+                                 np.diag(form.active_measure))[0]
+    with pytest.raises(FormNotNonnegative) as info:
+        cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights, form.measure,
+                                 form.potential - lam1 - 1e-6, form.dirichlet)
+    assert info.value.count == 1
+    assert len(calls) == 3                          # the solve, then the pivot count
+
+
+def bits(M):
+    """The stored CSR arrays of M, byte for byte."""
+    return M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf.random_connected_form(150, seed=4, signed_potential=True),
+    lambda: cf.random_connected_form(150, seed=5, dirichlet_count=3),
+    lambda: cf.random_tree_form(150, seed=6),
+    lambda: cf.lattice(2, 6),
+], ids=["signed", "dirichlet", "tree", "lattice2d"])
+def test_assembly_matches_the_fancy_index_expressions_bit_for_bit(make):
+    form = make()
+    n, act = form.n, form.active
+    i, j, b = form.edge_index[:, 0], form.edge_index[:, 1], form.weights
+    deg = np.zeros(n)
+    np.add.at(deg, i, b)
+    np.add.at(deg, j, b)
+    Q = sp.csr_matrix((np.concatenate([-b, -b, deg + form.potential * form.measure]),
+                       (np.concatenate([i, j, np.arange(n)]),
+                        np.concatenate([j, i, np.arange(n)]))), shape=(n, n))
+    assert bits(form.form_matrix) == bits(Q)
+    assert bits(form.active_form_matrix) == bits(Q[act][:, act].tocsr())
+    assert (form.active_form_matrix is form.form_matrix) == (not form.dirichlet)
+    h = np.zeros(n)
+    h[act] = np.random.default_rng(n).uniform(0.5, 2.0, act.size)
+    Lh = (Q[act] @ h) / form.measure[act]
+    assert cf.operator_apply(form, h)[act].tobytes() == Lh.tobytes()
+    assert cf.resolvent._excessivity_gate(form, h, 1e-9)[1] == float(Lh.min())
+    d = 1.0 / np.sqrt(form.active_measure)
+    reference = float(np.max(d * (abs(Q[act][:, act]) @ d)))
+    assert form.symmetric_norm_bound() == pytest.approx(reference, rel=1e-14)
+    assert form._cache["symmetric_norm_bound"] == form.symmetric_norm_bound()
 
 
 def test_first_bd_sweep_nonpositive():

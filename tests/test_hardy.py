@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import critform as cf
 from critform.errors import GreenDiverges, NonPositiveH, NonPositiveInput
@@ -127,7 +129,7 @@ def test_singular_energy_with_weight_mass_fails_the_verification(two_path):
     assert rep.pencil_lambda_max == np.inf and not rep.passed
 
 
-# --- the inertia proof of the pencil top -------------------------------------
+# --- the supersolution proof of the pencil top -------------------------------
 
 TOL_EIG = 1e-8
 
@@ -170,7 +172,7 @@ def test_verify_proves_at_every_size_without_dense_algebra(make, monkeypatch):
 
 @pytest.mark.parametrize("env_ineq", [None, "1"])
 def test_planted_top_above_tolerance_fails_and_optimal_weights_pass(env_ineq, monkeypatch):
-    # CRITFORM_TOL_INEQ=1 leaves the verdict to the inertia proof alone
+    # CRITFORM_TOL_INEQ=1 leaves the verdict to the supersolution proof alone
     if env_ineq:
         monkeypatch.setenv("CRITFORM_TOL_INEQ", env_ineq)
     for form, alpha in ((cf.random_tree_form(300, seed=7), 0.0),
@@ -212,10 +214,10 @@ def test_pass_fail_agrees_with_the_dense_pencil():
     assert 20 <= sum(passed) <= 36
 
 
-def test_nearly_singular_energy_needs_the_second_factorization(monkeypatch):
+def test_nearly_singular_energy_is_not_proved(monkeypatch):
     # Q = Laplacian + c M with c = 1e-12 and W = c (1 + 2 tol) M: the top is
     # 1 + 2 tol at the constants, yet rounding leaves no nonpositive pivot
-    # of Q - theta W.  Only the certified floor sigma of Q rejects the claim.
+    # of Q - theta W, so an inertia count at theta alone would accept it
     monkeypatch.setenv("CRITFORM_TOL_INEQ", "1")
     c = 1e-12
     form = cf.random_tree_form(6, seed=2, potential_low=c, potential_high=c)
@@ -223,31 +225,75 @@ def test_nearly_singular_energy_needs_the_second_factorization(monkeypatch):
     ones = np.ones(form.n_active)
     assert form.active_form_matrix @ ones == pytest.approx(c * form.active_measure, rel=1e-3)
     theta = 1 / (1 + TOL_EIG / 2)
-    assert cf.resolvent._inertia(form.active_form_matrix, form.active_measure,
-                                 0.0, theta, w)[1] == 0
+    lu = cf.resolvent._symmetric_lu(form.active_form_matrix,
+                                    -theta * w[form.active] * form.active_measure)
+    assert np.all(lu.U.diagonal() > 0)
     assert not cf.verify_hardy(form, w, n_samples=20).passed
 
 
-def test_inertia_bound_covers_the_rounding_of_the_shift():
-    # isolated vertices, mu = 1: the factors are the computed diagonal
-    # c + alpha - theta w exactly, and theta w nearly cancels c, so the
-    # rounding of the shift dominates the error of the factorization
+def test_supersolution_bound_covers_the_rounding_of_the_shift():
+    # isolated vertices, mu = 1: A = diag(c + alpha - t' w) with t' w within a
+    # few ulps of c + alpha, so the rounding of the computed shift alone
+    # decides the sign; the exact sign is taken in extended precision
     rng = np.random.default_rng(3)
-    c = rng.uniform(1.0, 2.0, 40)
-    ids = [f"v{k:02d}" for k in range(40)]
-    form = cf.build_form({"vertices": ids, "edges": [],
-                          "potential": dict(zip(ids, c.tolist()))})
-    alpha, theta = 0.25, 1 / (1 + TOL_EIG / 2)
-    w = (c + alpha) / theta * (1 - 1e-6 * rng.uniform(0.5, 1.0, 40))
-    solve, count, s = cf.resolvent._inertia(form.active_form_matrix, form.active_measure,
-                                            alpha, theta, w)
-    assert count == 0
-    pivots = 1.0 / solve(np.ones(40))
-    exact = (c.astype(np.longdouble) + np.longdouble(alpha)
-             - np.longdouble(theta) * w.astype(np.longdouble))
-    error = np.abs(pivots.astype(np.longdouble) - exact)
-    assert error.max() > 0
-    assert error.max() <= s
+    c = rng.uniform(1.0, 2.0, 400)
+    alpha, claim = 0.25, (1 + 2.0 ** -51) / (1 + TOL_EIG)
+    w = (c + alpha) / claim * (1 + 2.0 ** -52 * rng.integers(-8, 9, 400))
+    w[:40] *= 1 - 1e-12                              # comfortably inside the claim
+    LD = np.longdouble
+    exact = c.astype(LD) + LD(alpha) - LD(claim) * w.astype(LD)
+    shift = alpha - claim * w
+    proved = np.array([
+        cf.resolvent._supersolution_proves(sp.csr_matrix([[ck]]), np.array([sk]), np.ones(1),
+                                           np.array([alpha + claim * wk]))
+        for ck, sk, wk in zip(c, shift, w)])
+    assert np.all(exact[proved] > 0)
+    assert proved[:40].all()
+    # a check in double without the shift's rounding would accept these
+    assert np.any((c + shift >= 0) & (exact < 0))
+
+
+def test_scaled_hardy_weights_of_random_trees_are_never_proved(monkeypatch):
+    monkeypatch.setenv("CRITFORM_TOL_INEQ", "1")     # leave the verdict to the proof
+    for k in range(30):
+        form = cf.random_tree_form(5 + 7 * k, seed=40 + k)
+        g = np.zeros(form.n)
+        g[form.active[k % form.n_active]] = 1.0
+        w = cf.hardy_weight(form, g, verify=False).values
+        assert cf.verify_hardy(form, w, n_samples=0).passed
+        assert not cf.verify_hardy(form, w * (1 + 1e-6), n_samples=0).passed
+
+
+def test_verify_on_a_3d_lattice_needs_no_factorization(monkeypatch):
+    # lattice(3, 12): 12,167 free vertices, where an LU-based proof fills in
+    form = cf.lattice(3, 12)
+    g = np.zeros(form.n)
+    g[form.index("0,0,0")] = 1.0
+    w = cf.hardy_weight(form, g, verify=False).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization")
+    monkeypatch.setattr(spla, "splu", refuse)
+    tracemalloc.start()
+    try:
+        rep = cf.verify_hardy(form, w, n_samples=50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.pencil_lambda_max == pytest.approx(1.0, abs=1e-12)
+    assert peak < 32 * 2 ** 20
+
+
+def test_near_critical_point_source_weight_is_proved():
+    # path_form(2000): Dirichlet at one end only, lambda_min about 6.2e-7.
+    # Q - t' W u then exceeds 0 by about 1e-15 of |Q| u, a few ulps, which
+    # the supersolution check resolves in extended precision.
+    form = cf.path_form(2000)
+    g = np.zeros(form.n)
+    g[form.active[666]] = 1.0
+    w = cf.hardy_weight(form, g, verify=False).values
+    rep = cf.verify_hardy(form, w, n_samples=50, seed=1)
+    assert rep.passed and rep.pencil_lambda_max == pytest.approx(1.0, abs=1e-11)
 
 
 def test_sample_with_no_energy_but_weight_mass_is_a_violation():
@@ -325,7 +371,7 @@ def test_transform_energy_identity():
 @pytest.mark.parametrize("base", [cf.path_form, cf.dirichlet_path])
 def test_transform_by_a_steep_h_is_certified_nonnegative(base):
     # h = 2^-v spreads the new measure h^2 mu over 4^40; the recovered
-    # potential is signed, so the new form needs the inertia certificate
+    # potential is signed, so the new form needs the nonnegativity certificate
     form = base(40)
     gst = cf.ground_state_transform(form, 2.0 ** -np.arange(form.n))
     assert gst.form.potential.min() < 0

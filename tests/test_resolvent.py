@@ -11,7 +11,7 @@ import critform as cf
 from critform import resolvent
 from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
-    _rounding_bound, _symmetric_lu, direct_green_solve, solve_spd)
+    _solve, _supersolution_proves, _symmetric_lu, direct_green_solve, solve_spd)
 
 from conftest import active_vector, count_calls, shifted
 
@@ -291,47 +291,6 @@ def test_pivot_count_matches_dense_eigenvalues():
     assert negative > 1000
 
 
-@pytest.mark.parametrize("make", [
-    lambda: cf.random_connected_form(200, seed=8, dirichlet_count=3),
-    lambda: cf.lattice(2, 8),
-    lambda: cf.random_tree_form(150, seed=9),
-], ids=["graph", "lattice2d", "tree"])
-def test_rounding_bound_covers_the_factorization_error(make):
-    # E = L D L^T - P (Q + s M) P^T in extended precision against the bound
-    form = make()
-    Q, mu = form.active_form_matrix, form.active_measure
-    shift = 1e-3 * mu
-    lu = _symmetric_lu(Q, shift)
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    back = np.argsort(lu.perm_c)
-    A = (Q.toarray().astype(np.longdouble) + np.diag(shift.astype(np.longdouble)))[back][:, back]
-    L = lu.L.toarray().astype(np.longdouble)
-    E = (L * lu.U.diagonal().astype(np.longdouble)) @ L.T - A
-    assert np.max(np.abs(E)) > 0
-    assert np.linalg.norm(E.astype(float), 2) <= _rounding_bound(lu.L, lu.U)
-
-
-def reference_rounding_bound(L, U):
-    """||(gamma_{k+1} |L| |U| + |L| |U - D L^T|) 1||_inf with sparse products."""
-    k = max(np.diff(L.indptr).max(), np.diff(L.tocsr().indptr).max())
-    g = (k + 1) * 2.0 ** -53
-    one = np.ones(L.shape[0])
-    dev = abs(U - sp.diags(U.diagonal()) @ L.T) @ one
-    return float((abs(L) @ (g / (1 - g) * (abs(U) @ one) + dev)).max())
-
-
-@pytest.mark.parametrize("make", [
-    lambda: cf.dirichlet_path(60_000),                # keys i n + j pass 2^31
-    lambda: cf.lattice(2, 20),
-    lambda: cf.random_connected_form(300, seed=1),
-], ids=["long-path", "lattice2d", "graph"])
-def test_rounding_bound_matches_sparse_reference(make):
-    form = make()
-    lu = _symmetric_lu(form.active_form_matrix, 1e-3 * form.active_measure)
-    reference = reference_rounding_bound(lu.L, lu.U)
-    assert _rounding_bound(lu.L, lu.U) == pytest.approx(reference, rel=1e-12, abs=0)
-
-
 @pytest.mark.parametrize("make", [lambda: cf.lattice(2, 4), lambda: cf.lattice(2, 8),
                                   lambda: cf.lattice(2, 50)],
                          ids=["dense", "superlu", "cg"])
@@ -346,6 +305,49 @@ def test_each_solve_reads_tol_solve_once(make, monkeypatch):
     with pytest.raises(SolverFailure):
         solve_spd(Q, b)
     assert len(calls) == 4
+
+
+def test_supersolution_proof_agrees_with_dense_eigenvalues():
+    # u solving (Q + s M) u = mu proves Q + s M >= 0 whenever lambda_min
+    # clears 0 by a margin, and never when it lies below 0
+    rng = np.random.default_rng(6)
+    proved = refused = 0
+    for k in range(60):
+        n = int(rng.integers(5, 200))
+        form = cf.random_connected_form(n, seed=k, signed_potential=bool(k % 2),
+                                        dirichlet_count=k % 3)
+        Q, mu = form.active_form_matrix, form.active_measure
+        lam = scipy.linalg.eigvalsh(Q.toarray(), np.diag(mu))[0]
+        for gap in (-1e-3, -1e-8, 1e-8, 1e-3):
+            ok = resolvent._shifted_supersolution_proves(Q, mu, gap - lam, gap - lam)
+            assert ok == (gap > 0), (k, gap)
+            proved, refused = proved + ok, refused + (not ok)
+    assert proved == refused == 120
+
+
+def test_supersolution_needs_a_positive_finite_u():
+    Q = cf.dirichlet_path(5).active_form_matrix
+    s = np.zeros(Q.shape[0])
+    assert not _supersolution_proves(Q, s, np.ones(Q.shape[0]))   # Q 1 = 0 inside: no margin
+    u = _solve(Q, np.ones(Q.shape[0]))
+    assert _supersolution_proves(Q, s, u)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        v = u.copy()
+        v[2] = bad
+        assert not _supersolution_proves(Q, s, v)
+
+
+@pytest.mark.parametrize("make", [lambda: cf.lattice(2, 4), lambda: cf.lattice(2, 8),
+                                  lambda: cf.lattice(2, 50)],
+                         ids=["dense", "superlu", "cg"])
+def test_block_solve_serves_every_column_with_one_factorization(make, backends):
+    Q = make().active_form_matrix
+    B = np.random.default_rng(2).standard_normal((Q.shape[0], 3))
+    shift = np.full(Q.shape[0], 0.1)
+    U = _solve(Q, B, shift)
+    assert len(backends) == (3 if backends[0] == "cg" else 1)
+    for col in range(3):
+        assert U[:, col] == pytest.approx(solve_spd(Q, B[:, col], shift), rel=1e-10, abs=1e-12)
 
 
 def test_pivot_off_the_diagonal_is_not_an_inertia():
