@@ -11,6 +11,7 @@ complement of h in "poincare" mode).  ``alpha_cert`` is a sound upper profile,
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ class AlphaProfile:
 def _sup_scaled(X: np.ndarray, h_act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of X scaled to sup|f/h| = 1, and a mask of the rows whose sup was
     finite and nonzero (the others are left unscaled)."""
-    sup = np.max(np.abs(X) / h_act, axis=1)
+    sup = (np.abs(X) / h_act).max(axis=1)
     ok = (sup > 0) & np.isfinite(sup)
     return X / np.where(ok, sup, 1.0)[:, None], ok
 
@@ -91,43 +92,48 @@ def _ascent(F: np.ndarray, r: np.ndarray, W: np.ndarray, Q: np.ndarray,
 
     Each start keeps its own step size and accept test and stops where a
     single-start loop would: at a non-positive energy, a zero gradient, a
-    trial that cannot be normalized, or a step below 1e-12.  Returns the final
+    trial that cannot be normalized, or a step below 1e-12.  The products
+    f Q, sum f^2 W and q(f) of every start are carried from the trial that
+    set them, so an iteration makes one product with Q.  Returns the final
     rows and whether some start still improved at its last iteration.
     """
     F = F.copy()
-    k = F.shape[0]
-    step = np.full(k, 0.5)
-    val = np.full(k, -np.inf)
-    at_cap = np.zeros(k, dtype=bool)
-    live = np.arange(k)
-    for it in range(iters):
-        f, rr = F[live], r[live]
-        Qf = f @ Q
-        A = np.sum(f * f * W, axis=1)
-        B = np.einsum("ij,ij->i", f, Qf)
-        with np.errstate(all="ignore"):
-            cur = (A - rr) / B
-            grad = (2.0 * W * f * B[:, None] - 2.0 * (A - rr)[:, None] * Qf) / (B * B)[:, None]
+    QF = F @ Q
+    A = (F * F * W).sum(axis=1)
+    B = np.einsum("ij,ij->i", F, QF)
+    step = np.full(F.shape[0], 0.5)
+    val = np.full(F.shape[0], -np.inf)
+    at_cap = False
+    live = np.arange(F.shape[0])
+    W2 = 2.0 * W
+    with np.errstate(all="ignore"):
+        for it in range(iters):
+            f, Qf, Bf, rr = F[live], QF[live], B[live], r[live]
+            Ar = A[live] - rr
+            cur = Ar / Bf
+            grad = (W2 * f * Bf[:, None] - 2.0 * Ar[:, None] * Qf) / (Bf * Bf)[:, None]
             if P is not None:
                 grad = (grad @ P) @ P.T
-            gnorm = np.linalg.norm(grad, axis=1)
+            gnorm = np.sqrt((grad * grad).sum(axis=1))
             trial, ok = _admissible(f + step[live, None] * grad / gnorm[:, None], h_act, P)
-            ok &= (B > 0) & (gnorm != 0)
-            A_t = np.sum(trial * trial * W, axis=1)
-            B_t = np.einsum("ij,ij->i", trial, trial @ Q)
+            ok &= (Bf > 0) & (gnorm != 0)
+            Qt = trial @ Q
+            A_t = (trial * trial * W).sum(axis=1)
+            B_t = np.einsum("ij,ij->i", trial, Qt)
             new = np.where(B_t > 0, (A_t - rr) / B_t, -np.inf)
-        acc = ok & (new > cur + 1e-15)
-        rej = ok & ~acc
-        up, down = live[acc], live[rej]
-        at_cap[up] = (it == iters - 1) & (new[acc] > val[up] * (1 + 1e-9) + 1e-15)
-        val[up] = new[acc]
-        F[up] = trial[acc]
-        step[up] = np.minimum(step[up] * 1.5, 1e3)
-        step[down] *= 0.5
-        live = live[acc | (rej & (step[live] >= 1e-12))]
-        if live.size == 0:
-            break
-    return F, bool(np.any(at_cap))
+            acc = ok & (new > cur + 1e-15)
+            rej = ok & ~acc
+            up, down = live[acc], live[rej]
+            if it == iters - 1:
+                at_cap = bool(np.any(new[acc] > val[up] * (1 + 1e-9) + 1e-15))
+            val[up] = new[acc]
+            F[up], QF[up], A[up], B[up] = trial[acc], Qt[acc], A_t[acc], B_t[acc]
+            step[up] = np.minimum(step[up] * 1.5, 1e3)
+            step[down] *= 0.5
+            live = live[acc | (rej & (step[live] >= 1e-12))]
+            if live.size == 0:
+                break
+    return F, at_cap
 
 
 def _spike_tops(lam: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -135,11 +141,19 @@ def _spike_tops(lam: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> np.ndarray:
     (row of Z) and each grid point g (column of rho); lam ascending.
 
     The top is the unique root in [lam[-2], lam[-1]] of the secular equation
-    1 - rho * sum_i z_i^2 / (lam_i - mu) = 0, found by bisection over all
-    (j, g) at once in row blocks of at most 2^16 entries.  Each value is the
-    upper end of its final bracket, so it bounds the root from above.  With a
-    single eigenvalue the top is lam - rho z^2; when z has no component along
-    the top eigenvector, or the top eigenvalue is repeated, it is lam[-1].
+    1 - rho * sum_i z_i^2 / (lam_i - mu) = 0.  Each (j, g) keeps a bracket
+    that the sign of the computed sum moves, as in bisection; the next point
+    is the fixed-weight step of Bunch, Nielsen & Sorensen (Numer. Math. 31,
+    1978; LAPACK dlaed4), which keeps the pole at lam[-1] and models the rest
+    of the sum by p + q / (lam[-2] - mu), matched in value and slope.  A step
+    within k ulps of an end, or back past the end just moved, goes k ulps
+    inside that end (k doubles while this repeats); any other step out of the
+    bracket bisects.  All (j, g) run at once in row blocks of at most 2^16
+    entries until the bracket is two ulps wide, mostly within a handful of
+    steps.  Each value is the upper end of its final bracket, so it bounds
+    the root from above.  With a single eigenvalue the top is lam - rho z^2;
+    when z has no component along the top eigenvector, or the top eigenvalue
+    is repeated, it is lam[-1].
     """
     m = lam.size
     z2 = Z * Z
@@ -148,26 +162,55 @@ def _spike_tops(lam: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> np.ndarray:
     if m == 1:
         return (lam[0] - rho * z2[spike, 0]).reshape(Z.shape[0], -1)
     eps = np.finfo(float).eps
-    lo = np.full(rho.size, lam[-2])
-    hi = np.full(rho.size, lam[-1])
-    moving = (z2[spike, -1] > 0) & (rho > 0) & (lam[-2] < lam[-1])
+    a, b = lam[-2], lam[-1]
+    gap = b - a
+    lo = np.full(rho.size, a)
+    hi = np.full(rho.size, b)
+    moving = (z2[spike, -1] > 0) & (rho > 0) & (a < b)
     rows = max(1, (1 << 16) // m)
-    for start in range(0, rho.size, rows):
-        live = start + np.flatnonzero(moving[start:start + rows])
-        # 2*53 halvings shrink any bracket below 2^-106 * lam[-1]; most rows
-        # stop earlier, at a width of two ulps of the root
-        for _ in range(106):
-            if live.size == 0:
-                break
-            mid = lo[live] + 0.5 * (hi[live] - lo[live])
-            T = lam - mid[:, None]
-            np.reciprocal(T, out=T)
-            s = (T @ z2.T)[np.arange(live.size), spike[live]]
-            above = rho[live] * s < 1.0
-            lo[live[above]] = mid[above]
-            hi[live[~above]] = mid[~above]
-            wide = hi[live] - lo[live] > 2 * eps * np.maximum(np.abs(lo[live]), np.abs(hi[live]))
-            live = live[wide]
+    with np.errstate(all="ignore"):
+        for start in range(0, rho.size, rows):
+            live = start + np.flatnonzero(moving[start:start + rows])
+            x = np.full(live.size, a + 0.5 * gap)
+            k = np.ones(live.size)
+            # the cap of plain bisection, whose 2*53 halvings shrink any
+            # bracket below 2^-106 * lam[-1]
+            for _ in range(106):
+                if live.size == 0:
+                    break
+                T = lam - x[:, None]
+                np.reciprocal(T, out=T)
+                TZ = z2[spike[live]]
+                w = TZ[:, -1].copy()
+                TZ *= T
+                s = TZ.sum(axis=1)
+                rho_l = rho[live]
+                above = rho_l * s < 1.0
+                lo[live[above]] = x[above]
+                hi[live[~above]] = x[~above]
+                # fixed-weight step: s - w T_m is modelled by p + q / (a - mu),
+                # and x is the root of q / (a - x) + w / (b - x) = c in (a, b),
+                # taken from the nearer pole with cancellation-free formulas
+                t = T[:, -2].copy()
+                q = np.einsum("ij,ij->i", TZ[:, :-1], T[:, :-1]) / (t * t)
+                c = 1.0 / rho_l - (s - TZ[:, -1] - q * t)
+                del T, TZ   # block-sized: free them before the next step makes its own
+                B, E = c * gap + q + w, c * gap - q - w
+                D = np.sqrt(np.where(c > 0, E * E + 4.0 * c * q * gap, B * B - 4.0 * c * w * gap))
+                delta = np.where(B > 0, 2.0 * w * gap / (B + D), (B - D) / (2.0 * c))
+                eta = np.where(E > 0, (E + D) / (2.0 * c), 2.0 * q * gap / (D - E))
+                x = np.where(eta < delta, a + eta, b - delta)
+                # safeguards: never back past the end just moved, k ulps
+                # inside an end when within k ulps of it, else the midpoint
+                l, h = lo[live], hi[live]
+                dl, dh = k * eps * np.abs(l), k * eps * np.abs(h)
+                l_in, h_in = l + dl, h - dh
+                x = np.where(above, np.maximum(x, l_in), np.minimum(x, h_in))
+                x = np.where(np.abs(x - l) <= dl, l_in, np.where(np.abs(x - h) <= dh, h_in, x))
+                k = np.where((x == l_in) | (x == h_in), 2.0 * k, 1.0)
+                x = np.where((x > l) & (x < h), x, l + 0.5 * (h - l))
+                wide = h - l > 2 * eps * np.maximum(np.abs(l), np.abs(h))
+                live, x, k = live[wide], x[wide], k[wide]
     return hi.reshape(Z.shape[0], -1)
 
 
@@ -223,9 +266,13 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     Q_sub = L L^T and one eigendecomposition of M0 = L^-1 diag(w mu) L^-T
     (restricted) serve them all: psi = 0 gives the top of M0, the spread psi
     scales it by (1 - r/S), and a spike is a rank-one downdate of M0 whose top
-    solves a secular equation.  The lower profile maximizes the ratio over
-    pencil eigenvectors, truncated ramps and a budgeted multistart
-    projected-gradient search.
+    is the root of a secular equation.  That root is found by a safeguarded
+    fixed-weight iteration (Bunch, Nielsen & Sorensen) inside a bracket moved
+    by the sign of the computed secular sum, and the upper end of the final
+    bracket is kept, so each spike value bounds its root from above under
+    that test.  The lower profile maximizes the ratio over pencil
+    eigenvectors, truncated ramps and a budgeted multistart projected-gradient
+    search.
     """
     tols = tolerances()
     if mode not in ("hardy", "poincare"):
@@ -386,8 +433,8 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
         raise BadConfig("t_grid must be strictly positive")
-    r = np.asarray(profile.r_grid, dtype=float)
-    a = np.asarray(profile.alpha_cert, dtype=float)
+    r = np.asarray(profile.r_grid, dtype=float).tolist()
+    a = np.asarray(profile.alpha_cert, dtype=float).tolist()
 
     if profile.alpha_base <= 0.0:
         return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), rel_tol=rel_tol)
@@ -397,8 +444,7 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
             raise GridTooCoarse(
                 f"alpha is unknown below r={r[0]:.3e}; extend the r grid downward"
             )
-        idx = int(np.searchsorted(r, x, side="right")) - 1
-        return float(a[idx])
+        return a[bisect.bisect_right(r, x) - 1]
 
     def g(x: float) -> float:
         return -0.5 * alpha_at(x) * np.log(x)

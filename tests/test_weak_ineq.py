@@ -469,6 +469,84 @@ def test_spike_tops_edge_cases_and_row_blocks():
         assert 1.0 - rho[j, g] * np.sum(Z[j] ** 2 / (lam - out[j, g])) <= 0.0
 
 
+def _spike_tops_reference(lam, Z, rho):
+    """The plain bisection the fixed-weight iteration replaces."""
+    m = lam.size
+    z2 = Z * Z
+    spike = np.repeat(np.arange(Z.shape[0]), rho.shape[1])
+    rho = rho.ravel()
+    if m == 1:
+        return (lam[0] - rho * z2[spike, 0]).reshape(Z.shape[0], -1)
+    eps = np.finfo(float).eps
+    lo = np.full(rho.size, lam[-2])
+    hi = np.full(rho.size, lam[-1])
+    moving = (z2[spike, -1] > 0) & (rho > 0) & (lam[-2] < lam[-1])
+    rows = max(1, (1 << 16) // m)
+    for start in range(0, rho.size, rows):
+        live = start + np.flatnonzero(moving[start:start + rows])
+        # 2*53 halvings shrink any bracket below 2^-106 * lam[-1]; most rows
+        # stop earlier, at a width of two ulps of the root
+        for _ in range(106):
+            if live.size == 0:
+                break
+            mid = lo[live] + 0.5 * (hi[live] - lo[live])
+            T = lam - mid[:, None]
+            np.reciprocal(T, out=T)
+            s = (T @ z2.T)[np.arange(live.size), spike[live]]
+            above = rho[live] * s < 1.0
+            lo[live[above]] = mid[above]
+            hi[live[~above]] = mid[~above]
+            wide = hi[live] - lo[live] > 2 * eps * np.maximum(np.abs(lo[live]), np.abs(hi[live]))
+            live = live[wide]
+    return hi.reshape(Z.shape[0], -1)
+
+
+def _spike_cases():
+    """Adversarial (lam, Z) for the secular solver, each run over rho from
+    1e-18 to 1e6."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for m in (2, 3, 40):
+        lam = np.sort(rng.uniform(0.0, 4.0, m))
+        Z = rng.standard_normal((3, m)) / np.sqrt(m)
+        cases.append(("random", lam, Z))
+        close = lam.copy()
+        close[-2] = close[-1] * (1 - 1e-14)
+        cases.append(("close-top-pair", close, Z))
+        Z0 = Z.copy()
+        Z0[:, -2] = 0.0
+        cases.append(("zero-second-component", lam, Z0))
+        Zt = Z.copy()
+        Zt[:, -1] = 1e-150
+        cases.append(("tiny-top-component", lam, Zt))
+    # mixed signs and a top pair far above the rest of the spectrum
+    lam = np.array([-3.0, -1.0, 0.5, 2.0, 2.5])
+    cases.append(("signed-spectrum", lam, rng.standard_normal((2, 5))))
+    # 2000 eigenvalues: 32 rows per block of 2^16 entries, so 3 x 49 rows
+    # span five blocks
+    cases.append(("row-blocks", np.sort(rng.uniform(0.0, 4.0, 2000)),
+                  rng.standard_normal((3, 2000)) / np.sqrt(2000)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _spike_cases(), ids=lambda c: f"{c[0]}-m{c[1].size}")
+def test_spike_tops_match_bisection_and_keep_the_bracket(case):
+    _, lam, Z = case
+    rho = np.tile(np.geomspace(1e-18, 1e6, 49), (Z.shape[0], 1))
+    out = weak_ineq._spike_tops(lam, Z, rho)
+    ref = _spike_tops_reference(lam, Z, rho)
+    assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(ref)))
+    assert np.all((lam[-2] <= out) & (out <= lam[-1]))
+    # the solver's own sign test (reciprocal, then the sum) at each value:
+    # the root is not above it, so the value is an upper bound
+    spike = np.repeat(np.arange(Z.shape[0]), rho.shape[1])
+    T = lam - out.ravel()[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.reciprocal(T, out=T)
+        s = (T * (Z * Z)[spike]).sum(axis=1)
+    assert not np.any(rho.ravel() * s < 1.0)
+
+
 def test_large_form_gets_the_refined_certificate(monkeypatch):
     form = cf.random_tree_form(450, seed=2)
     h = np.ones(form.n)
@@ -582,3 +660,65 @@ def test_batched_ascent_matches_per_start_loop(mode):
             assert exhausted == any(flag for _, flag in ref)
             if iters == 3:
                 assert exhausted
+
+
+def _ascent_lockstep_reference(F, r, W, Q, h_act, P, iters):
+    """The lockstep loop that recomputed f Q, sum f^2 W and q(f) on every
+    iteration, before the ascent carried them."""
+    F = F.copy()
+    k = F.shape[0]
+    step = np.full(k, 0.5)
+    val = np.full(k, -np.inf)
+    at_cap = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for it in range(iters):
+        f, rr = F[live], r[live]
+        Qf = f @ Q
+        A = np.sum(f * f * W, axis=1)
+        B = np.einsum("ij,ij->i", f, Qf)
+        with np.errstate(all="ignore"):
+            cur = (A - rr) / B
+            grad = (2.0 * W * f * B[:, None] - 2.0 * (A - rr)[:, None] * Qf) / (B * B)[:, None]
+            if P is not None:
+                grad = (grad @ P) @ P.T
+            gnorm = np.linalg.norm(grad, axis=1)
+            trial, ok = weak_ineq._admissible(f + step[live, None] * grad / gnorm[:, None],
+                                              h_act, P)
+            ok &= (B > 0) & (gnorm != 0)
+            A_t = np.sum(trial * trial * W, axis=1)
+            B_t = np.einsum("ij,ij->i", trial, trial @ Q)
+            new = np.where(B_t > 0, (A_t - rr) / B_t, -np.inf)
+        acc = ok & (new > cur + 1e-15)
+        rej = ok & ~acc
+        up, down = live[acc], live[rej]
+        at_cap[up] = (it == iters - 1) & (new[acc] > val[up] * (1 + 1e-9) + 1e-15)
+        val[up] = new[acc]
+        F[up] = trial[acc]
+        step[up] = np.minimum(step[up] * 1.5, 1e3)
+        step[down] *= 0.5
+        live = live[acc | (rej & (step[live] >= 1e-12))]
+        if live.size == 0:
+            break
+    return F, bool(np.any(at_cap))
+
+
+@pytest.mark.parametrize("mode", ["hardy", "poincare"])
+def test_ascent_carrying_products_is_bit_identical_to_lockstep_loop(mode):
+    for seed in range(3):
+        if mode == "hardy":
+            form = shifted(cf.random_connected_form(15 + 5 * seed, seed=seed,
+                                                    signed_potential=True), 1.0)
+            h = np.random.default_rng(seed).uniform(0.5, 2.0, form.n)
+        else:
+            form, h = _critical_form(15 + 5 * seed, seed)
+        W = form.active_measure
+        Q = form.active_form_matrix.toarray()
+        P = None if mode == "hardy" else scipy.linalg.null_space((W * h)[None, :])
+        starts, _ = weak_ineq._admissible(np.random.default_rng(seed).standard_normal((12, form.n)),
+                                          h, P)
+        r = np.repeat(np.geomspace(1e-6, float(np.sum(W * h * h)), 4), 3)
+        for iters in (3, 30, 200):
+            ends, at_cap = weak_ineq._ascent(starts, r, W, Q, h, P, iters)
+            ref_ends, ref_at_cap = _ascent_lockstep_reference(starts, r, W, Q, h, P, iters)
+            assert np.array_equal(ends, ref_ends)
+            assert at_cap == ref_at_cap
