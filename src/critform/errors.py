@@ -16,13 +16,13 @@ class NonPositiveMeasure(CritformError):
 
 
 class FormNotNonnegative(CritformError):
-    def __init__(self, count: int, tol: float):
-        self.count = count
+    """A witness f has rayleigh = q(f)/|f|^2_mu < -tol/2 beyond rounding."""
+
+    def __init__(self, rayleigh: float, tol: float):
+        self.rayleigh = rayleigh
         self.tol = tol
-        super().__init__(
-            f"form is not nonnegative: {count} nonpositive pivot(s) of Q + "
-            f"(tol/2) M, tol = {tol:.3e}"
-        )
+        super().__init__(f"form is not nonnegative: witness q(f)/|f|^2_mu = {rayleigh:.3e}, "
+                         f"tol = {tol:.3e}")
 
 
 class DisconnectedDirichletSpec(CritformError):

@@ -27,7 +27,6 @@ from .errors import (
     NonPositiveMeasure,
     NonSymmetricWeights,
     ParseError,
-    SolverFailure,
 )
 
 __all__ = [
@@ -382,22 +381,24 @@ def _validate_nonnegative(form: GraphForm) -> None:
     signed potential needs a proof that the pencil (Q, M) has no eigenvalue
     below -tol = -tol_psd * max(norm, 1), norm = ``symmetric_norm_bound()``:
     u = (Q + (tol/2) M)^-1 mu must be a positive supersolution of Q + tol M.
-    Otherwise a positive count of pivots <= 0 of Q + (tol/2) M raises
-    ``FormNotNonnegative``, and a zero count or a failed factorization
-    ``SolverFailure``.
-    """
+    Else a witness f >= 0 with q(f) < -(tol/2)|f|^2_mu raises ``FormNotNonnegative``:
+    e_x if Q_xx/mu_x < -tol/2 (no solve), else f = max(-u, 0), whose energy is at
+    most -<f, mu> < 0 as Q + (tol/2) M has no positive entry off the diagonal;
+    with neither certificate, ``SolverFailure``."""
     if np.all(form.potential[form.active] >= 0):     # also when no vertex is free
         return
-    from .resolvent import _shifted_supersolution_proves, _symmetric_lu
+    from .resolvent import _solve, _supersolution_proves, _witness_rayleigh
 
     tol = tolerances()["tol_psd"] * max(form.symmetric_norm_bound(), 1.0)
     Q, mu = form.active_form_matrix, form.active_measure
-    if _shifted_supersolution_proves(Q, mu, tol, 0.5 * tol):
-        return
-    count = int(np.count_nonzero(_symmetric_lu(Q, 0.5 * tol * mu).U.diagonal() <= 0))
-    if count:
-        raise FormNotNonnegative(count, tol)
-    raise SolverFailure("cannot certify the signed form: no supersolution, no nonpositive pivot")
+    ratio = Q.diagonal() / mu
+    f = np.arange(mu.size) == np.argmin(ratio)
+    if ratio.min() >= -0.5 * tol:
+        u = _solve(Q, mu, 0.5 * tol * mu)
+        if _supersolution_proves(Q, tol * mu, u):
+            return
+        f = np.maximum(-u, 0.0)
+    raise FormNotNonnegative(_witness_rayleigh(Q, mu, 0.5 * tol, f), tol)
 
 
 # ---------------------------------------------------------------------------

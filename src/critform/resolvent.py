@@ -37,24 +37,6 @@ DIVERGENCE_FACTOR = 1e12        # sup-norm blowup factor declaring divergence
 DIVERGENCE_SLOPE = -0.9         # log-log slope of the trace declaring divergence
 
 
-def _symmetric_lu(A, shift=None):
-    """SuperLU factors Pr (A + diag(shift)) Pc = L U of a symmetric A in
-    symmetric mode (order on the pattern of A + A^T, diagonal pivots while
-    nonzero).  A breakdown or a pivot off the diagonal raises
-    ``SolverFailure``, so L D L^T, D = diag(U), has the inertia of D (Sylvester)."""
-    C = A.tocsc(copy=True)
-    if shift is not None:
-        C.setdiag(C.diagonal() + shift)
-    try:
-        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverFailure(f"sparse factorization failed: {exc}") from None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverFailure("a pivot left the diagonal; the inertia is not certified")
-    return lu
-
-
 def _supersolution_proves(Q, s, u, s_abs=None) -> bool:
     """Whether u proves Q + diag(s) >= 0, for a symmetric Q with no positive
     entry off the diagonal (every form matrix here).  For u > 0,
@@ -79,13 +61,18 @@ def _supersolution_proves(Q, s, u, s_abs=None) -> bool:
     return bool(np.all(Q @ u + su >= bound))
 
 
-def _shifted_supersolution_proves(Q, mu, s: float, t: float) -> bool:
-    """Whether u = (Q + t M)^-1 mu, M = diag(mu), proves Q + s M >= 0; a
-    failed solve proves nothing."""
-    try:
-        return _supersolution_proves(Q, s * mu, _solve(Q, mu, t * mu))
-    except SolverFailure:
-        return False
+def _witness_rayleigh(Q, mu, s: float, f) -> float:
+    """q(f)/|f|^2_mu < -s for an f >= 0 whose energy f^T (Q + s diag(mu)) f, in
+    extended precision, lies below -gamma_m (f^T |Q| f + s sum f^2 mu) - m tiny,
+    m = n + k + 8 (notation of ``_supersolution_proves``); else ``SolverFailure``."""
+    ext = np.finfo(np.longdouble)
+    m = Q.shape[0] + int(np.diff(Q.indptr).max(initial=0)) + 8
+    gamma = m * (ext.eps / 2) / (1 - m * (ext.eps / 2))
+    f = np.asarray(f, dtype=np.longdouble)
+    q, q_abs, norm = f @ (Q @ f), f @ (abs(Q) @ f), (f * f) @ mu
+    if not q + s * norm < -gamma * (q_abs + s * norm) - m * ext.smallest_subnormal:
+        raise SolverFailure("cannot certify the signed form: no supersolution, no negative witness")
+    return float(q / norm)
 
 
 def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
@@ -136,7 +123,14 @@ def _solve(A, b: np.ndarray, shift=None) -> np.ndarray:
             raise SolverFailure(f"dense factorization failed (getrf info {info})")
         u = lapack.dgetrs(lu, piv, b)[0]
     elif n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n:
-        lu = _symmetric_lu(A, shift)
+        C = A.tocsc(copy=True)
+        if shift is not None:
+            C.setdiag(C.diagonal() + shift)
+        try:
+            lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverFailure(f"sparse factorization failed: {exc}") from None
         with np.errstate(all="ignore"):
             u = lu.solve(b)
     else:

@@ -28,7 +28,7 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _excessivity_gate, _semigroup_block, _shifted_supersolution_proves
+from .resolvent import _excessivity_gate, _semigroup_block, _solve, _supersolution_proves
 
 __all__ = [
     "AlphaProfile",
@@ -317,7 +317,12 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     else:
         # a positive supersolution of Q - tau M proves lambda_min >= tau
         tau = 1e-12 * max(form.symmetric_norm_bound(), 1.0)
-        if not _shifted_supersolution_proves(form.active_form_matrix, mu, -tau, -tau):
+        Q_act = form.active_form_matrix
+        try:
+            proved = _supersolution_proves(Q_act, -tau * mu, _solve(Q_act, mu, -tau * mu))
+        except SolverFailure:                         # a failed solve proves nothing
+            proved = False
+        if not proved:
             raise KernelMismatch(
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"
             )

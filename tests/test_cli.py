@@ -195,6 +195,26 @@ def test_decay_verify_flag(pd_form_file, tmp_path):
     assert res["verification"]["n_checks"] > 0
 
 
+def test_decay_extends_its_default_grid_once(tmp_path):
+    # alpha_base = 0.83: xi(10) needs r near exp(-2 * 10 / 0.83) = 3e-11, below
+    # the default grid's r_min of 4.8e-11, so a second profile reaches it; an
+    # explicit --r-grid is taken as given
+    base = cf.random_connected_form(40, seed=3)
+    form = cf.GraphForm.from_arrays(base.vertices, base.edge_index, base.weights,
+                                    base.measure, base.potential + 1.0, base.dirichlet)
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(form), encoding="utf-8")
+    prefix = str(tmp_path / "dec")
+    assert main(["decay", "--input", str(graph), "--seed", "40", "--verify",
+                 "--output", prefix]) == 0
+    res = read_json(prefix + ".json")["results"]
+    assert res["verification"]["passed"] is True
+    assert len(res["xi"]) == 3 and res["xi"][-1] > 0
+    assert main(["decay", "--input", str(graph), "--seed", "40", "--verify",
+                 "--r-grid", "4.772e-11,2.2,81", "--output", prefix]) == 1
+    assert read_json(prefix + ".json")["error"]["type"] == "GridTooCoarse"
+
+
 def test_excessive_command(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(emit_graph_document(cf.path_form(15)), encoding="utf-8")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import critform as cf
 from critform.forms import SAMPLE_BLOCK_ENTRIES, evaluate_rows, sample_blocks
@@ -16,7 +17,7 @@ from critform.errors import (
     SolverFailure,
 )
 
-from conftest import active_vector, form_spec
+from conftest import active_vector, count_calls, form_spec
 
 
 def test_vertices_are_sorted_and_indexed(triangle):
@@ -189,19 +190,24 @@ def test_planted_negative_direction_on_a_long_path():
     lam1 = 4 * np.sin(np.pi / 10_000) ** 2
     with pytest.raises(FormNotNonnegative) as info:
         with_constant_potential(path, -(lam1 + 1e-8))
-    assert info.value.count == 1
+    assert info.value.rayleigh == pytest.approx(-1e-8, rel=0.01)
     assert info.value.tol == pytest.approx(4e-10)
     with_constant_potential(path, -(lam1 - 1e-8))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_planted_negative_direction_on_a_3d_box(sign):
-    # lattice(3, 14): 19,683 free vertices, lambda_1 = 12 sin^2(pi / 56)
+def test_planted_negative_direction_on_a_3d_box(sign, monkeypatch):
+    # lattice(3, 14): 19,683 free vertices, lambda_1 = 12 sin^2(pi / 56); the
+    # conjugate gradients of the one solve yield the witness, and no
+    # factorization is made
     box = cf.lattice(3, 14)
     c = -(12 * np.sin(np.pi / 56) ** 2 + sign * 1e-6)
+    factorizations = count_calls(monkeypatch, spla, "splu")
     if sign > 0:
-        with pytest.raises(FormNotNonnegative):
+        with pytest.raises(FormNotNonnegative) as info:
             with_constant_potential(box, c)
+        assert info.value.rayleigh == pytest.approx(-1e-6, rel=0.01)
+        assert factorizations == []
     else:
         assert with_constant_potential(box, c).n_active == 27 ** 3
 
@@ -247,13 +253,13 @@ def test_spread_measure_does_not_inflate_the_nonnegativity_tolerance():
     with pytest.raises(FormNotNonnegative) as info:
         cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights, form.measure,
                                  form.potential - 0.0162, form.dirichlet)
-    assert info.value.count == 1
+    assert lam[0] - 0.0162 - 1e-12 <= info.value.rayleigh < -info.value.tol / 2
     assert info.value.tol < 1e-9
 
 
 def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
     # a supersolution that never clears its rounding bound proves nothing, and
-    # a factorization without a nonpositive pivot does not reject the form
+    # a positive u, whose negative part is zero, is no witness against the form
     monkeypatch.setattr(cf.resolvent, "_supersolution_proves", lambda Q, s, u: False)
     with pytest.raises(SolverFailure):
         cf.random_connected_form(30, seed=2, signed_potential=True)
@@ -262,11 +268,8 @@ def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
 
 def test_nonnegativity_proof_needs_one_solve_and_no_factorization(monkeypatch):
     # accepting a signed form takes one solve and one supersolution check;
-    # only a rejection counts pivots
-    calls = []
-    real = cf.resolvent._symmetric_lu
-    monkeypatch.setattr(cf.resolvent, "_symmetric_lu",
-                        lambda *args: calls.append(args) or real(*args))
+    # rejecting it takes the same one solve and a witness check
+    calls = count_calls(monkeypatch, spla, "splu")
     form = cf.random_connected_form(300, seed=3, signed_potential=True, dirichlet_count=2)
     assert form.potential.min() < 0
     assert len(calls) == 1                          # the SuperLU solve of 298 unknowns
@@ -275,8 +278,8 @@ def test_nonnegativity_proof_needs_one_solve_and_no_factorization(monkeypatch):
     with pytest.raises(FormNotNonnegative) as info:
         cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights, form.measure,
                                  form.potential - lam1 - 1e-6, form.dirichlet)
-    assert info.value.count == 1
-    assert len(calls) == 3                          # the solve, then the pivot count
+    assert -1e-6 - 1e-12 <= info.value.rayleigh < -info.value.tol / 2
+    assert len(calls) == 2                          # one solve per verdict
 
 
 def bits(M):

@@ -11,7 +11,7 @@ import critform as cf
 from critform import resolvent
 from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
-    _solve, _supersolution_proves, _symmetric_lu, direct_green_solve, solve_spd)
+    _solve, _supersolution_proves, direct_green_solve, solve_spd)
 
 from conftest import active_vector, count_calls, shifted
 
@@ -268,27 +268,92 @@ def test_direct_green_solve_runs_when_every_component_is_anchored(backends):
     assert backends == ["cg"]
 
 
-# --- symmetric factorization and inertia ------------------------------------
+# --- nonnegativity verdicts -------------------------------------------------
 
-def test_pivot_count_matches_dense_eigenvalues():
-    # Sylvester: Q + s M has as many nonpositive pivots as the pencil (Q, M)
-    # has eigenvalues <= -s
+def planted(form, shift):
+    """``form`` with the potential c + shift (a scalar or one value per vertex);
+    Q gains diag(shift * mu), so a scalar shift moves every eigenvalue of the
+    pencil (Q, M) by shift.  Returns the form or the ``FormNotNonnegative`` it
+    raised."""
+    try:
+        return cf.GraphForm.from_arrays(form.vertices, form.edge_index, form.weights,
+                                        form.measure, form.potential + shift,
+                                        form.dirichlet)
+    except cf.FormNotNonnegative as exc:
+        return exc
+
+
+def psd_tol(Q, mu):
+    """tol_psd times the top row sum of |M^-1/2 Q M^-1/2|, as the form computes it."""
+    d = 1.0 / np.sqrt(mu)
+    return 1e-10 * max(float(np.max(d * (abs(Q) @ d))), 1.0)
+
+
+def assert_verdict(out, lam, tol):
+    """Rejected exactly when the pencil minimum lam lies below -tol/2, by a
+    witness whose Rayleigh quotient lies in [lam, -tol/2)."""
+    if lam < -tol / 2:
+        assert isinstance(out, cf.FormNotNonnegative), (lam, tol)
+        assert out.tol == pytest.approx(tol, rel=1e-12)
+        assert lam - 1e-12 * max(abs(lam), 1.0) <= out.rayleigh < -tol / 2
+    else:
+        assert isinstance(out, cf.GraphForm), (lam, tol, out)
+
+
+PLANTED_GAPS = [(1e-3, 0), (1e-6, 0), (0, 4.0), (0, 0.75), (0, 0.25)]   # absolute + units of tol
+
+
+@pytest.mark.parametrize("gap, in_tol", PLANTED_GAPS,
+                         ids=["1e-3", "1e-6", "4tol", "0.75tol", "0.25tol"])
+def test_nonnegativity_verdicts_match_dense_eigenvalues(gap, in_tol, backends):
+    # lambda_min planted at +-(gap + in_tol * tol) on random forms solved by
+    # dense LU and SuperLU, plus a negative diagonal entry that rejects before
+    # any solve
     rng = np.random.default_rng(5)
-    negative = 0
-    for k in range(102):
-        n = int(rng.integers(5, 301))
-        form = cf.random_connected_form(n, seed=k, dirichlet_count=k % 3)
-        mu = form.active_measure
-        Q = (form.active_form_matrix
-             + sp.diags(rng.uniform(-3.0, 1.0, form.n_active) * mu)).tocsr()
-        dense = Q.toarray()
-        lam = scipy.linalg.eigvalsh(dense, np.diag(mu))
-        tol = 1e-10 * max(float(np.max(np.abs(dense).sum(axis=1) / mu)), 1.0)
-        for s in (-tol, 0.0, tol):
-            U = _symmetric_lu(Q, s * mu).U
-            assert np.count_nonzero(U.diagonal() <= 0) == np.count_nonzero(lam <= -s)
-        negative += np.count_nonzero(lam < 0)
-    assert negative > 1000
+    rejected = 0
+    for k in range(60):
+        n = int(rng.integers(5, 400))
+        form = cf.random_connected_form(n, seed=k, signed_potential=bool(k % 2),
+                                        dirichlet_count=k % 3)
+        Q, mu = form.active_form_matrix, form.active_measure
+        lam = scipy.linalg.eigvalsh(Q.toarray(), np.diag(mu))[0]
+        for sign in (1, -1):
+            target = sign * (gap + in_tol * psd_tol(Q - lam * sp.diags(mu), mu))
+            shift = target - lam
+            moved = Q + shift * sp.diags(mu)
+            out = planted(form, shift)
+            assert_verdict(out, target, psd_tol(moved, mu))
+            rejected += isinstance(out, cf.FormNotNonnegative)
+        if k % 10 == 0:                               # one vertex far below the rest
+            dip = np.zeros(form.n)
+            dip[form.active[0]] = -(Q.diagonal()[0] / mu[0] + 1.0)
+            moved = Q + sp.diags(dip[form.active] * mu)
+            lam_dip = scipy.linalg.eigvalsh(moved.toarray(), np.diag(mu))[0]
+            del backends[:]
+            out = planted(form, dip)
+            assert_verdict(out, lam_dip, psd_tol(moved, mu))
+            assert out.rayleigh == pytest.approx(-1.0) and backends == []
+    assert rejected == (0 if in_tol == 0.25 else 60)    # -0.25 tol is within the slack
+    assert {"dgetrf", "splu"} <= set(backends)
+
+
+def test_nonnegativity_verdicts_on_the_cg_backend(backends):
+    # lattice(3, 7): 13^3 = 2197 free vertices, mu = 1, lambda_1 = 12 sin^2(pi / 28)
+    box = cf.lattice(3, 7)
+    lam1 = 12 * np.sin(np.pi / 28) ** 2
+    for gap, in_tol in PLANTED_GAPS:
+        for sign in (1, -1):
+            target = sign * (gap + in_tol * 12e-10)   # tol = tol_psd (|6 + c| + 6), about 1.2e-9
+            c = np.full(box.n, target - lam1)
+            tol = psd_tol(box.active_form_matrix + sp.diags(c[box.active]), box.active_measure)
+            assert_verdict(planted(box, c), target, tol)
+    assert set(backends) == {"cg"}
+    del backends[:]
+    dip = np.zeros(box.n)
+    dip[box.index("0,0,0")] = -10.0                   # Q_oo = 6 - 10: no solve, no CG refusal
+    out = planted(box, dip)
+    assert isinstance(out, cf.FormNotNonnegative) and out.rayleigh == -4.0
+    assert backends == []
 
 
 @pytest.mark.parametrize("make", [lambda: cf.lattice(2, 4), lambda: cf.lattice(2, 8),
@@ -319,7 +384,7 @@ def test_supersolution_proof_agrees_with_dense_eigenvalues():
         Q, mu = form.active_form_matrix, form.active_measure
         lam = scipy.linalg.eigvalsh(Q.toarray(), np.diag(mu))[0]
         for gap in (-1e-3, -1e-8, 1e-8, 1e-3):
-            ok = resolvent._shifted_supersolution_proves(Q, mu, gap - lam, gap - lam)
+            ok = _supersolution_proves(Q, (gap - lam) * mu, _solve(Q, mu, (gap - lam) * mu))
             assert ok == (gap > 0), (k, gap)
             proved, refused = proved + ok, refused + (not ok)
     assert proved == refused == 120
@@ -348,12 +413,6 @@ def test_block_solve_serves_every_column_with_one_factorization(make, backends):
     assert len(backends) == (3 if backends[0] == "cg" else 1)
     for col in range(3):
         assert U[:, col] == pytest.approx(solve_spd(Q, B[:, col], shift), rel=1e-10, abs=1e-12)
-
-
-def test_pivot_off_the_diagonal_is_not_an_inertia():
-    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(SolverFailure):
-        _symmetric_lu(swap)
 
 
 @pytest.mark.parametrize("make, alpha", [
