@@ -8,7 +8,7 @@ Harnack sets, excessive-function construction).
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT_TOLERANCES, job_tolerances, tolerances  # noqa: F401
+from .config import DEFAULT_TOLERANCES, job_tolerances, tolerance, tolerances  # noqa: F401
 from .errors import *  # noqa: F401,F403
 from .forms import (  # noqa: F401
     GraphForm,

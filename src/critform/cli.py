@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import job_tolerances, tolerances
+from .config import job_tolerances, tolerance, tolerances
 from .criticality import agmon_ground_state, classify
 from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive, GridTooCoarse
 from .families import builtin_family, constant_exhaustion
@@ -350,7 +350,7 @@ def _run_check(job):
     n_forms = int(job.options.get("n_forms", 10))
     n_samples = int(job.options.get("n_samples", 50))
     rng = np.random.default_rng(seed)
-    tol = tolerances()["tol_ineq"]
+    tol = tolerance("tol_ineq")
     worst_bd = -np.inf            # max of q(|f|) - q(f); must stay <= tol
     worst_lattice = np.inf        # min lattice gap; must stay >= -tol
     contraction_fail = 0

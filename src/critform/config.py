@@ -23,6 +23,11 @@ ENV_PREFIX = "CRITFORM_TOL_"
 _JOB: ContextVar[tuple[dict, dict] | None] = ContextVar("job_tolerances", default=None)
 
 
+def _env_value(key: str) -> str | None:
+    """The raw environment override of ``key`` (``tol_gs`` -> ``CRITFORM_TOL_GS``)."""
+    return os.environ.get(ENV_PREFIX + key[len("tol_"):].upper())
+
+
 def env_overrides() -> dict[str, float]:
     """Recognized environment overrides (echoed into reports); inside a job,
     as they were read when the job started."""
@@ -31,7 +36,7 @@ def env_overrides() -> dict[str, float]:
         return dict(job[1])
     found: dict[str, float] = {}
     for key in DEFAULT_TOLERANCES:
-        raw = os.environ.get(ENV_PREFIX + key[len("tol_"):].upper())
+        raw = _env_value(key)
         if raw is not None:
             found[key] = float(raw)
     return found
@@ -62,3 +67,14 @@ def tolerances() -> dict[str, float]:
     returns a fresh dict."""
     job = _JOB.get()
     return {**DEFAULT_TOLERANCES, **env_overrides()} if job is None else dict(job[0])
+
+
+def tolerance(key: str) -> float:
+    """``tolerances()[key]`` without building the table: the running job's
+    value, else the default overridden by its one environment variable."""
+    job = _JOB.get()
+    if job is not None:
+        return job[0][key]
+    default = DEFAULT_TOLERANCES[key]
+    raw = _env_value(key)
+    return default if raw is None else float(raw)

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .config import tolerances
+from .config import tolerance
 from .errors import (
     DomainMismatch,
     GreenInconclusive,
@@ -74,8 +74,10 @@ class Exhaustion:
 
     def level(self, radius: int) -> GraphForm:
         form = self.generator(radius)
-        if self.root not in form.vertices:
-            raise DomainMismatch(f"root {self.root!r} missing from level {radius}")
+        try:
+            form.index(self.root)
+        except DomainMismatch:
+            raise DomainMismatch(f"root {self.root!r} missing from level {radius}") from None
         if self.root in form.dirichlet:
             raise DomainMismatch(f"root {self.root!r} lies on the boundary of level {radius}")
         return form
@@ -226,7 +228,7 @@ def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, c
 
 def _verdict(radii: np.ndarray, caps: np.ndarray):
     fit: dict = {}
-    tol_cap = tolerances()["tol_cap"]
+    tol_cap = tolerance("tol_cap")
     floor = POSITIVE_FLOOR_FACTOR * tol_cap
     if caps[-1] <= tol_cap:
         return "Critical", f"capacity {caps[-1]:.3e} below floor {tol_cap:.1e}", fit
@@ -336,7 +338,7 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
     value 1 at the root.  Without a ``report`` the same pass over the levels
     classifies.
     """
-    tol = tolerances()["tol_gs"]
+    tol = tolerance("tol_gs")
     if report is not None and report.verdict != "Critical":
         raise NotCritical(f"classification verdict is {report.verdict}")
 
@@ -349,7 +351,7 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
             window_form = level if radius == window_radius else exhaustion.level(window_radius)
             window_ids = [window_form.vertices[i] for i in window_form.active]
         if radius > window_radius:
-            values.append([cap.equilibrium[level.index(v)] for v in window_ids])
+            values.append(cap.equilibrium[level.indices(window_ids)])
     trace, top = _capacity_trace(exhaustion, radii, extract)       # top: the residual's level
     if report is None:
         verdict = _verdict(*np.array(trace, dtype=float).T)[0]

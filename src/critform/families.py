@@ -1,9 +1,16 @@
 """Built-in graph families and exhaustions: integer lattices with Dirichlet
 shells, Dirichlet paths, designed birth–death chains, plus seeded random
 instance generators used by the property suites.
+
+The random generators draw their tree in one vectorized pass that replays
+the per-edge draws word for word (:func:`_tree_draws`), so a seed names the
+same form as the per-edge loop; that loop still runs for other bit
+generators, a buffered 32-bit half, a rejected bounded draw, or a NumPy
+build on which the replay fails its one-time check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -198,20 +205,104 @@ def _reject_extras(name: str, params: dict) -> None:
 # seeded random instances for the property suites
 # ---------------------------------------------------------------------------
 
+def _scalar_tree_draws(rng: np.random.Generator, n: int):
+    """The per-edge draws of a random tree on n vertices: for k = 1..n-1,
+    the parent of vertex k is ``rng.integers(0, k)`` and the weight of its
+    edge ``rng.uniform(0.5, 2.0)``, in that order."""
+    parents = np.empty(n - 1, dtype=np.int64)
+    weights = np.empty(n - 1)
+    for k in range(1, n):
+        parents[k - 1] = rng.integers(0, k)
+        weights[k - 1] = rng.uniform(0.5, 2.0)
+    return parents, weights
+
+
+def _lemire(halves: np.ndarray, k: np.ndarray):
+    """NumPy's bounded draw ``integers(0, k)`` from one 32-bit word each
+    (Lemire 2019, "Fast random integer generation in an interval"): the
+    values (half * k) >> 32, and whether each word is accepted, that is,
+    lies outside the rejection zone (half * k mod 2^32) < (2^32 - k) mod k."""
+    halves, k = np.asarray(halves, dtype=np.uint64), np.asarray(k, dtype=np.uint64)
+    prod = halves * k
+    accepted = (prod & np.uint64(2**32 - 1)) >= (np.uint64(2**32) - k) % k
+    return (prod >> np.uint64(32)).astype(np.int64), accepted
+
+
+def _replayed_tree_draws(bit_generator: np.random.PCG64, n: int):
+    """The draws of :func:`_scalar_tree_draws` from one ``random_raw`` call,
+    or None when an integer draw lands in Lemire's rejection zone.
+
+    With m = n - 2 the loop takes 1 + m + ceil(m/2) words of the 64-bit
+    stream.  Word 0 is the first weight (``integers(0, 1)`` draws nothing).
+    Each pair k, k + 1 then takes one word whose low and then high 32-bit
+    half give the two parents (NumPy buffers the high half), and each
+    parent is followed by one word for its weight, 0.5 + 1.5 * (w >> 11) * 2^-53.
+    When m is odd the last high half is left in the generator's 32-bit
+    buffer, as the loop leaves it.  Expects that buffer empty."""
+    m = n - 2
+    raw = bit_generator.random_raw(1 + m + (m + 1) // 2)
+    halves = raw[1::3].astype("<u8").view("<u4")     # low, high, low, high, ...
+    parents, accepted = _lemire(halves[:m], np.arange(2, n, dtype=np.uint64))
+    if not accepted.all():
+        return None
+    is_weight = np.ones(raw.size, dtype=bool)
+    is_weight[1::3] = False
+    weights = 0.5 + 1.5 * ((raw[is_weight] >> np.uint64(11)) * 2.0 ** -53)
+    if m % 2:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, int(halves[m])
+        bit_generator.state = state
+    return np.concatenate([[0], parents]), weights
+
+
+@functools.cache
+def _replay_agrees() -> bool:
+    """Whether the replay matches the loop on this NumPy build, over a few
+    hundred edges and the draws after them (the replay's weights round
+    twice where a build that contracts NumPy's low + range * u does not)."""
+    runs = []
+    for replay in (True, False):
+        rng = np.random.default_rng(20211)
+        draws = (_replayed_tree_draws(rng.bit_generator, 301) if replay
+                 else _scalar_tree_draws(rng, 301))
+        if draws is None:
+            return False
+        runs.append([*draws, rng.integers(0, 1000, 3), rng.uniform(size=3)])
+    return all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def _tree_draws(rng: np.random.Generator, n: int):
+    """``_scalar_tree_draws(rng, n)``: (parents, weights) of the n - 1 tree
+    edges, leaving ``rng`` where the loop leaves it.
+
+    A PCG64 generator with an empty 32-bit buffer replays the loop in one
+    vectorized pass (:func:`_replayed_tree_draws`), so a seed names the same
+    tree as before.  The loop itself runs, from the same state, for any
+    other bit generator or buffer, when a draw lands in Lemire's rejection
+    zone, or when the one-time check :func:`_replay_agrees` fails."""
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is np.random.PCG64 and _replay_agrees():
+        state = bit_generator.state
+        if not state["has_uint32"]:
+            draws = _replayed_tree_draws(bit_generator, n)
+            if draws is not None:
+                return draws
+            bit_generator.state = state
+    return _scalar_tree_draws(rng, n)
+
+
 def random_tree_form(n: int, seed: int, potential_low: float = 0.1,
                      potential_high: float = 1.0) -> GraphForm:
     """Random tree with uniform(0.5, 2) weights and measures and strictly
-    positive potentials — always subcritical."""
+    positive potentials — always subcritical.  The tree is drawn by
+    :func:`_tree_draws`, in one pass that replays the per-edge draws."""
     if n < 2:
         raise BadConfig("tree needs at least 2 vertices")
     rng = np.random.default_rng(seed)
     width = len(str(n - 1))
     ids = [str(k).zfill(width) for k in range(n)]
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    weights = np.empty(n - 1)
-    for k in range(1, n):
-        edges[k - 1] = rng.integers(0, k), k
-        weights[k - 1] = rng.uniform(0.5, 2.0)
+    parents, weights = _tree_draws(rng, n)
+    edges = np.column_stack([parents, np.arange(1, n)])
     mu = rng.uniform(0.5, 2.0, n)
     potential = rng.uniform(potential_low, potential_high, n)
     return GraphForm.from_arrays(ids, edges, weights, measure=mu, potential=potential,
@@ -222,16 +313,17 @@ def random_connected_form(n: int, seed: int, extra_edge_prob: float = 0.15,
                           signed_potential: bool = False,
                           dirichlet_count: int = 0) -> GraphForm:
     """Random connected graph: a random tree plus extra edges, uniform
-    weights/measures, and optional small signed or nonnegative potentials."""
+    weights/measures, and optional small signed or nonnegative potentials.
+    The tree is drawn as in :func:`random_tree_form`; the extra edges one
+    at a time."""
     if n < 2:
         raise BadConfig("graph needs at least 2 vertices")
     rng = np.random.default_rng(seed)
     width = len(str(n - 1))
     ids = [str(k).zfill(width) for k in range(n)]
-    edges, weights = [], []
-    for k in range(1, n):
-        edges.append((int(rng.integers(0, k)), k))
-        weights.append(rng.uniform(0.5, 2.0))
+    parents, tree_weights = _tree_draws(rng, n)
+    edges = list(zip(parents.tolist(), range(1, n)))
+    weights = tree_weights.tolist()
     seen = set(edges)
     n_extra = rng.binomial(n, extra_edge_prob)
     for _ in range(int(n_extra)):

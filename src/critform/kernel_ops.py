@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .config import tolerances
+from .config import tolerance
 from .errors import (
     BadConfig,
     DomainMismatch,
@@ -269,7 +269,7 @@ class ExcessiveConstruction:
 
 def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
                        fatou_t) -> ExcessiveConstruction:
-    tol = tolerances()["tol_exc"]
+    tol = tolerance("tol_exc")
     if not is_irreducible(form):
         raise NotIrreducible("construction requires an irreducible (connected) form")
     gv = np.asarray(as_function(form, g), dtype=float).copy()

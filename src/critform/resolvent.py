@@ -10,7 +10,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .config import tolerances
+from .config import tolerance
 from .errors import GreenInconclusive, SolverFailure
 from .forms import GraphForm, as_domain_function, as_function
 
@@ -101,7 +101,7 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
     if shift is not None:
         r += shift * u
     resid, scale = float(np.linalg.norm(r)), float(np.linalg.norm(b))
-    if scale > 0 and resid > 1e3 * tolerances()["tol_solve"] * scale:
+    if scale > 0 and resid > 1e3 * tolerance("tol_solve") * scale:
         raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
     return u
 
@@ -161,15 +161,20 @@ def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.
 def _has_floating_component(form: GraphForm) -> bool:
     """Whether some connected component of the non-Dirichlet subgraph has
     zero potential and no edge to the Dirichlet set.  Constants on such a
-    component lie in the kernel of Q, so the zero-shift system is singular."""
+    component lie in the kernel of Q, so the zero-shift system is singular.
+    A vertex with a potential or a boundary edge anchors its component, so
+    when every vertex is anchored no component floats."""
     def make():
         i, j = form.edge_index[:, 0], form.edge_index[:, 1]
         boundary = form.boundary_mask
         anchored = form.potential != 0
         anchored[i[boundary[j]]] = True
         anchored[j[boundary[i]]] = True
+        anchored = anchored[form.active]
+        if anchored.all():
+            return False
         _, labels = csgraph.connected_components(form.active_form_matrix, directed=False)
-        return bool(np.setdiff1d(labels, labels[anchored[form.active]]).size)
+        return bool(np.setdiff1d(labels, labels[anchored]).size)
     return form._cached("floating_component", make)
 
 
@@ -282,7 +287,7 @@ def green_apply(form: GraphForm, f, alpha_schedule=None) -> GreenResult:
     steeper than -0.9.  Anything else raises ``GreenInconclusive`` with the trace
     attached.
     """
-    tol = tolerances()["tol_green"]
+    tol = tolerance("tol_green")
     schedule = default_alpha_schedule() if alpha_schedule is None else np.asarray(alpha_schedule, dtype=float)
     if schedule.size < 2 or np.any(np.diff(schedule) >= 0) or np.any(schedule <= 0):
         raise ValueError("alpha schedule must be positive and strictly decreasing")
@@ -371,7 +376,7 @@ def is_excessive(form: GraphForm, h) -> ExcessivityReport:
     """Test whether h is excessive: the gate L h >= 0 (ground truth), cross-checked
     by alpha * G_alpha h <= h at 9 shifts from 1e-2 to 1e2 times ||L||, both at
     the table's ``tol_exc``."""
-    tol_exc = tolerances()["tol_exc"]
+    tol_exc = tolerance("tol_exc")
     hv, algebraic_min, alg_ok = _excessivity_gate(form, h, tol_exc)
 
     worst = -np.inf
@@ -411,7 +416,7 @@ def check_resolvent_contraction(form: GraphForm, f, alpha: float) -> Contraction
     diff = vec - u
     defect = alpha * float(np.sum(diff * diff * form.measure))
     q_smoothed, q_input = evaluate(form, u), evaluate(form, vec)
-    bound = q_input + tolerances()["tol_ineq"] * max(q_input, 1.0)
+    bound = q_input + tolerance("tol_ineq") * max(q_input, 1.0)
     return ContractionReport(
         q_smoothed=q_smoothed,
         q_input=q_input,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import tolerances
+from .config import tolerance
 from .errors import (
     BadConfig,
     BisectionFailure,
@@ -274,7 +274,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     eigenvectors, truncated ramps and a budgeted multistart projected-gradient
     search.
     """
-    tols = tolerances()
+    tol_ineq = tolerance("tol_ineq")
     if mode not in ("hardy", "poincare"):
         raise BadConfig(f"mode must be 'hardy' or 'poincare', got {mode!r}")
     act = form.active
@@ -381,7 +381,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     alpha_cert = _certificate(lam, Y, h_act, S, sites, r_grid)
     alpha_cert = np.minimum.accumulate(alpha_cert)  # sound: a certificate at r is one at r' > r
 
-    slack = tols["tol_ineq"] * np.maximum(alpha_cert, 1.0)
+    slack = tol_ineq * np.maximum(alpha_cert, 1.0)
     if np.any(alpha_lb > alpha_cert + slack):
         k = int(np.argmax(alpha_lb - alpha_cert))
         raise ViolationFound(
@@ -496,7 +496,7 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     norm).  Margins tighter than ``DECAY_FLAG_MARGIN`` are flagged, not failed;
     excesses beyond ``DECAY_REL_TOL`` raise ViolationFound with the witness.
     """
-    hv, algebraic_min, excessive = _excessivity_gate(form, h, tolerances()["tol_exc"])
+    hv, algebraic_min, excessive = _excessivity_gate(form, h, tolerance("tol_exc"))
     act = form.active
     if act.size == 0:
         raise BadConfig("form has no non-Dirichlet vertices")

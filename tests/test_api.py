@@ -3,6 +3,7 @@
 import inspect
 
 import numpy as np
+import pytest
 
 import critform as cf
 
@@ -50,6 +51,32 @@ def test_job_tolerances_is_the_exported_override():
     with cf.job_tolerances({"tol_gs": 0.5}):
         assert cf.tolerances()["tol_gs"] == 0.5
     assert cf.tolerances()["tol_gs"] == cf.DEFAULT_TOLERANCES["tol_gs"]
+
+
+@pytest.mark.parametrize("env", [False, True])
+def test_one_tolerance_resolves_like_the_table(env, monkeypatch):
+    keys = sorted(cf.DEFAULT_TOLERANCES)
+
+    def setenv(value):
+        for key in keys[::2]:                             # every other key from the environment
+            monkeypatch.setenv("CRITFORM_TOL_" + key[len("tol_"):].upper(), value)
+
+    def agree():
+        table = cf.tolerances()
+        assert {key: cf.tolerance(key) for key in keys} == table
+        return table
+
+    if env:
+        setenv("0.375")
+    assert agree()["tol_cap"] == (0.375 if env else cf.DEFAULT_TOLERANCES["tol_cap"])
+    with cf.job_tolerances({"tol_gs": 0.5}):
+        setenv("0.875")                                   # read when the job started, not now
+        table = agree()
+        assert table["tol_gs"] == 0.5
+        assert table["tol_cap"] == (0.375 if env else cf.DEFAULT_TOLERANCES["tol_cap"])
+    assert agree()["tol_cap"] == 0.875                    # outside a job, read at each call
+    with pytest.raises(KeyError):
+        cf.tolerance("tol_nope")
 
 
 def test_solve_spd_takes_the_right_hand_side_and_returns_the_solution():

@@ -82,6 +82,15 @@ def test_exhaustion_radii_must_increase():
         cf.Exhaustion(generator=lambda R: cf.lattice(1, R), radii=(4, 4), root="0")
 
 
+def test_level_checks_the_root():
+    level = cf.Exhaustion(generator=cf.dirichlet_path, radii=(4,), root="2").level(4)
+    assert level.n == 5
+    with pytest.raises(DomainMismatch, match="root '9' missing from level 4"):
+        cf.Exhaustion(generator=cf.dirichlet_path, radii=(4,), root="9").level(4)
+    with pytest.raises(DomainMismatch, match="lies on the boundary of level 4"):
+        cf.Exhaustion(generator=cf.dirichlet_path, radii=(4,), root="4").level(4)
+
+
 def test_exhaustion_nesting_spot_check():
     cf.lattice_exhaustion(1, radii=(3, 5, 8)).validate_nesting()
     # a generator whose potential depends on the radius is not nested

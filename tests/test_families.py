@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 import critform as cf
+from critform import families
 from critform.errors import BadConfig, UnknownFamily
+
+from conftest import count_calls
 
 
 def test_lattice_shapes():
@@ -246,3 +249,103 @@ def test_random_generators_match_graph_descriptions():
                         cf.random_connected_form(n, seed, signed_potential=signed,
                                                  dirichlet_count=count),
                         cf.build_form(spec_random_graph(n, seed, signed, count)))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass tree draws against the per-edge loop
+# ---------------------------------------------------------------------------
+
+def loop_tree_draws(rng, n):
+    """Reference: parent and weight of each tree edge, one scalar draw at a time."""
+    parents, weights = [], []
+    for k in range(1, n):
+        parents.append(int(rng.integers(0, k)))
+        weights.append(float(rng.uniform(0.5, 2.0)))
+    return parents, weights
+
+
+def draws_after(rng, n):
+    return (rng.integers(0, 10**6, 3).tolist(), rng.choice(n, size=2, replace=False).tolist(),
+            rng.uniform(0.5, 2.0, 3).tolist(), int(rng.binomial(n, 0.15)))
+
+
+def assert_same_draws(make, n):
+    """_tree_draws on make() gives the loop's edges and leaves the generator
+    where the loop leaves it."""
+    fast, slow = make(), make()
+    parents, weights = families._tree_draws(fast, n)
+    assert parents.dtype == np.int64 and weights.dtype == float
+    assert (parents.tolist(), weights.tolist()) == loop_tree_draws(slow, n)
+    assert draws_after(fast, n) == draws_after(slow, n)
+
+
+@pytest.fixture
+def scalar_runs(monkeypatch):
+    families._replay_agrees()               # the one-time check draws by the loop too
+    return count_calls(monkeypatch, families, "_scalar_tree_draws")
+
+
+def test_tree_draws_replay_the_loop_and_the_draws_after_it(scalar_runs):
+    for n in [*range(2, 81), 1001, 2000, 2401]:
+        assert_same_draws(lambda: np.random.default_rng(n + 7), n)
+    assert scalar_runs == []                # every case took the one pass
+
+
+def pcg64_with_zero_word(at):
+    """A PCG64 generator whose raw word number ``at`` (from 0) is 0: the
+    state is stepped back from 0 by the inverse of the LCG multiplier."""
+    mult, inc, state = 0x2360ED051FC65DA44385DF649FCCF645, 2 * 12345 + 1, 0
+    for _ in range(at + 1):
+        state = (state - inc) * pow(mult, -1, 2**128) % 2**128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def buffered_pcg64():
+    rng = np.random.default_rng(5)
+    rng.integers(0, 7)                      # leaves the high half of a word in the buffer
+    return rng
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.Generator(np.random.Philox(3)),
+    buffered_pcg64,
+    lambda: pcg64_with_zero_word(1),        # word 1 gives the parents of k = 2 and 3
+], ids=["philox", "buffered-half", "rejection"])
+def test_tree_draws_fall_back_to_the_loop(make, scalar_runs):
+    for n in (4, 5, 60, 301):
+        assert_same_draws(make, n)
+    assert len(scalar_runs) == 4
+
+
+def test_rejected_draw_is_the_crafted_word():
+    rng = pcg64_with_zero_word(1)
+    assert rng.bit_generator.random_raw(2)[1] == 0
+    # k = 2 accepts the low half 0 ((2^32 - 2) mod 2 = 0); k = 3 rejects the high half
+    assert families._replayed_tree_draws(pcg64_with_zero_word(1).bit_generator, 3) is not None
+    assert families._replayed_tree_draws(pcg64_with_zero_word(1).bit_generator, 4) is None
+
+
+def test_failed_self_check_keeps_the_loop_and_the_forms(scalar_runs, monkeypatch):
+    monkeypatch.setattr(families, "_replay_agrees", lambda: False)
+    for n, seed in ((2, 0), (37, 4), (200, 1)):
+        assert_same_form(cf.random_tree_form(n, seed), cf.build_form(spec_random_tree(n, seed)))
+        assert_same_form(cf.random_connected_form(n, seed, signed_potential=True,
+                                                  dirichlet_count=1),
+                         cf.build_form(spec_random_graph(n, seed, True, 1)))
+    assert len(scalar_runs) == 6
+
+
+def test_lemire_step_matches_its_definition():
+    rng = np.random.default_rng(9)
+    halves = rng.integers(0, 2**32, 500, dtype=np.uint64)
+    k = rng.integers(1, 2**20, 500, dtype=np.uint64)
+    values, accepted = families._lemire(halves, k)
+    for h, kk, v, ok in zip(halves.tolist(), k.tolist(), values.tolist(), accepted.tolist()):
+        assert v == (h * kk) >> 32 and v < kk
+        assert ok == ((h * kk) % 2**32 >= (2**32 - kk) % kk)
+    # a low half of 0 at k = 3 leaves 0 < (2^32 - 3) mod 3 = 1: rejected
+    assert families._lemire([0], [3])[1].tolist() == [False]
+    assert families._lemire([0, 2**32 - 1], [2, 3])[1].tolist() == [True, True]

@@ -268,6 +268,25 @@ def test_direct_green_solve_runs_when_every_component_is_anchored(backends):
     assert backends == ["cg"]
 
 
+def test_floating_check_labels_components_only_when_some_vertex_is_unanchored(monkeypatch):
+    box = free_floating_box(3)
+    potential = np.zeros(box.n)
+    potential[box.index("3,3,3")] = 1.0
+    corner = cf.GraphForm.from_arrays(box.vertices, box.edge_index, box.weights,
+                                      potential=potential)
+    calls = count_calls(monkeypatch, resolvent.csgraph, "connected_components")
+    for form, floats, labelled in [
+        (box, True, 1),                                  # no anchor at all
+        (corner, False, 1),                              # one anchored corner
+        (cf.lattice(2, 3), False, 1),                    # the origin has no boundary edge
+        (cf.dirichlet_path(2), False, 0),                # anchored by its boundary edges
+        (cf.random_tree_form(100, seed=1), False, 0),    # potential >= 0.1 everywhere
+    ]:
+        del calls[:]
+        assert resolvent._has_floating_component(form) is floats
+        assert len(calls) == labelled
+
+
 # --- nonnegativity verdicts -------------------------------------------------
 
 def planted(form, shift):
@@ -362,10 +381,10 @@ def test_nonnegativity_verdicts_on_the_cg_backend(backends):
 def test_each_solve_reads_tol_solve_once(make, monkeypatch):
     Q = make().active_form_matrix
     b = np.ones(Q.shape[0])
-    calls = count_calls(monkeypatch, resolvent, "tolerances")
+    calls = count_calls(monkeypatch, resolvent, "tolerance")
     for k in range(1, 4):
         solve_spd(Q, b)
-        assert len(calls) == k
+        assert calls == [("tol_solve",)] * k
     monkeypatch.setenv("CRITFORM_TOL_SOLVE", "1e-30")    # no residual meets this
     with pytest.raises(SolverFailure):
         solve_spd(Q, b)
