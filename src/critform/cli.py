@@ -369,7 +369,9 @@ def _run_check(job):
         size = int(rng.integers(1, form.n))
         subset = [form.vertices[i] for i in rng.choice(form.n, size=size, replace=False)]
         rep = is_invariant_set(form, subset)
-        if rep.invariant != (len(rep.crossing_edges) == 0):
+        # each verdict against its evidence: a witness that raises the energy,
+        # or no sample that does
+        if (rep.corroboration_gap > tol) if rep.invariant else (rep.witness_gap <= tol):
             invariant_mismatch += 1
         f = np.zeros(form.n)
         f[act] = rng.standard_normal(act.size)

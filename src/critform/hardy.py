@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
+from .config import tolerance
 from .errors import (
     GreenDiverges,
     NonPositiveH,
@@ -126,8 +126,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     rank one), joins the samples, and ``pencil_lambda_max`` is its Rayleigh
     quotient, a lower bound on the top.
     """
-    tols = tolerances()
-    tol_e = tols["tol_eig"]
+    tol_e = tolerance("tol_eig")
     wv = as_function(form, w)
     if np.any(wv[form.active] < 0):
         raise NonPositiveInput("weight must be nonnegative")
@@ -171,7 +170,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     return HardyVerification(
         rho_sampled=rho,
         pencil_lambda_max=lam_max,
-        passed=bool(proved and rho <= 1 + tols["tol_ineq"]),
+        passed=bool(proved and rho <= 1 + tolerance("tol_ineq")),
         n_samples=n_samples,
         alpha=alpha,
         note=note,

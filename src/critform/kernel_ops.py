@@ -175,28 +175,22 @@ class HarnackCertificate:
     mass_fraction: float    # mu(A) / mu(X)
 
 
-def harnack_sets(op: KernelOperator, target_mass: float, lam: float) -> HarnackCertificate:
-    """Greedy Harnack set: drop the vertex attaining the current min of ktilde
-    on A x A while the mass constraint mu(A) >= target_mass * mu(X) permits,
-    then certify c = min ktilde and D = lam / c."""
+def _harnack_members(op: KernelOperator, target_mass: float) -> tuple[tuple, float]:
+    """Greedy weak-Harnack set A and c = min ktilde on A x A: drop the vertex
+    attaining the current min of ktilde on A x A while the mass constraint
+    mu(A) >= target_mass * mu(X) permits.  Needs no principal value."""
     if not (0 < target_mass <= 1):
         raise BadConfig(f"target_mass must lie in (0, 1], got {target_mass}")
-    if lam <= 0:
-        raise BadConfig(f"lambda level must be positive, got {lam}")
     kt = ktilde(op)
     total = float(np.sum(op.mu))
     alive = list(range(op.n_source))
     if not alive:
         raise EmptySelection("kernel operator has no source points")
 
-    def current_min(members):
-        sub = kt[np.ix_(members, members)]
-        flat = int(np.argmin(sub))
-        i, j = divmod(flat, len(members))
-        return float(sub[i, j]), members[i], members[j]
-
     while True:
-        cmin, vi, vj = current_min(alive)
+        sub = kt[np.ix_(alive, alive)]
+        i, j = divmod(int(np.argmin(sub)), len(alive))
+        cmin, vi, vj = float(sub[i, j]), alive[i], alive[j]
         if len(alive) == 1:
             break
         # remove whichever endpoint has the smaller row-minimum over A
@@ -207,16 +201,22 @@ def harnack_sets(op: KernelOperator, target_mass: float, lam: float) -> HarnackC
         if float(np.sum(op.mu[rest])) < target_mass * total:
             break
         alive = rest
+    return tuple(alive), cmin
 
-    if not alive:
-        raise EmptySelection("greedy selection emptied the candidate set")
-    cmin, _, _ = current_min(alive)
+
+def harnack_sets(op: KernelOperator, target_mass: float, lam: float) -> HarnackCertificate:
+    """Greedy Harnack set A of ``_harnack_members``, certified at the level
+    lam: c = min ktilde on A x A and D = lam / c.  Only the certificate
+    needs lam; ``construct_excessive`` takes A alone."""
+    members, cmin = _harnack_members(op, target_mass)
+    if lam <= 0:
+        raise BadConfig(f"lambda level must be positive, got {lam}")
     return HarnackCertificate(
-        members=tuple(alive),
+        members=members,
         c=cmin,
         D=lam / cmin,
         lam=lam,
-        mass_fraction=float(np.sum(op.mu[alive]) / total),
+        mass_fraction=float(np.sum(op.mu[list(members)]) / float(np.sum(op.mu))),
     )
 
 
@@ -295,34 +295,27 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
     if len(schedule) < 3:
         raise ScheduleTooShort("need at least 3 schedule points to witness stabilization")
 
+    # liminf surrogate at the schedule end: only the last three shifts are
+    # read, the last iterate against the running minimum of the three
     iterates = []
-    for alpha in schedule:
+    for alpha in schedule[-3:]:
         u = resolvent_apply(form, gv, alpha)[act]
         m = float(np.min(u[B_pos]))
         if m <= 0:
             raise NonPositiveInput(
                 f"resolvent iterate vanishes on the reference set at alpha={alpha}"
             )
-        iterates.append(u / m)
+        iterates.append(u / m)   # min over B is exactly 1.0
 
-    # liminf surrogate: running minima of tails, inspected at the schedule end
-    tail = iterates[-1].copy()
-    tails = [tail.copy()]
-    for v in reversed(iterates[:-1]):
-        tail = np.minimum(tail, v)
-        tails.append(tail.copy())
-    tails.reverse()  # tails[k] = componentwise min over schedule[k:]
-
-    last = tails[-1]
-    probe = tails[-3]
-    gap = float(np.max(np.abs(probe - last) / np.maximum(np.abs(last), 1e-300)))
+    h_act = iterates[-1]
+    probe = np.min(iterates, axis=0)
+    gap = float(np.max(np.abs(probe - h_act) / np.maximum(np.abs(h_act), 1e-300)))
     if gap > tol:
         raise ScheduleTooShort(
             f"tail minima still moving (relative gap {gap:.3e} > {tol:.3e}); "
             "extend the alpha schedule downward"
         )
 
-    h_act = last / float(np.min(last[B_pos]))
     h = np.zeros(form.n)
     h[act] = h_act
     _, residual_min, excessive = _excessivity_gate(form, h, tol)
@@ -355,10 +348,15 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     of normalized resolvents f_alpha = G_alpha g, normalized to min = 1 on the
     reference set B.
 
+    Only the last three shifts of the schedule are solved: the result is the
+    last iterate, and the stabilization gap compares it with the minimum of
+    the three.  The whole schedule is echoed in ``schedule``.
+
     ``target`` is a GraphForm or an exhaustion; for an exhaustion the
     construction runs per level (B defaults to the root) and the top level's
     result is returned with the per-level trail attached.  For a bare form
-    with no B given, a weak-Harnack set of the time-1 heat kernel is used.
+    with no B given, B is the greedy Harnack set of the time-1 heat kernel
+    (``_harnack_members``), chosen without computing lambda.
     Both the tail stabilization and the excessivity gate use the table's
     ``tol_exc``.
     """
@@ -387,11 +385,9 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     if B is not None:
         B_ids = tuple(B)
     else:
-        op = heat_kernel_operator(form, t=1.0)
-        lam, _ = lambda_of(op)
-        cert = harnack_sets(op, harnack_target_mass, lam)
-        act = form.active
-        B_ids = tuple(form.vertices[act[i]] for i in cert.members)
+        members, _ = _harnack_members(heat_kernel_operator(form, t=1.0),
+                                      harnack_target_mass)
+        B_ids = tuple(form.vertices[form.active[i]] for i in members)
     return _construct_on_form(form, gv, alpha_schedule, B_ids, fatou_t)
 
 

@@ -7,6 +7,7 @@ import pytest
 import critform as cf
 from critform import cli
 from critform.cli import main
+from critform.forms import InvarianceReport
 from critform.reports import JobConfig, emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
 
@@ -257,6 +258,21 @@ def test_check_command(tmp_path):
     assert res["violations"] == 0
     assert res["first_bd_worst_gap"] <= 1e-10
     assert res["lattice_min_gap"] >= -1e-10
+
+
+def test_check_counts_an_invariance_verdict_without_evidence(tmp_path, monkeypatch):
+    # a non-invariant verdict whose witness does not raise the energy
+    def unsupported(form, subset, *args, **kwargs):
+        return InvarianceReport(subset=tuple(subset), invariant=False,
+                                crossing_edges=(("a", "b"),), witness=None,
+                                witness_gap=0.0, corroboration_gap=0.0)
+    monkeypatch.setattr(cli, "is_invariant_set", unsupported)
+    prefix = str(tmp_path / "chk")
+    assert main(["check", "--seed", "3", "--n-forms", "2", "--n-samples", "20",
+                 "--output", prefix]) == 1
+    res = read_json(prefix + ".json")["results"]
+    assert res["invariant_set_mismatches"] >= 1
+    assert res["violations"] >= res["invariant_set_mismatches"]
 
 
 def test_check_gates_both_inequalities_with_tol_ineq(tmp_path):

@@ -15,7 +15,13 @@ from critform.errors import (
     NoViolationFound,
     ScheduleTooShort,
 )
-from critform.kernel_ops import ergodicity_check, heat_kernel_operator, ktilde
+from critform.forms import as_function
+from critform.kernel_ops import (
+    _active_block_connected,
+    ergodicity_check,
+    heat_kernel_operator,
+    ktilde,
+)
 
 from conftest import count_calls, shifted
 
@@ -234,12 +240,138 @@ def test_construct_schedule_too_short(pinned_path):
                                alpha_schedule=[1.0, 0.5, 0.25])
 
 
-def test_construct_makes_one_solve_per_schedule_shift(pinned_path, monkeypatch):
-    schedule = cf.default_alpha_schedule(1.0, 1e-10, 0.5)
+def full_schedule_construction(form, g, schedule, B_ids, fatou_t=(0.1, 1.0, 10.0)):
+    """Reference liminf construction: solve every shift of the schedule, keep
+    the running minimum of every tail, and normalize the last iterate once
+    more.  Returns the fields an ExcessiveConstruction carries, or None when
+    the tail minima are still moving."""
+    tol = cf.tolerance("tol_exc")
+    act = form.active
+    gv = np.asarray(as_function(form, g), dtype=float).copy()
+    gv[form.boundary_mask] = 0.0
+    B_pos = [int(np.searchsorted(act, form.index(v))) for v in B_ids]
+    iterates = []
+    for alpha in schedule:
+        u = cf.resolvent_apply(form, gv, alpha)[act]
+        iterates.append(u / float(np.min(u[B_pos])))
+    tail = iterates[-1].copy()
+    tails = [tail.copy()]
+    for v in reversed(iterates[:-1]):
+        tail = np.minimum(tail, v)
+        tails.append(tail.copy())
+    tails.reverse()
+    last, probe = tails[-1], tails[-3]
+    gap = float(np.max(np.abs(probe - last) / np.maximum(np.abs(last), 1e-300)))
+    if gap > tol:
+        return None
+    h = np.zeros(form.n)
+    h[act] = last / float(np.min(last[B_pos]))
+    _, residual_min, excessive = resolvent._excessivity_gate(form, h, tol)
+    violation = 0.0
+    for t in fatou_t:
+        th = cf.semigroup_apply(form, h, t)[act]
+        violation = max(violation, float(np.max(th - h[act])) / float(np.max(h[act])))
+    return {"values": h, "residual_min": residual_min, "stabilization_gap": gap,
+            "excessive": excessive, "fatou_t": tuple(fatou_t),
+            "fatou_max_violation": violation, "reference_set": tuple(B_ids)}
+
+
+def assert_matches_reference(built, ref):
+    assert built.function.values.tobytes() == ref["values"].tobytes()
+    for key in ("residual_min", "stabilization_gap", "excessive", "fatou_t",
+                "fatou_max_violation", "reference_set"):
+        assert getattr(built, key) == ref[key], key
+
+
+def harnack_reference_set(form):
+    """B as chosen through the certificate, with lambda computed first."""
+    op = heat_kernel_operator(form, t=1.0)
+    lam, _ = cf.lambda_of(op)
+    members = cf.harnack_sets(op, 0.5, lam).members
+    return tuple(form.vertices[form.active[i]] for i in members)
+
+
+@pytest.mark.parametrize("dirichlet_count", [0, 3])
+def test_construct_matches_the_full_schedule_reference(dirichlet_count):
+    default = tuple(cf.default_alpha_schedule(1.0, 1e-10, 0.5))
+    explicit = tuple(cf.default_alpha_schedule(2.0, 1e-11, 0.3))
+    forms = [cf.random_connected_form(8 + 3 * seed, seed=seed, extra_edge_prob=0.3,
+                                      dirichlet_count=dirichlet_count) for seed in range(40)]
+    # a Dirichlet cut leaves no heat-kernel Harnack set to compare
+    forms = [form for form in forms if _active_block_connected(form)][:8]
+    assert len(forms) == 8
+    built_ok = 0
+    for form in forms:
+        g = np.zeros(form.n)
+        g[form.active[0]] = 1.0
+        cases = [
+            ({}, np.ones(form.n), default, harnack_reference_set(form)),
+            ({"g": g, "B": [form.vertices[form.active[-1]]]}, g, default,
+             (form.vertices[form.active[-1]],)),
+            ({"alpha_schedule": explicit}, np.ones(form.n), explicit,
+             harnack_reference_set(form)),
+        ]
+        for kwargs, gv, schedule, B_ids in cases:
+            ref = full_schedule_construction(form, gv, schedule, B_ids)
+            if ref is None:
+                with pytest.raises(ScheduleTooShort):
+                    cf.construct_excessive(form, **kwargs)
+                continue
+            built = cf.construct_excessive(form, **kwargs)
+            assert built.schedule == schedule
+            assert_matches_reference(built, ref)
+            built_ok += 1
+    assert built_ok >= 16
+
+
+def test_construct_along_exhaustion_matches_the_full_schedule_reference():
+    exh = cf.lattice_exhaustion(2, (4, 6, 8))
+    schedule = tuple(cf.default_alpha_schedule(1.0, 1e-10, 0.5))
+    built = cf.construct_excessive(exh)
+    assert [R for R, _ in built.per_level] == [4, 6, 8]
+    for R, level_built in built.per_level:
+        level = exh.level(R)
+        ref = full_schedule_construction(level, {exh.root: 1.0}, schedule, (exh.root,))
+        assert_matches_reference(level_built, ref)
+    assert_matches_reference(built, ref)
+
+
+def test_construct_solves_only_the_last_three_shifts(monkeypatch):
+    exh = cf.dirichlet_path_exhaustion(radii=(10, 20, 40))
+    schedule = cf.default_alpha_schedule(1.0, 1e-12, 0.5)
     solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
-    built = cf.construct_excessive(pinned_path, g={"1": 1.0}, B=("1",), alpha_schedule=schedule)
+    built = cf.construct_excessive(exh, alpha_schedule=schedule)
     assert built.excessive
-    assert [alpha for _, alpha, _ in solves] == list(schedule)
+    assert built.schedule == tuple(schedule)
+    assert [alpha for _, alpha, _ in solves] == list(schedule[-3:]) * 3
+
+
+def test_construct_never_computes_a_principal_value(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_of called")
+    monkeypatch.setattr(cf.kernel_ops, "lambda_of", refuse)
+    form = cf.random_connected_form(15, seed=9)
+    built = cf.construct_excessive(form)
+    assert built.excessive
+    assert built.reference_set
+
+
+def test_construct_below_the_power_iteration_reach():
+    # lambda_of of this heat kernel does not close its bracket; the
+    # construction never asks for it
+    built = cf.construct_excessive(cf.path_form(300),
+                                   alpha_schedule=cf.default_alpha_schedule(1, 1e-14, 0.5))
+    assert built.excessive
+
+
+def test_construct_reads_no_shift_before_the_last_three():
+    # at alpha = 1 the iterate underflows to 0 at vertex 1, 799 edges from g;
+    # at the shifts the result reads it is near the Green function G(x, 800) = x
+    form = cf.path_form(800)
+    built = cf.construct_excessive(form, g={"800": 1.0}, B=("1",), fatou_t=())
+    assert built.excessive
+    x = np.array([float(v) for v in form.vertices])
+    assert np.allclose(built.function.values, x, rtol=1e-4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
