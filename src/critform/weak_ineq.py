@@ -74,19 +74,19 @@ def _sup_scaled(X: np.ndarray, h_act: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return X / np.where(ok, sup, 1.0)[:, None], ok
 
 
-def _admissible(X: np.ndarray, h_act: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+def _admissible(X: np.ndarray, h_act: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     """Rows of X scaled to sup|f/h| = 1 and, in poincare mode, projected onto
-    the admissible subspace (the columns of P) and scaled again, with a mask
-    of the rows that survive both scalings."""
+    the admissible subspace (the orthogonal complement of a = W h) and scaled
+    again, with a mask of the rows that survive both scalings."""
     X, ok = _sup_scaled(X, h_act)
-    if P is not None:
-        X, kept = _sup_scaled((X @ P) @ P.T, h_act)
+    if a is not None:
+        X, kept = _sup_scaled(X - np.outer(X @ a, a / (a @ a)), h_act)
         ok &= kept
     return X, ok
 
 
 def _ascent(F: np.ndarray, r: np.ndarray, W: np.ndarray, Q: np.ndarray,
-            h_act: np.ndarray, P, iters: int) -> tuple[np.ndarray, bool]:
+            h_act: np.ndarray, a, iters: int) -> tuple[np.ndarray, bool]:
     """Projected-gradient ascent of (sum f^2 W - r) / q(f), one start per row
     of F at the r of that row, all starts in lockstep.
 
@@ -112,10 +112,10 @@ def _ascent(F: np.ndarray, r: np.ndarray, W: np.ndarray, Q: np.ndarray,
             Ar = A[live] - rr
             cur = Ar / Bf
             grad = (W2 * f * Bf[:, None] - 2.0 * Ar[:, None] * Qf) / (Bf * Bf)[:, None]
-            if P is not None:
-                grad = (grad @ P) @ P.T
+            if a is not None:
+                grad -= np.outer(grad @ a, a / (a @ a))
             gnorm = np.sqrt((grad * grad).sum(axis=1))
-            trial, ok = _admissible(f + step[live, None] * grad / gnorm[:, None], h_act, P)
+            trial, ok = _admissible(f + step[live, None] * grad / gnorm[:, None], h_act, a)
             ok &= (Bf > 0) & (gnorm != 0)
             Qt = trial @ Q
             A_t = (trial * trial * W).sum(axis=1)
@@ -214,28 +214,44 @@ def _spike_tops(lam: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hi.reshape(Z.shape[0], -1)
 
 
-def _pencil(Q_sub: np.ndarray, W: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the pencil (P^T diag(W) P, Q_sub) from one Cholesky factor
-    Q_sub = L L^T and one eigendecomposition of M0 = L^-1 P^T diag(W) P L^-T
-    (P = identity when None).  Returns the ascending eigenvalues of M0 and the
-    pencil eigenvectors P L^-T V as columns, normalized to y^T Q y = 1.
+def _pencil(Q: np.ndarray, W: np.ndarray, a=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the pencil (diag(W), Q) from one Cholesky factor
+    Q = L L^T and one eigendecomposition of M0 = L^-1 diag(W) L^-T.  Returns
+    the ascending eigenvalues of M0 and the pencil eigenvectors L^-T V as
+    columns, normalized to y^T Q y = 1.
+
+    With a = W h, where h spans the kernel of Q, the pencil is restricted to
+    the orthogonal complement of a, in full vertex coordinates, by a rank-one
+    deflation (Golub, SIAM Review 15, 1973).  The matrix factored is then
+    Q + sigma a a^T with sigma = max diag(Q) / |a|^2: it is positive definite
+    and equals Q on that complement.  The h pair lies along v = L^-1 a.  M0
+    is compressed onto the orthogonal complement of v, which is the
+    restricted pencil whatever the rounding in Q h, and v is sent to
+    -max diag(M0) (-1 when M0 = 0), strictly below the restricted spectrum
+    (>= 0) at the scale of M0.  That lowest pair is dropped.
 
     A failed factorization, or a pivot below 1e-12 of its diagonal entry
-    (Q_sub is then numerically singular), raises KernelMismatch."""
+    (the factored matrix is then numerically singular), raises
+    KernelMismatch."""
+    Q = Q if a is None else Q + (np.max(np.diag(Q)) / (a @ a)) * np.outer(a, a)
     try:
-        L = scipy.linalg.cholesky(Q_sub, lower=True)
+        L = scipy.linalg.cholesky(Q, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise KernelMismatch(
             f"form is not positive definite on the admissible subspace ({exc})"
         ) from None
-    if np.any(np.diag(L) ** 2 <= 1e-12 * np.diag(Q_sub)):
+    if np.any(np.diag(L) ** 2 <= 1e-12 * np.diag(Q)):
         raise KernelMismatch("form is numerically singular on the admissible subspace")
-    sqrt_W = np.sqrt(W)
-    X = scipy.linalg.solve_triangular(L, np.diag(sqrt_W) if P is None else P.T * sqrt_W,
-                                      lower=True)
-    lam, V = scipy.linalg.eigh(X @ X.T, driver="evd")
-    Y = scipy.linalg.solve_triangular(L, V, lower=True, trans="T")
-    return lam, (Y if P is None else P @ Y)
+    X = scipy.linalg.solve_triangular(L, np.diag(np.sqrt(W)), lower=True)
+    if a is None:
+        lam, V = scipy.linalg.eigh(X @ X.T, driver="evd")
+        return lam, scipy.linalg.solve_triangular(L, V, lower=True, trans="T")
+    v = scipy.linalg.solve_triangular(L, a, lower=True)
+    X -= np.outer(v, v @ X / (v @ v))
+    M0 = X @ X.T
+    M0 -= (np.max(np.diag(M0)) or 1.0) / (v @ v) * np.outer(v, v)
+    lam, V = scipy.linalg.eigh(M0, driver="evd")
+    return lam[1:], scipy.linalg.solve_triangular(L, V[:, 1:], lower=True, trans="T")
 
 
 def _certificate(lam: np.ndarray, Y: np.ndarray, h_act: np.ndarray, S: float,
@@ -263,8 +279,11 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     (diag(w mu - r psi), Q) restricted to the admissible subspace is a valid
     alpha(r).  Candidates: psi = 0, the globally spread psi = w mu / sum(w mu
     h^2), and unit spikes at sampled maximizer locations.  One Cholesky factor
-    Q_sub = L L^T and one eigendecomposition of M0 = L^-1 diag(w mu) L^-T
-    (restricted) serve them all: psi = 0 gives the top of M0, the spread psi
+    Q = L L^T and one eigendecomposition of M0 = L^-1 diag(w mu) L^-T serve
+    them all (in poincare mode Q is factored as Q + sigma a a^T with
+    a = w mu h, and M0 is deflated to the orthogonal complement of a by one
+    rank-one term, all in full vertex coordinates; see ``_pencil``):
+    psi = 0 gives the top of M0, the spread psi
     scales it by (1 - r/S), and a spike is a rank-one downdate of M0 whose top
     is the root of a secular equation.  That root is found by a safeguarded
     fixed-weight iteration (Bunch, Nielsen & Sorensen) inside a bracket moved
@@ -303,17 +322,16 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
 
     Q = form.active_form_matrix.toarray()
 
-    # Admissible subspace.
+    # Admissible subspace: all of it in hardy mode, the complement of a = W h
+    # in poincare mode.
     if mode == "poincare":
         Lh = form.active_form_matrix @ h_act
         scale = max(form.operator_norm_bound() * float(np.max(h_act)), 1.0)
-        if float(np.max(np.abs(Lh / mu))) > 1e-8 * scale:
+        if float(np.max(np.abs(Lh / mu))) > tolerance("tol_exc") * scale:
             raise KernelMismatch("h does not span the kernel (L h != 0)")
-        a = W * h_act
-        P = scipy.linalg.null_space(a[None, :])
-        if P.shape[1] == 0:
+        if n == 1:
             raise KernelMismatch("orthogonal complement of h is trivial")
-        Q_sub = P.T @ Q @ P
+        a = W * h_act
     else:
         # a positive supersolution of Q - tau M proves lambda_min >= tau
         tau = 1e-12 * max(form.symmetric_norm_bound(), 1.0)
@@ -326,10 +344,9 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
             raise KernelMismatch(
                 "form has a nontrivial kernel; use mode='poincare' with the kernel h"
             )
-        P = None
-        Q_sub = Q
+        a = None
 
-    lam, Y = _pencil(Q_sub, W, P)
+    lam, Y = _pencil(Q, W, a)
     alpha_base = max(float(lam[-1]), 0.0)
 
     if r_grid is None:
@@ -350,7 +367,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     if mode == "hardy":
         cands.append(h_act)
     cands.extend(rng.standard_normal((20, n)))
-    pool, ok = _admissible(np.array(cands), h_act, P)
+    pool, ok = _admissible(np.array(cands), h_act, a)
     pool = pool[ok]
 
     budget_exhausted = False
@@ -358,9 +375,9 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     if n <= ASCENT_CUTOFF and budget[0] > 0 and budget[1] > 0:
         targets = r_grid[np.linspace(0, len(r_grid) - 1, min(5, len(r_grid)), dtype=int)]
         per_target = max(1, budget[0] // max(len(targets), 1))
-        starts, ok = _admissible(rng.standard_normal((targets.size * per_target, n)), h_act, P)
+        starts, ok = _admissible(rng.standard_normal((targets.size * per_target, n)), h_act, a)
         ends, budget_exhausted = _ascent(starts[ok], np.repeat(targets, per_target)[ok],
-                                         W, Q, h_act, P, budget[1])
+                                         W, Q, h_act, a, budget[1])
         pool = np.vstack([pool, ends])
     elif n > ASCENT_CUTOFF:
         note = "gradient search skipped (size); lower profile uses candidates only"
@@ -463,8 +480,6 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
             )
         lo = r[0]
         hi = 1.0
-        if g(hi) > t:  # cannot happen: log(1) = 0
-            raise GridTooCoarse("no admissible r located at or below 1")
         while hi / lo - 1.0 > rel_tol:
             mid = float(np.sqrt(lo * hi))
             if g(mid) <= t:

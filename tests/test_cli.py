@@ -196,6 +196,46 @@ def test_decay_verify_flag(pd_form_file, tmp_path):
     assert res["verification"]["n_checks"] > 0
 
 
+@pytest.fixture
+def free_pair_file(tmp_path, two_path):
+    """Two free vertices with zero potential: the kernel is spanned by h = 1."""
+    path = tmp_path / "free.json"
+    path.write_text(emit_graph_document(two_path), encoding="utf-8")
+    return str(path)
+
+
+def _run_twice(tmp_path, args):
+    """Run a job twice; return its results after checking the reports are byte-identical."""
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(args + ["--output", out1]) == 0
+    assert main(args + ["--output", out2]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    return read_json(out1 + ".json")["results"]
+
+
+def test_alpha_profile_poincare_mode(free_pair_file, tmp_path):
+    res = _run_twice(tmp_path, ["alpha-profile", "--input", free_pair_file,
+                                "--mode", "poincare", "--seed", "0"])
+    assert res["mode"] == "poincare"
+    r = np.array(res["profile"]["r"])
+    exact = np.maximum((2.0 - r) / 4.0, 0.0)
+    assert np.max(np.abs(np.array(res["profile"]["alpha_cert"]) - exact)) <= 1e-9
+    assert np.max(np.abs(np.array(res["profile"]["alpha_lb"]) - exact)) <= 1e-9
+
+
+def test_decay_poincare_mode(free_pair_file, two_path, tmp_path):
+    res = _run_twice(tmp_path, ["decay", "--input", free_pair_file, "--mode", "poincare",
+                                "--seed", "0", "--t-grid", "0.1,1,2"])
+    assert res["alpha_base"] == pytest.approx(0.5, rel=1e-12)
+    # the exact profile alpha(r) = max((2 - r) / 4, 0) on the grid the job used
+    r = cf.alpha_profile(two_path, mode="poincare", seed=0).r_grid
+    exact = np.maximum((2.0 - r) / 4.0, 0.0)
+    curve = decay_rate(AlphaProfile(r_grid=r, alpha_cert=exact, alpha_lb=exact, mode="poincare",
+                                    alpha_base=0.5, budget_exhausted=False), res["t"])
+    assert np.allclose(res["xi"], curve.xi, rtol=1e-9, atol=0.0)
+    assert 0 < res["xi"][2] < res["xi"][1] < res["xi"][0] < 1
+
+
 def test_decay_extends_its_default_grid_once(tmp_path):
     # alpha_base = 0.83: xi(10) needs r near exp(-2 * 10 / 0.83) = 3e-11, below
     # the default grid's r_min of 4.8e-11, so a second profile reaches it; an

@@ -68,6 +68,16 @@ def test_poincare_mode_requires_harmonic_h(pinned_path):
         cf.alpha_profile(pinned_path, mode="poincare", seed=0)
 
 
+def test_poincare_kernel_gate_applies_the_echoed_tolerance():
+    # a free path with zero potential: L h is of the size of the noise on h = 1
+    form = cf.build_form({"vertices": [f"v{i}" for i in range(6)],
+                          "edges": [[f"v{i}", f"v{i + 1}", 1.0] for i in range(5)]})
+    h = 1.0 + 1e-12 * np.random.default_rng(0).standard_normal(6)
+    cf.alpha_profile(form, h=h, mode="poincare", seed=0)
+    with cf.job_tolerances({"tol_exc": 1e-16}), pytest.raises(KernelMismatch):
+        cf.alpha_profile(form, h=h, mode="poincare", seed=0)
+
+
 def test_hardy_mode_requires_trivial_kernel(two_path):
     with pytest.raises(KernelMismatch, match="nontrivial kernel"):
         cf.alpha_profile(two_path, mode="hardy", seed=0)
@@ -594,6 +604,42 @@ def test_poincare_kernel_larger_than_h_is_a_kernel_mismatch():
         cf.alpha_profile(form, mode="poincare", seed=0)
 
 
+def _pencil_cases():
+    two = cf.build_form({"vertices": ["a", "b"], "edges": [["a", "b", 1.0]]})
+    yield "two-path", two, np.ones(2), two.active_measure
+    # the h pair is the top of M0, above its largest diagonal entry: it must
+    # still be the one dropped
+    k3 = cf.build_form({"vertices": ["a", "b", "c"],
+                        "edges": [["a", "b", 1.0], ["b", "c", 1.0], ["a", "c", 1.0]]})
+    yield "triangle", k3, np.ones(3), np.array([4.0, 1.0, 1.0]) * k3.active_measure
+    for n, seed in ((8, 0), (15, 1), (40, 2)):
+        form, h = _critical_form(n, seed)
+        yield f"critical-{n}", form, h, form.active_measure
+    form, h = _critical_form(30, 3)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, 30)
+    w[::3] = 0.0
+    yield "w-zeros", form, h, w * form.active_measure
+    w = np.zeros(30)
+    w[[2, 11, 25]] = 1.0
+    yield "w-on-three", form, h, w * form.active_measure
+    # the shift that drops the h pair must follow the scale of M0
+    yield "w-tiny", form, h, 1e-20 * form.active_measure
+
+
+@pytest.mark.parametrize("case", _pencil_cases(), ids=lambda c: c[0])
+def test_poincare_pencil_matches_the_null_space_reference(case):
+    _, form, h, W = case
+    Q = form.active_form_matrix.toarray()
+    a = W * h
+    P = scipy.linalg.null_space(a[None, :])
+    ref = scipy.linalg.eigh(P.T @ np.diag(W) @ P, P.T @ Q @ P, eigvals_only=True)
+    lam, Y = weak_ineq._pencil(Q, W, a)
+    assert lam.shape == ref.shape == (form.n - 1,)
+    assert np.all(np.abs(lam - ref) <= 1e-12 * abs(ref[-1]))
+    assert np.all(np.abs(a @ Y) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(Y, axis=0))
+    assert np.allclose(np.einsum("ij,ij->j", Y, Q @ Y), 1.0, rtol=1e-10)
+
+
 # --- the batched gradient ascent --------------------------------------------------
 
 def _ascent_reference(f, r, W, Q, h_act, P, iters):
@@ -647,14 +693,17 @@ def test_batched_ascent_matches_per_start_loop(mode):
             form, h = _critical_form(15 + 5 * seed, seed)
         W = form.active_measure
         Q = form.active_form_matrix.toarray()
+        a = None
         if mode == "poincare":
-            P = scipy.linalg.null_space((W * h)[None, :])
+            # the reference projects with the null-space basis P of a = W h
+            a = W * h
+            P = scipy.linalg.null_space(a[None, :])
         rng = np.random.default_rng(seed)
-        starts, ok = weak_ineq._admissible(rng.standard_normal((12, form.n)), h, P)
+        starts, ok = weak_ineq._admissible(rng.standard_normal((12, form.n)), h, a)
         assert ok.all()
         r = np.repeat(np.geomspace(1e-6, float(np.sum(W * h * h)), 4), 3)
         for iters in (3, 30, 200):
-            ends, exhausted = weak_ineq._ascent(starts, r, W, Q, h, P, iters)
+            ends, exhausted = weak_ineq._ascent(starts, r, W, Q, h, a, iters)
             ref = [_ascent_reference(f, rr, W, Q, h, P, iters) for f, rr in zip(starts, r)]
             assert np.allclose(ends, [f for f, _ in ref], rtol=1e-9, atol=1e-12)
             assert exhausted == any(flag for _, flag in ref)
@@ -662,7 +711,7 @@ def test_batched_ascent_matches_per_start_loop(mode):
                 assert exhausted
 
 
-def _ascent_lockstep_reference(F, r, W, Q, h_act, P, iters):
+def _ascent_lockstep_reference(F, r, W, Q, h_act, a, iters):
     """The lockstep loop that recomputed f Q, sum f^2 W and q(f) on every
     iteration, before the ascent carried them."""
     F = F.copy()
@@ -679,11 +728,11 @@ def _ascent_lockstep_reference(F, r, W, Q, h_act, P, iters):
         with np.errstate(all="ignore"):
             cur = (A - rr) / B
             grad = (2.0 * W * f * B[:, None] - 2.0 * (A - rr)[:, None] * Qf) / (B * B)[:, None]
-            if P is not None:
-                grad = (grad @ P) @ P.T
+            if a is not None:
+                grad = grad - np.outer(grad @ a, a / (a @ a))
             gnorm = np.linalg.norm(grad, axis=1)
             trial, ok = weak_ineq._admissible(f + step[live, None] * grad / gnorm[:, None],
-                                              h_act, P)
+                                              h_act, a)
             ok &= (B > 0) & (gnorm != 0)
             A_t = np.sum(trial * trial * W, axis=1)
             B_t = np.einsum("ij,ij->i", trial, trial @ Q)
@@ -713,12 +762,12 @@ def test_ascent_carrying_products_is_bit_identical_to_lockstep_loop(mode):
             form, h = _critical_form(15 + 5 * seed, seed)
         W = form.active_measure
         Q = form.active_form_matrix.toarray()
-        P = None if mode == "hardy" else scipy.linalg.null_space((W * h)[None, :])
+        a = None if mode == "hardy" else W * h
         starts, _ = weak_ineq._admissible(np.random.default_rng(seed).standard_normal((12, form.n)),
-                                          h, P)
+                                          h, a)
         r = np.repeat(np.geomspace(1e-6, float(np.sum(W * h * h)), 4), 3)
         for iters in (3, 30, 200):
-            ends, at_cap = weak_ineq._ascent(starts, r, W, Q, h, P, iters)
-            ref_ends, ref_at_cap = _ascent_lockstep_reference(starts, r, W, Q, h, P, iters)
+            ends, at_cap = weak_ineq._ascent(starts, r, W, Q, h, a, iters)
+            ref_ends, ref_at_cap = _ascent_lockstep_reference(starts, r, W, Q, h, a, iters)
             assert np.array_equal(ends, ref_ends)
             assert at_cap == ref_at_cap
