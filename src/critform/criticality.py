@@ -10,6 +10,7 @@ import scipy.sparse.csgraph as csgraph
 
 from .config import tolerance
 from .errors import (
+    CritformError,
     DomainMismatch,
     GreenInconclusive,
     InconsistentCertificates,
@@ -82,10 +83,9 @@ class Exhaustion:
             raise DomainMismatch(f"root {self.root!r} lies on the boundary of level {radius}")
         return form
 
-    def validate_nesting(self, pairs: int = 2) -> None:
-        """Spot-check that consecutive levels agree on shared data."""
-        radii = self.radii[: pairs + 1]
-        forms = [self.level(r) for r in radii]
+    def validate_nesting(self) -> None:
+        """Spot-check that the first three levels agree on shared data."""
+        forms = [self.level(r) for r in self.radii[:3]]
         for small, large in zip(forms, forms[1:]):
             shared = set(small.vertices) & set(large.vertices)
             for v in shared:
@@ -194,7 +194,10 @@ def classify(exhaustion: Exhaustion, with_artifacts: bool = False) -> Classifica
     certified 1/R extrapolation with shallow slope -> Subcritical; otherwise
     Inconclusive.  Later radii only refine, never flip, a decisive verdict.
     """
-    trace, top = _capacity_trace(exhaustion, exhaustion.radii)
+    radii = exhaustion.radii
+    window = (_GroundStateTrace(exhaustion, max(min(radii[0], radii[-1] // 4), 1))
+              if with_artifacts else None)
+    trace, top = _capacity_trace(exhaustion, radii, window)
     verdict, reason, fit = _verdict(*np.array(trace, dtype=float).T)
 
     report = ClassificationReport(
@@ -205,11 +208,11 @@ def classify(exhaustion: Exhaustion, with_artifacts: bool = False) -> Classifica
         notes=_EXCLUSION_NOTE,
     )
     if with_artifacts:
-        report = _attach_artifacts(exhaustion, report, top)
+        report = _attach_artifacts(exhaustion, report, top, window)
     return report
 
 
-def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, cap: None):
+def _capacity_trace(exhaustion: Exhaustion, radii, visit=None):
     """Capacity trace ((R, cap_R), ...) along ``radii`` and its last level, one level alive
     at a time and passed to ``visit``; a capacity that grows with R raises ``ValidationFailure``."""
     trace, level = [], None
@@ -222,7 +225,8 @@ def _capacity_trace(exhaustion: Exhaustion, radii, visit=lambda radius, level, c
                 f"capacity increased from radius {trace[-2][0]} to {radius}: "
                 f"{trace[-2][1]:.6e} -> {trace[-1][1]:.6e} (generator is not nested)"
             )
-        visit(radius, level, cap)
+        if visit is not None:
+            visit(radius, level, cap)
     return trace, level
 
 
@@ -281,21 +285,21 @@ def _verdict(radii: np.ndarray, caps: np.ndarray):
 
 
 def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
-                      last_level: GraphForm) -> ClassificationReport:
-    """Populate the ground-state or weight summary demanded by the verdict."""
+                      last_level: GraphForm, window: _GroundStateTrace) -> ClassificationReport:
+    """Populate the ground-state or weight summary demanded by the verdict; the
+    ground state comes from the visitor that rode the classifying pass."""
     ground_state = None
     hardy_summary = None
     if report.verdict == "Critical":
         try:
-            window = max(min(exhaustion.radii[0], exhaustion.radii[-1] // 4), 1)
-            gs = agmon_ground_state(exhaustion, window_radius=window, report=report)
+            gs = window.ground_state(last_level)
             ground_state = {
                 "window_radius": gs.window_radius,
                 "residual_sup": gs.residual_sup,
                 "min": float(np.min(gs.values)),
                 "max": float(np.max(gs.values)),
             }
-        except (NoConvergence, NotCritical, DomainMismatch) as exc:
+        except (NoConvergence, DomainMismatch) as exc:
             ground_state = {"error": f"{type(exc).__name__}: {exc}"}
     elif report.verdict == "Subcritical":
         from .hardy import hardy_weight
@@ -310,7 +314,7 @@ def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
                 "rho_sampled": hw.verification.rho_sampled if hw.verification else None,
                 "passed": hw.verification.passed if hw.verification else None,
             }
-        except Exception as exc:  # report, never crash the verdict
+        except CritformError as exc:  # report, never crash the verdict
             hardy_summary = {"error": f"{type(exc).__name__}: {exc}"}
     return replace(report, ground_state=ground_state, hardy_summary=hardy_summary)
 
@@ -328,90 +332,110 @@ class GroundState:
         return {v: float(x) for v, x in zip(self.vertices, self.values)}
 
 
-def agmon_ground_state(exhaustion: Exhaustion, window_radius: int,
-                       report: ClassificationReport | None = None) -> GroundState:
+def agmon_ground_state(exhaustion: Exhaustion, window_radius: int) -> GroundState:
     """Extract the normalized positive kernel profile of a critical form.
 
     Equilibrium potentials of growing levels are extrapolated pointwise
     (linear in 1/R) on the window; convergence demands the last two
     extrapolants agree to the table's ``tol_gs`` in sup norm.  Normalization:
-    value 1 at the root.  Without a ``report`` the same pass over the levels
-    classifies.
+    value 1 at the root.  The same pass over the levels classifies.
     """
-    tol = tolerance("tol_gs")
-    if report is not None and report.verdict != "Critical":
-        raise NotCritical(f"classification verdict is {report.verdict}")
+    window = _GroundStateTrace(exhaustion, window_radius)
+    trace, top = _capacity_trace(exhaustion, exhaustion.radii, window)
+    verdict = _verdict(*np.array(trace, dtype=float).T)[0]
+    if verdict != "Critical":
+        raise NotCritical(f"classification verdict is {verdict}")
+    return window.ground_state(top)
 
-    radii = [r for r in exhaustion.radii if report is None or r > window_radius]
-    values, window_ids = [], None
 
-    def extract(radius, level, cap):
-        nonlocal window_ids
-        if radius >= window_radius and window_ids is None:
-            window_form = level if radius == window_radius else exhaustion.level(window_radius)
-            window_ids = [window_form.vertices[i] for i in window_form.active]
-        if radius > window_radius:
-            values.append(cap.equilibrium[level.indices(window_ids)])
-    trace, top = _capacity_trace(exhaustion, radii, extract)       # top: the residual's level
-    if report is None:
-        verdict = _verdict(*np.array(trace, dtype=float).T)[0]
-        if verdict != "Critical":
-            raise NotCritical(f"classification verdict is {verdict}")
+class _GroundStateTrace:
+    """``_capacity_trace`` visitor: each level with radius > ``window_radius``
+    leaves its equilibrium on the ids of the first level with radius >=
+    ``window_radius`` (which holds the window by the nesting contract).  The
+    window's own ids, and a ``DomainMismatch`` from a lookup, wait until the
+    ground state is read, so a verdict that needs none builds no extra level."""
 
-    levels = [r for r in radii if r > window_radius]
-    if len(levels) < 3:
-        raise NoConvergence(
-            f"need at least 3 levels beyond window radius {window_radius}, have {len(levels)}"
+    def __init__(self, exhaustion: Exhaustion, window_radius: int):
+        self.exhaustion, self.window_radius = exhaustion, window_radius
+        self.first = self.window = self.error = None
+        self.rows = {}              # radius -> equilibrium on the ids in ``first``
+
+    def __call__(self, radius, level, cap):
+        if self.first is None and radius >= self.window_radius:
+            self.first = level.vertices     # and the window's positions, if this level is it
+            self.window = level.active if radius == self.window_radius else None
+        if radius > self.window_radius and self.error is None:
+            try:
+                self.rows[radius] = cap.equilibrium[level.indices(self.first)]
+            except DomainMismatch as exc:
+                self.error = exc
+
+    def ground_state(self, top: GraphForm) -> GroundState:
+        """Extrapolate the recorded equilibria; ``top`` is the residual's level."""
+        if self.error is not None:
+            raise self.error
+        tol = tolerance("tol_gs")
+        levels = list(self.rows)
+        if len(levels) < 3:
+            raise NoConvergence(f"need at least 3 levels beyond window radius "
+                                f"{self.window_radius}, have {len(levels)}")
+        if self.window is None:
+            form = self.exhaustion.level(self.window_radius)
+            position = {v: i for i, v in enumerate(self.first)}
+            try:
+                self.window = [position[form.vertices[i]] for i in form.active]
+            except KeyError as exc:
+                raise DomainMismatch(f"unknown vertex id {exc.args[0]!r}") from None
+        window_ids = [self.first[i] for i in self.window]
+        values = np.array(list(self.rows.values()))[:, self.window]
+
+        def intercepts(rows) -> np.ndarray:
+            rs = np.array([levels[i] for i in rows], dtype=float)
+            A = np.column_stack([np.ones_like(rs), 1.0 / rs])
+            coef, *_ = np.linalg.lstsq(A, values[rows], rcond=None)
+            return coef[0]
+
+        k_fit = min(4, len(levels))
+        last = list(range(len(levels) - k_fit, len(levels)))
+        h = intercepts(last)
+        if len(levels) > k_fit:
+            prev = list(range(len(levels) - k_fit - 1, len(levels) - 1))
+        else:
+            prev = last[:-1]
+        h_prev = intercepts(prev)
+        drift = float(np.max(np.abs(h - h_prev)))
+        if drift > tol:
+            raise NoConvergence(
+                f"window extrapolants still drifting by {drift:.3e} > {tol:.1e}; extend the radii"
+            )
+
+        root_val = h[window_ids.index(self.exhaustion.root)]
+        if root_val <= 0 or np.any(h <= 0):
+            raise NoConvergence("extrapolated profile is not strictly positive on the window")
+        h = h / root_val
+
+        # Residual of the generator on window vertices whose neighbors stay
+        # inside the window, evaluated on the largest level.
+        window = np.array(top.indices(window_ids), dtype=np.int64)
+        in_window = np.zeros(top.n, dtype=bool)
+        in_window[window] = True
+        hfull = np.zeros(top.n)
+        hfull[window] = h
+        i, j = top.edge_index[:, 0], top.edge_index[:, 1]
+        inner = in_window.copy()
+        inner[i[~in_window[j]]] = False
+        inner[j[~in_window[i]]] = False
+        Lh = (top.form_matrix @ hfull) / top.measure
+        resid = float(np.max(np.abs(Lh[inner]), initial=0.0))
+
+        return GroundState(
+            vertices=tuple(window_ids),
+            values=h,
+            root=self.exhaustion.root,
+            residual_sup=resid,
+            levels_used=tuple(levels),
+            window_radius=self.window_radius,
         )
-    values = np.array(values)
-
-    def intercepts(rows) -> np.ndarray:
-        rs = np.array([levels[i] for i in rows], dtype=float)
-        A = np.column_stack([np.ones_like(rs), 1.0 / rs])
-        coef, *_ = np.linalg.lstsq(A, values[rows], rcond=None)
-        return coef[0]
-
-    k_fit = min(4, len(levels))
-    last = list(range(len(levels) - k_fit, len(levels)))
-    h = intercepts(last)
-    if len(levels) > k_fit:
-        prev = list(range(len(levels) - k_fit - 1, len(levels) - 1))
-    else:
-        prev = last[:-1]
-    h_prev = intercepts(prev)
-    drift = float(np.max(np.abs(h - h_prev)))
-    if drift > tol:
-        raise NoConvergence(
-            f"window extrapolants still drifting by {drift:.3e} > {tol:.1e}; extend the radii"
-        )
-
-    root_val = h[window_ids.index(exhaustion.root)]
-    if root_val <= 0 or np.any(h <= 0):
-        raise NoConvergence("extrapolated profile is not strictly positive on the window")
-    h = h / root_val
-
-    # Residual of the generator on window vertices whose neighbors stay inside
-    # the window, evaluated on the largest level.
-    window = np.array([top.index(v) for v in window_ids], dtype=np.int64)
-    in_window = np.zeros(top.n, dtype=bool)
-    in_window[window] = True
-    hfull = np.zeros(top.n)
-    hfull[window] = h
-    i, j = top.edge_index[:, 0], top.edge_index[:, 1]
-    inner = in_window.copy()
-    inner[i[~in_window[j]]] = False
-    inner[j[~in_window[i]]] = False
-    Lh = (top.form_matrix @ hfull) / top.measure
-    resid = float(np.max(np.abs(Lh[inner]), initial=0.0))
-
-    return GroundState(
-        vertices=tuple(window_ids),
-        values=h,
-        root=exhaustion.root,
-        residual_sup=resid,
-        levels_used=tuple(levels),
-        window_radius=window_radius,
-    )
 
 
 @dataclass(frozen=True)
@@ -443,12 +467,12 @@ class CertificateBundle:
     notes: str
 
 
-def subcriticality_certificates(exhaustion: Exhaustion, g=None, alpha_schedule=None,
-                                report: ClassificationReport | None = None) -> CertificateBundle:
+def subcriticality_certificates(exhaustion: Exhaustion, g=None,
+                                alpha_schedule=None) -> CertificateBundle:
     """Cross-check three equivalent subcriticality witnesses along the levels:
     boundedness of the smoothing limit applied to g, boundedness of the best
-    constant kappa in the L1(g)-energy inequality, and the capacity verdict.
-    Without a ``report`` the same pass over the levels classifies.
+    constant kappa in the L1(g)-energy inequality, and the capacity verdict,
+    all from one pass over the levels.
 
     Raises InconsistentCertificates when decisive signals disagree.
     """
@@ -456,7 +480,7 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, alpha_schedule=N
     kappa_sampled = 0.0
     root_trace = []
 
-    def certify(radius, level, cap=None):
+    def certify(radius, level, cap):
         nonlocal kappa_sampled
         if g is None:
             gv = np.zeros(level.n)
@@ -492,13 +516,8 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None, alpha_schedule=N
                 kappa_sampled = float(np.sum(np.abs(green.value[act]) * gv[act]
                                              * level.active_measure) / np.sqrt(energy))
 
-    if report is None:
-        trace, _ = _capacity_trace(exhaustion, exhaustion.radii, certify)
-        verdict = _verdict(*np.array(trace, dtype=float).T)[0]
-    else:
-        for radius in exhaustion.radii:
-            certify(radius, exhaustion.level(radius))
-        verdict = report.verdict
+    trace, _ = _capacity_trace(exhaustion, exhaustion.radii, certify)
+    verdict = _verdict(*np.array(trace, dtype=float).T)[0]
 
     kappas = np.array([k for _, k, _ in per_level])
     diverged = bool(np.any(np.isinf(kappas)))

@@ -138,16 +138,16 @@ def birth_death_exhaustion(beta: float, gamma: float | None = None,
     )
 
 
-def constant_exhaustion(form: GraphForm, n_levels: int = 4) -> Exhaustion:
-    """Wrap a single finite form as a trivially constant exhaustion (every
-    level identical), rooted at its first non-Dirichlet vertex."""
+def constant_exhaustion(form: GraphForm) -> Exhaustion:
+    """Wrap a single finite form as a trivially constant exhaustion (four
+    identical levels), rooted at its first non-Dirichlet vertex."""
     act = form.active
     if act.size == 0:
         raise BadConfig("form has no non-Dirichlet vertices")
     root = form.vertices[act[0]]
     return Exhaustion(
         generator=lambda R: form,
-        radii=tuple(range(1, n_levels + 1)),
+        radii=(1, 2, 3, 4),
         root=root,
     )
 

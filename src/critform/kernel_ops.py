@@ -342,8 +342,7 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
 
 
 def construct_excessive(target, g=None, alpha_schedule=None, B=None,
-                        fatou_t=(0.1, 1.0, 10.0),
-                        harnack_target_mass: float = 0.5) -> ExcessiveConstruction:
+                        fatou_t=(0.1, 1.0, 10.0)) -> ExcessiveConstruction:
     """Build a nonnegative excessive function as the (finite-schedule) liminf
     of normalized resolvents f_alpha = G_alpha g, normalized to min = 1 on the
     reference set B.
@@ -355,8 +354,8 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     ``target`` is a GraphForm or an exhaustion; for an exhaustion the
     construction runs per level (B defaults to the root) and the top level's
     result is returned with the per-level trail attached.  For a bare form
-    with no B given, B is the greedy Harnack set of the time-1 heat kernel
-    (``_harnack_members``), chosen without computing lambda.
+    with no B given, B is the greedy Harnack set of mass 1/2 of the time-1 heat
+    kernel (``_harnack_members``), chosen without computing lambda.
     Both the tail stabilization and the excessivity gate use the table's
     ``tol_exc``.
     """
@@ -385,8 +384,7 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     if B is not None:
         B_ids = tuple(B)
     else:
-        members, _ = _harnack_members(heat_kernel_operator(form, t=1.0),
-                                      harnack_target_mass)
+        members, _ = _harnack_members(heat_kernel_operator(form, t=1.0), 0.5)
         B_ids = tuple(form.vertices[form.active[i]] for i in members)
     return _construct_on_form(form, gv, alpha_schedule, B_ids, fatou_t)
 

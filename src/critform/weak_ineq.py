@@ -439,6 +439,7 @@ class DecayCurve:
     t_grid: np.ndarray
     xi: np.ndarray
     rel_tol: float
+    mode: str = "hardy"        # the profile's: "hardy" | "poincare"
 
     def rows(self):
         return [(float(t), float(x)) for t, x in zip(self.t_grid, self.xi)]
@@ -459,7 +460,8 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
     a = np.asarray(profile.alpha_cert, dtype=float).tolist()
 
     if profile.alpha_base <= 0.0:
-        return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), rel_tol=rel_tol)
+        return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), rel_tol=rel_tol,
+                          mode=profile.mode)
 
     def alpha_at(x: float) -> float:
         if x < r[0]:
@@ -491,7 +493,7 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
     order = np.argsort(t_arr)
     if np.any(np.diff(xi[order]) > 1e-12 * np.maximum(xi[order][:-1], 1e-300)):
         raise ViolationFound("xi failed to be nonincreasing in t")
-    return DecayCurve(t_grid=t_arr, xi=xi, rel_tol=rel_tol)
+    return DecayCurve(t_grid=t_arr, xi=xi, rel_tol=rel_tol, mode=profile.mode)
 
 
 @dataclass(frozen=True)
@@ -508,8 +510,10 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     """Check |T_t f|_mu^2 <= xi(t) * (|f|_mu^2 + sup|f/h|^2) on random samples.
 
     Requires h excessive (the semigroup then contracts the h-weighted sup
-    norm).  Margins tighter than ``DECAY_FLAG_MARGIN`` are flagged, not failed;
-    excesses beyond ``DECAY_REL_TOL`` raise ViolationFound with the witness.
+    norm).  A poincare-mode curve bounds only f mu-orthogonal to h, so its
+    samples are projected as plain ``poincare_project`` does and h is not
+    checked.  Margins tighter than ``DECAY_FLAG_MARGIN`` are flagged, not
+    failed; excesses beyond ``DECAY_REL_TOL`` raise ViolationFound with the witness.
     """
     hv, algebraic_min, excessive = _excessivity_gate(form, h, tolerance("tol_exc"))
     act = form.active
@@ -523,11 +527,14 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     if np.any(h_act <= 0):
         raise ExcessivityFailure("h must be strictly positive off the Dirichlet set")
     mu = form.active_measure
+    a = h_act * mu if curve.mode == "poincare" else None   # samples lose their part along h
 
     def samples():
-        # the same seeded draws at every t, then h itself, one block at a time
-        yield from sample_blocks(np.random.default_rng(seed), n_samples, act.size)
-        yield h_act[None, :]
+        # the same seeded draws at every t, then (hardy mode) h itself, one block at a time
+        for X in sample_blocks(np.random.default_rng(seed), n_samples, act.size):
+            yield X if a is None else X - np.outer(X @ a, h_act / (a @ h_act))
+        if a is None:
+            yield h_act[None, :]
 
     min_margin = np.inf
     tight = []

@@ -14,8 +14,13 @@ REMOVED_EVERYWHERE = {
     "slope_threshold", "slope_band", "extrapolation_rel_resid", "competition_factor",
     "positive_floor_factor",
 }
-# names that other callables keep for other meanings (lambda_of(tol), job_tolerances(overrides))
-REMOVED_FROM = {"is_excessive": {"tol"}, "tolerances": {"overrides"}}
+# names that other callables keep for other meanings (lambda_of(tol), job_tolerances(overrides)),
+# and knobs that no caller passed
+REMOVED_FROM = {
+    "is_excessive": {"tol"}, "tolerances": {"overrides"},
+    "agmon_ground_state": {"report"}, "subcriticality_certificates": {"report"},
+    "construct_excessive": {"harnack_target_mass"}, "constant_exhaustion": {"n_levels"},
+}
 
 
 def _exported_callables():
@@ -39,6 +44,7 @@ def test_no_removed_parameter_reappears():
     assert checked > 50
     for helper in (cf.resolvent._semigroup_block, cf.kernel_ops._construct_on_form):
         assert not set(inspect.signature(helper).parameters) & REMOVED_EVERYWHERE
+    assert list(inspect.signature(cf.Exhaustion.validate_nesting).parameters) == ["self"]
 
 
 def test_classify_config_is_gone():

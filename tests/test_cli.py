@@ -225,7 +225,10 @@ def test_alpha_profile_poincare_mode(free_pair_file, tmp_path):
 
 def test_decay_poincare_mode(free_pair_file, two_path, tmp_path):
     res = _run_twice(tmp_path, ["decay", "--input", free_pair_file, "--mode", "poincare",
-                                "--seed", "0", "--t-grid", "0.1,1,2"])
+                                "--seed", "0", "--t-grid", "0.1,1,2", "--verify"])
+    # the samples are checked on the complement of h = 1, and h itself is not
+    assert res["verification"]["passed"] is True
+    assert res["verification"]["min_margin_rel"] > 0
     assert res["alpha_base"] == pytest.approx(0.5, rel=1e-12)
     # the exact profile alpha(r) = max((2 - r) / 4, 0) on the grid the job used
     r = cf.alpha_profile(two_path, mode="poincare", seed=0).r_grid
@@ -234,6 +237,20 @@ def test_decay_poincare_mode(free_pair_file, two_path, tmp_path):
                                     alpha_base=0.5, budget_exhausted=False), res["t"])
     assert np.allclose(res["xi"], curve.xi, rtol=1e-9, atol=0.0)
     assert 0 < res["xi"][2] < res["xi"][1] < res["xi"][0] < 1
+
+
+def test_classify_critical_ground_state_from_its_own_pass(tmp_path):
+    # radii (25, ..., 200): window min(25, 200 // 4) = 25, the first radius;
+    # the equilibria 1 - |k|/R extrapolate to h = 1 exactly
+    res = _run_twice(tmp_path, ["classify", "--with-artifacts", "--family", "lattice",
+                                "--param", "d=1"])
+    assert res["verdict"] == "Critical"
+    gs = res["ground_state"]
+    assert gs["window_radius"] == 25
+    assert gs["residual_sup"] <= 1e-14
+    assert gs["min"] == pytest.approx(1.0, abs=1e-12)
+    assert gs["max"] == pytest.approx(1.0, abs=1e-12)
+    assert "hardy_summary" not in res
 
 
 def test_decay_extends_its_default_grid_once(tmp_path):

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import critform as cf
-from critform import criticality, resolvent
-from critform.errors import DomainMismatch, NotCritical, ValidationFailure
+from critform import criticality, hardy, resolvent
+from critform.errors import DomainMismatch, NotCritical, SolverFailure, ValidationFailure
 
 from conftest import count_calls
 
@@ -206,16 +206,58 @@ def test_ground_state_builds_and_solves_each_level_once(monkeypatch):
         return (sorted(r for r, _ in built),
                 sorted(r for level, _ in solves for r, form in built if form is level))
 
-    gs = cf.agmon_ground_state(exh, window_radius=10)
+    cf.agmon_ground_state(exh, window_radius=10)
     assert radii_built_and_solved() == ([5, 10, 20, 40, 80], [5, 10, 20, 40, 80])
 
-    report = cf.classify(exh)
+    # classify reads its ground state (window 5, a radius) from its own pass
     built.clear()
     solves.clear()
-    again = cf.agmon_ground_state(exh, window_radius=10, report=report)
-    assert radii_built_and_solved() == ([10, 20, 40, 80], [20, 40, 80])
-    assert np.array_equal(again.values, gs.values)
-    assert again.residual_sup == gs.residual_sup
+    report = cf.classify(exh, with_artifacts=True)
+    assert radii_built_and_solved() == ([5, 10, 20, 40, 80], [5, 10, 20, 40, 80])
+    gs = cf.agmon_ground_state(exh, window_radius=5)
+    assert report.verdict == "Critical"
+    assert report.ground_state == {"window_radius": 5, "residual_sup": gs.residual_sup,
+                                   "min": float(np.min(gs.values)),
+                                   "max": float(np.max(gs.values))}
+
+
+def test_ground_state_window_between_radii_is_built_once_after_the_pass(monkeypatch):
+    # window 15 = 60 // 4 lies below the first radius: the pass solves the five
+    # radii and level(15) is built once, after them, for the window's ids
+    exh, built = counting_exhaustion(cf.lattice_exhaustion(1, radii=(20, 30, 40, 50, 60)))
+    solves = count_calls(monkeypatch, criticality, "capacity")
+    report = cf.classify(exh, with_artifacts=True)
+    assert [r for r, _ in built] == [20, 30, 40, 50, 60, 15] and len(solves) == 5
+    assert report.ground_state["window_radius"] == 15
+
+    built.clear()
+    solves.clear()
+    gs = cf.agmon_ground_state(exh, window_radius=15)
+    assert [r for r, _ in built] == [20, 30, 40, 50, 60, 15] and len(solves) == 5
+    window = cf.lattice(1, 15)
+    assert gs.vertices == tuple(window.vertices[i] for i in window.active)
+    assert gs.levels_used == (20, 30, 40, 50, 60)
+    assert np.allclose(gs.values, 1.0, rtol=0.0, atol=1e-12)
+    assert report.ground_state == {"window_radius": 15, "residual_sup": gs.residual_sup,
+                                   "min": float(np.min(gs.values)),
+                                   "max": float(np.max(gs.values))}
+
+
+def test_classify_keeps_its_verdict_when_levels_do_not_nest():
+    # every level renames its vertices apart from the root: the capacities
+    # still vanish, but the window cannot be read on the larger levels
+    def generator(R):
+        base = cf.lattice(1, R)
+        rename = {v: v if v == "0" else f"{v}@{R}" for v in base.vertices}
+        return cf.GraphForm.from_arrays([rename[v] for v in base.vertices], base.edge_index,
+                                        base.weights, base.measure, base.potential,
+                                        [rename[v] for v in base.dirichlet])
+    exh = cf.Exhaustion(generator=generator, radii=(5, 10, 20, 40, 80), root="0")
+    report = cf.classify(exh, with_artifacts=True)
+    assert report.verdict == "Critical"
+    assert report.ground_state["error"].startswith("DomainMismatch")
+    with pytest.raises(DomainMismatch):
+        cf.agmon_ground_state(exh, window_radius=5)
 
 
 def test_certificates_consistent_on_subcritical_family():
@@ -237,19 +279,29 @@ def test_certificates_build_and_solve_each_level_once(monkeypatch):
     assert [r for r, _ in built] == [20, 40, 80] and len(solves) == 3
     assert bundle.capacity_verdict == "Subcritical"
 
-    report = cf.classify(exh)
-    built.clear()
-    solves.clear()
-    again = cf.subcriticality_certificates(exh, report=report)
-    assert [r for r, _ in built] == [20, 40, 80] and solves == []
-    assert again == bundle
-
 
 def test_classify_with_artifacts_builds_the_top_level_once():
     exh, built = counting_exhaustion(cf.lattice_exhaustion(3, radii=(3, 4, 5)))
     report = cf.classify(exh, with_artifacts=True)
     assert [r for r, _ in built] == [3, 4, 5]
     assert report.verdict == "Subcritical" and report.hardy_summary["passed"]
+
+
+def test_classify_reports_typed_hardy_failures_only(monkeypatch, triangle):
+    exh = cf.constant_exhaustion(triangle)
+
+    def fail(error):
+        def hardy_weight(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(hardy, "hardy_weight", hardy_weight)
+
+    fail(SolverFailure("singular"))
+    report = cf.classify(exh, with_artifacts=True)
+    assert report.verdict == "Subcritical"
+    assert report.hardy_summary == {"error": "SolverFailure: singular"}
+    fail(TypeError("a programming error"))
+    with pytest.raises(TypeError, match="a programming error"):
+        cf.classify(exh, with_artifacts=True)
 
 
 def test_certificates_track_growth_on_critical_family():

@@ -169,10 +169,24 @@ def test_verify_decay_accepts_true_bound():
     grid = np.geomspace(r_lo, float(prof.r_grid[-1]), 101)
     prof = cf.alpha_profile(form, h=h, r_grid=grid, seed=7)
     curve = cf.decay_rate(prof, [0.1, 1.0, 10.0])
+    assert curve.mode == "hardy"
     rep = cf.verify_decay(form, h, curve, n_samples=40, seed=7)
     assert rep.passed
     assert rep.min_margin_rel > -1e-8
     assert rep.n_checks == 3 * 41
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_decay_checks_poincare_curves_off_the_kernel(seed):
+    # a poincare-mode xi bounds only f mu-orthogonal to h, and T_t h = h never
+    # decays: the samples are projected off h and h itself is not checked
+    form, h = _critical_form(6 + 7 * seed, seed)
+    curve = cf.decay_rate(cf.alpha_profile(form, h=h, mode="poincare", seed=seed),
+                          [0.1, 0.5, 1.0])
+    assert curve.mode == "poincare"
+    rep = cf.verify_decay(form, h, curve, n_samples=40, seed=seed)
+    assert rep.passed and rep.min_margin_rel > 0
+    assert rep.n_checks == 3 * 40
 
 
 def _decay_reference(form, h, curve, n_samples, seed, tol_rel=1e-8):
