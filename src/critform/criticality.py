@@ -88,7 +88,7 @@ class Exhaustion:
         forms = [self.level(r) for r in self.radii[:3]]
         for small, large in zip(forms, forms[1:]):
             shared = set(small.vertices) & set(large.vertices)
-            for v in shared:
+            for v in sorted(shared):                    # canonical order, not the set's
                 i, j = small.index(v), large.index(v)
                 if small.measure[i] != large.measure[j] or small.potential[i] != large.potential[j]:
                     raise ValidationFailure(f"levels disagree at vertex {v!r}")

@@ -24,9 +24,9 @@ from .forms import GraphForm, VertexFunction, as_function, is_irreducible
 from .resolvent import (
     DENSE_SEMIGROUP_CUTOFF,
     _excessivity_gate,
+    _resolvent_grid,
     _semigroup_block,
     default_alpha_schedule,
-    resolvent_apply,
     semigroup_apply,
 )
 
@@ -298,8 +298,8 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
     # liminf surrogate at the schedule end: only the last three shifts are
     # read, the last iterate against the running minimum of the three
     iterates = []
-    for alpha in schedule[-3:]:
-        u = resolvent_apply(form, gv, alpha)[act]
+    tail = schedule[-3:]
+    for alpha, u in zip(tail, _resolvent_grid(form, gv, tail).T):
         m = float(np.min(u[B_pos]))
         if m <= 0:
             raise NonPositiveInput(

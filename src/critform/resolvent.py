@@ -77,7 +77,9 @@ def _witness_rayleigh(Q, mu, s: float, f) -> float:
 
 def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
     """Certified solution u of the sparse symmetric positive definite system
-    (A + diag(shift)) u = b; ``shift`` defaults to zero.
+    (A + diag(shift)) u = b; ``shift`` defaults to zero.  A (k, n) stack of
+    shift diagonals gives the (n, k) block whose column j solves
+    (A + diag(shift[j])) u = b, bit for bit as k single-shift calls would.
 
     Three backends, chosen by size.  Up to 100 unknowns the system is
     densified and solved by LAPACK ``getrf``/``getrs`` (LU with partial
@@ -90,17 +92,19 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
     above about 1500 unknowns on 2-D lattices and random sparse graphs and at
     every size on 3-D lattices, where LU fill-in explodes; SuperLU wins on
     smaller systems and on paths, where CG needs n iterations.  Each call
-    factors and solves (``_solve``), then certifies
-    ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||``; no
-    factorization is kept.  ``SolverFailure`` is raised when the residual
-    fails, the factorization breaks down or the system has a nonpositive
-    diagonal.
+    factors and solves (``_solve``, once per shift), then certifies
+    ``||(A + diag(shift)) u - b|| <= 1e3 * tol_solve * ||b||`` for each
+    column; no factorization is kept.  ``SolverFailure`` is raised when a
+    residual fails, a factorization breaks down or a system has a
+    nonpositive diagonal.
     """
     u = _solve(A, b, shift)
-    r = A @ u - b
+    stacked = getattr(shift, "ndim", 1) == 2
+    r = A @ u - (b[:, None] if stacked else b)
     if shift is not None:
-        r += shift * u
-    resid, scale = float(np.linalg.norm(r)), float(np.linalg.norm(b))
+        r += (shift.T if stacked else shift) * u
+    resid = np.linalg.norm(r, axis=0).max() if stacked else np.linalg.norm(r)
+    resid, scale = float(resid), float(np.linalg.norm(b))
     if scale > 0 and resid > 1e3 * tolerance("tol_solve") * scale:
         raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
     return u
@@ -109,12 +113,26 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
 def _solve(A, b: np.ndarray, shift=None) -> np.ndarray:
     """(A + diag(shift))^-1 b by the backend rule of ``solve_spd`` without its
     residual certificate, for a vector or an (n, k) block b (one factorization;
-    CG solves column by column).  A u that feeds ``_supersolution_proves``
-    needs no accuracy, and near-critical systems such as Q - t W below an
-    optimal Hardy weight leave residuals far above the certificate.  A
-    breakdown or a non-finite value raises ``SolverFailure``."""
-    n = A.shape[0]
-    if 0 < n <= DENSE_MAX_UNKNOWNS:
+    CG solves column by column), or a (k, n) stack of shifts and a vector b (A
+    densified once, then one factorization per shift).  A u that feeds
+    ``_supersolution_proves`` needs no accuracy, and near-critical systems such
+    as Q - t W below an optimal Hardy weight leave residuals far above the
+    certificate.  A breakdown or a non-finite value raises ``SolverFailure``."""
+    n, stacked = A.shape[0], getattr(shift, "ndim", 1) == 2
+    if stacked and not 0 < n <= DENSE_MAX_UNKNOWNS:
+        u = np.column_stack([_solve(A, b, s) for s in shift])
+    elif stacked:
+        # each shifted copy laid out in Fortran order, so that getrf factors it in place
+        dense = np.empty((len(shift), n, n))
+        dense[:] = A.toarray().T
+        dense.reshape(len(shift), -1)[:, ::n + 1] += shift
+        u = np.empty((n, len(shift)))
+        for j, d in enumerate(dense):
+            lu, piv, info = lapack.dgetrf(d.T, overwrite_a=True)
+            if info:
+                raise SolverFailure(f"dense factorization failed (getrf info {info})")
+            u[:, j] = lapack.dgetrs(lu, piv, b)[0]
+    elif 0 < n <= DENSE_MAX_UNKNOWNS:
         dense = A.toarray()
         if shift is not None:
             dense[np.diag_indices(n)] += shift
@@ -176,6 +194,18 @@ def _has_floating_component(form: GraphForm) -> bool:
         _, labels = csgraph.connected_components(form.active_form_matrix, directed=False)
         return bool(np.setdiff1d(labels, labels[anchored]).size)
     return form._cached("floating_component", make)
+
+
+def _resolvent_grid(form: GraphForm, vec: np.ndarray, alphas) -> np.ndarray:
+    """Columns ``resolvent_apply(form, vec, alpha)[form.active]``, bit for bit,
+    from one ``solve_spd`` call; a nonpositive alpha raises ``ValueError``."""
+    if min(alphas) <= 0:
+        raise ValueError("alpha must be positive")
+    act = form.active
+    if act.size == 0:
+        return np.zeros((0, len(alphas)))
+    return solve_spd(form.active_form_matrix, form.measure[act] * vec[act],
+                     np.multiply.outer(alphas, form.active_measure))
 
 
 def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
@@ -379,10 +409,11 @@ def is_excessive(form: GraphForm, h) -> ExcessivityReport:
     tol_exc = tolerance("tol_exc")
     hv, algebraic_min, alg_ok = _excessivity_gate(form, h, tol_exc)
 
-    worst = -np.inf
-    for alpha in max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9):
-        u = resolvent_apply(form, hv, alpha)
-        worst = max(worst, float(np.max(alpha * u - hv)))
+    # alpha * G_alpha h - h is 0 on the Dirichlet set, which h vanishes on
+    alphas = max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9)
+    U = _resolvent_grid(form, hv, alphas)
+    worst = float(np.max(alphas * U - hv[form.active, None],
+                         initial=0.0 if form.dirichlet else -np.inf))
     grid_ok = worst <= tol_exc * max(float(np.max(hv, initial=0.0)), 1.0)
 
     return ExcessivityReport(

@@ -1,6 +1,8 @@
 """Shared fixtures and small builders used across the test modules."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import critform as cf
 import critform.forms
@@ -39,6 +41,37 @@ def count_calls(monkeypatch, module, name):
     def wrapped(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Record which backend each factorization (or CG solve) picks."""
+    calls = []
+    for module, name in ((lapack, "dgetrf"), (spla, "splu"), (spla, "cg")):
+        real = getattr(module, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def backends_per_call(monkeypatch, module, name, backends):
+    """Wrap ``module.name`` for the test; returns, for every call made through
+    it, its positional arguments and the backends (see ``backends``) that
+    factored while it ran."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        start = len(backends)
+        out = real(*args, **kwargs)
+        calls.append((args, backends[start:]))
+        return out
     monkeypatch.setattr(module, name, wrapped)
     return calls
 

@@ -1,4 +1,8 @@
 """Capacity traces, exhaustion verdicts, ground states, certificate bundles."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,6 +108,36 @@ def test_exhaustion_nesting_spot_check():
     exh = cf.Exhaustion(generator=bad, radii=(3, 5, 8), root="1")
     with pytest.raises(ValidationFailure):
         exh.validate_nesting()
+
+
+NESTING_SCRIPT = """
+import critform as cf
+from critform.errors import ValidationFailure
+
+def grow(R):  # the measure grows with R, so every shared vertex disagrees
+    return cf.build_form({
+        "vertices": [str(k) for k in range(R + 1)],
+        "edges": [[str(k), str(k + 1), 1.0] for k in range(R)],
+        "mu": {str(k): float(R) for k in range(R + 1)},
+        "dirichlet": [str(R)],
+    })
+
+try:
+    cf.Exhaustion(generator=grow, radii=(3, 5, 8), root="1").validate_nesting()
+except ValidationFailure as exc:
+    print(exc)
+"""
+
+
+def test_nesting_failure_names_the_same_vertex_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    messages = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", NESTING_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(run.stdout)
+    assert messages == {"levels disagree at vertex '0'\n"}
 
 
 def test_classify_flags_nonnested_capacity():

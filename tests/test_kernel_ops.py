@@ -23,7 +23,7 @@ from critform.kernel_ops import (
     ktilde,
 )
 
-from conftest import count_calls, shifted
+from conftest import backends_per_call, count_calls, shifted
 
 
 def make_op(n_target, n_source, seed, p=2.0):
@@ -336,14 +336,18 @@ def test_construct_along_exhaustion_matches_the_full_schedule_reference():
     assert_matches_reference(built, ref)
 
 
-def test_construct_solves_only_the_last_three_shifts(monkeypatch):
+def test_construct_solves_only_the_last_three_shifts(backends, monkeypatch):
     exh = cf.dirichlet_path_exhaustion(radii=(10, 20, 40))
     schedule = cf.default_alpha_schedule(1.0, 1e-12, 0.5)
-    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    solves = backends_per_call(monkeypatch, resolvent, "solve_spd", backends)
     built = cf.construct_excessive(exh, alpha_schedule=schedule)
     assert built.excessive
     assert built.schedule == tuple(schedule)
-    assert [alpha for _, alpha, _ in solves] == list(schedule[-3:]) * 3
+    # one call per level, its three shifts factored inside it and nothing kept
+    assert [made for _, made in solves] == [["dgetrf"] * 3] * 3 and len(backends) == 9
+    for (args, _), radius in zip(solves, exh.radii):
+        level = exh.level(radius)
+        assert np.array_equal(args[2], np.multiply.outer(schedule[-3:], level.active_measure))
 
 
 def test_construct_never_computes_a_principal_value(monkeypatch):

@@ -1,4 +1,6 @@
 """Resolvent solves, the heat semigroup, zero-shift limits, excessivity."""
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,7 @@ from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
     _solve, _supersolution_proves, direct_green_solve, solve_spd)
 
-from conftest import active_vector, count_calls, shifted
+from conftest import active_vector, backends_per_call, count_calls, shifted
 
 
 def dense_resolvent(form, alpha):
@@ -156,21 +158,6 @@ def laplacian(form):
     return (A - sp.diags(np.asarray(A.sum(axis=1)).ravel())).tocsr()
 
 
-@pytest.fixture
-def backends(monkeypatch):
-    """Record which backend each solve_spd call picks."""
-    calls = []
-    for module, name in ((lapack, "dgetrf"), (spla, "splu"), (spla, "cg")):
-        real = getattr(module, name)
-
-        def spy(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("make,backend", [
     (lambda: cf.random_connected_form(60, seed=3), "dgetrf"),   # <= 100 unknowns: dense LU
     (lambda: cf.lattice(2, 12), "splu"),              # 529 unknowns, 5 nonzeros per row
@@ -208,6 +195,50 @@ def test_dense_factorization_with_a_zero_pivot_fails():
         solve_spd(A, np.ones(40))
 
 
+@pytest.mark.parametrize("make,backend", [
+    (lambda: cf.random_connected_form(60, seed=3), "dgetrf"),
+    (lambda: cf.lattice(2, 12), "splu"),              # 529 unknowns
+    (lambda: cf.lattice(3, 8), "cg"),                 # 3375 unknowns
+], ids=["dense", "superlu", "cg"])
+def test_stacked_solve_equals_single_shift_solves(make, backend, backends):
+    form = make()
+    A = form.active_form_matrix
+    b = np.random.default_rng(1).standard_normal(form.n_active)
+    shifts = np.multiply.outer([4.0, 0.3, 1e-3], form.active_measure)
+    U = solve_spd(A, b, shifts)
+    assert backends == [backend] * 3
+    assert U.shape == (form.n_active, 3)
+    for j, shift in enumerate(shifts):
+        assert U[:, j].tobytes() == solve_spd(A, b, shift).tobytes()
+
+
+def test_stacked_solve_fails_on_a_zero_pivot_column():
+    # the 40-vertex path Laplacian of test_dense_factorization_with_a_zero_pivot_fails:
+    # a zero shift leaves its zero pivot, a unit shift factors
+    A = sp.diags([-np.ones(39), np.r_[1.0, 2.0 * np.ones(38), 1.0], -np.ones(39)],
+                 [-1, 0, 1], format="csr")
+    solve_spd(A, np.ones(40), np.ones((2, 40)))
+    with pytest.raises(SolverFailure, match="getrf info 40"):
+        solve_spd(A, np.ones(40), np.array([np.ones(40), np.zeros(40)]))
+
+
+def test_stacked_solve_certifies_every_column(monkeypatch):
+    form = cf.random_connected_form(30, seed=2)
+    A, b = form.active_form_matrix, np.ones(form.n_active)
+    shifts = np.multiply.outer([1.0, 0.5, 0.25], form.active_measure)
+    solve_spd(A, b, shifts)
+    real, calls = lapack.dgetrs, []
+
+    def spoil_second(*args, **kwargs):                # the second shift's solve is off by 1e-3
+        u, info = real(*args, **kwargs)
+        calls.append(len(calls))
+        return u + 1e-3 * (len(calls) == 2), info
+    monkeypatch.setattr(lapack, "dgetrs", spoil_second)
+    with pytest.raises(SolverFailure, match="residual"):
+        solve_spd(A, b, shifts)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1e-8])
 def test_shifted_cg_solve_matches_lu(alpha, backends):
     form = cf.lattice(3, 8)                           # 3375 unknowns: CG
@@ -228,7 +259,7 @@ def test_shifted_cg_solve_matches_lu(alpha, backends):
 ], ids=["dense", "superlu", "cg"])
 def test_no_factorization_outlives_its_solve(make, backend, backends, monkeypatch):
     form = make()
-    solves = count_calls(monkeypatch, resolvent, "solve_spd")
+    solves = backends_per_call(monkeypatch, resolvent, "solve_spd", backends)
     f = np.zeros(form.n)
     f[form.active[0]] = 1.0
     first = cf.resolvent_apply(form, f, 0.5)
@@ -236,8 +267,9 @@ def test_no_factorization_outlives_its_solve(make, backend, backends, monkeypatc
     res = cf.green_apply(form, f)
     assert res.finite
     assert cf.is_excessive(form, res.value).excessive
-    assert len(solves) == 12                          # 2 shifted, 1 direct, 9 on the grid
-    assert backends == [backend] * len(solves)        # each solve factored afresh
+    # 2 shifted, 1 direct, then the 9-shift grid in one call: each shift factored afresh
+    assert [made for _, made in solves] == [[backend]] * 3 + [[backend] * 9]
+    assert backends == [backend] * 12                 # none outside a solve_spd call
     assert not any(isinstance(key, tuple) for key in form._cache)
 
 
@@ -479,12 +511,43 @@ def test_strict_interior_minimum_is_not_excessive(pinned_path):
     assert not rep.excessive and not rep.grid_excessive and rep.agree
 
 
-def test_is_excessive_solves_its_nine_shift_grid(monkeypatch):
+def test_is_excessive_solves_its_nine_shift_grid(backends, monkeypatch):
     form = cf.random_connected_form(18, seed=4)
-    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    solves = backends_per_call(monkeypatch, resolvent, "solve_spd", backends)
     rep = cf.is_excessive(form, np.ones(form.n))
     assert rep.agree
-    assert len(solves) == 9
+    [(args, made)] = solves                           # one call for the whole grid
+    alphas = max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9)
+    assert np.array_equal(args[2], np.multiply.outer(alphas, form.active_measure))
+    assert made == backends == ["dgetrf"] * 9         # one factorization per shift
+    assert not any(isinstance(key, tuple) for key in form._cache)
+
+
+def reference_grid_max_violation(form, h):
+    """The grid violation of ``is_excessive``, one ``resolvent_apply`` per shift."""
+    hv = np.maximum(np.asarray(h, dtype=float), 0.0)
+    worst = -np.inf
+    for alpha in max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9):
+        u = cf.resolvent_apply(form, hv, alpha)
+        worst = max(worst, float(np.max(alpha * u - hv)))
+    return worst
+
+
+def test_is_excessive_grid_matches_the_per_shift_loop():
+    rng = np.random.default_rng(19)
+    sizes = set()
+    for seed in range(50):
+        n = int(rng.integers(2, 140))
+        form = cf.random_connected_form(n, seed=seed, signed_potential=seed % 2 == 1,
+                                        dirichlet_count=min(seed % 3, n - 2))
+        h = np.zeros(form.n)
+        h[form.active] = rng.uniform(0.1, 2.0, form.n_active)
+        h[form.active[rng.integers(form.n_active)]] = 0.0
+        rep = cf.is_excessive(form, h)
+        ref = reference_grid_max_violation(form, h)
+        assert struct.pack("<d", rep.grid_max_violation) == struct.pack("<d", ref)
+        sizes.add((form.n_active > resolvent.DENSE_MAX_UNKNOWNS, bool(form.dirichlet)))
+    assert sizes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_excessive_rejects_negative_h(two_path):

@@ -266,7 +266,7 @@ def test_verify_decay_without_samples():
 def test_verify_decay_gates_excessivity_without_resolvent_solves(monkeypatch):
     form = cf.random_tree_form(15, seed=2)
     curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]), rel_tol=1e-10)
-    solves = count_calls(monkeypatch, resolvent, "_shifted_solve")
+    solves = count_calls(monkeypatch, resolvent, "solve_spd")
     rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=10, seed=2)
     assert rep.passed
     assert solves == []
