@@ -99,12 +99,12 @@ def solve_spd(A, b: np.ndarray, shift=None) -> np.ndarray:
     nonpositive diagonal.
     """
     u = _solve(A, b, shift)
-    stacked = getattr(shift, "ndim", 1) == 2
+    stacked = u.ndim > b.ndim                       # one column per shift
     r = A @ u - (b[:, None] if stacked else b)
     if shift is not None:
         r += (shift.T if stacked else shift) * u
-    resid = np.linalg.norm(r, axis=0).max() if stacked else np.linalg.norm(r)
-    resid, scale = float(resid), float(np.linalg.norm(b))
+    resid = float(np.linalg.norm(r, axis=0).max() if stacked else np.linalg.norm(r))
+    scale = float(np.linalg.norm(b))
     if scale > 0 and resid > 1e3 * tolerance("tol_solve") * scale:
         raise SolverFailure(f"solve residual {resid:.3e} exceeds tolerance (scale {scale:.3e})")
     return u
@@ -118,28 +118,16 @@ def _solve(A, b: np.ndarray, shift=None) -> np.ndarray:
     ``_supersolution_proves`` needs no accuracy, and near-critical systems such
     as Q - t W below an optimal Hardy weight leave residuals far above the
     certificate.  A breakdown or a non-finite value raises ``SolverFailure``."""
-    n, stacked = A.shape[0], getattr(shift, "ndim", 1) == 2
+    n, stacked = A.shape[0], shift is not None and shift.ndim == 2
     if stacked and not 0 < n <= DENSE_MAX_UNKNOWNS:
-        u = np.column_stack([_solve(A, b, s) for s in shift])
-    elif stacked:
-        # each shifted copy laid out in Fortran order, so that getrf factors it in place
-        dense = np.empty((len(shift), n, n))
-        dense[:] = A.toarray().T
-        dense.reshape(len(shift), -1)[:, ::n + 1] += shift
-        u = np.empty((n, len(shift)))
-        for j, d in enumerate(dense):
-            lu, piv, info = lapack.dgetrf(d.T, overwrite_a=True)
-            if info:
-                raise SolverFailure(f"dense factorization failed (getrf info {info})")
-            u[:, j] = lapack.dgetrs(lu, piv, b)[0]
+        u = np.array([_solve(A, b, s) for s in shift]).T
     elif 0 < n <= DENSE_MAX_UNKNOWNS:
         dense = A.toarray()
+        if stacked:                                 # one copy of A per shift
+            dense = dense[None].repeat(len(shift), axis=0)
         if shift is not None:
-            dense[np.diag_indices(n)] += shift
-        lu, piv, info = lapack.dgetrf(dense)
-        if info:
-            raise SolverFailure(f"dense factorization failed (getrf info {info})")
-        u = lapack.dgetrs(lu, piv, b)[0]
+            dense.reshape(-1, n * n)[:, ::n + 1] += shift
+        u = np.array([_lu_solve(d, b) for d in dense]).T if stacked else _lu_solve(dense, b)
     elif n <= DIRECT_MAX_UNKNOWNS or A.nnz <= DIRECT_MAX_ROW_NNZ * n:
         C = A.tocsc(copy=True)
         if shift is not None:
@@ -163,9 +151,17 @@ def _solve(A, b: np.ndarray, shift=None) -> np.ndarray:
         u = np.column_stack([spla.cg(system, col, rtol=CG_RTOL, atol=0.0, M=jacobi,
                                      maxiter=2 * n)[0] for col in b.reshape(n, -1).T])
         u = u.reshape(b.shape)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise SolverFailure("solve produced non-finite values")
     return u
+
+
+def _lu_solve(dense: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dense^-1 b by LAPACK ``getrf``/``getrs``; a zero pivot raises ``SolverFailure``."""
+    lu, piv, info = lapack.dgetrf(dense)
+    if info:
+        raise SolverFailure(f"dense factorization failed (getrf info {info})")
+    return lapack.dgetrs(lu, piv, b)[0]
 
 
 def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
