@@ -18,7 +18,7 @@ from .errors import (
     NotCritical,
     ValidationFailure,
 )
-from .forms import GraphForm, as_function, evaluate_rows
+from .forms import GraphForm, evaluate_rows
 from .resolvent import green_apply, solve_spd
 
 __all__ = [
@@ -311,8 +311,8 @@ def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
             hardy_summary = {
                 "alpha_used": hw.alpha_used,
                 "max_weight": float(np.max(hw.values)),
-                "rho_sampled": hw.verification.rho_sampled if hw.verification else None,
-                "passed": hw.verification.passed if hw.verification else None,
+                "rho_sampled": hw.verification.rho_sampled,
+                "passed": hw.verification.passed,
             }
         except CritformError as exc:  # report, never crash the verdict
             hardy_summary = {"error": f"{type(exc).__name__}: {exc}"}
@@ -467,12 +467,11 @@ class CertificateBundle:
     notes: str
 
 
-def subcriticality_certificates(exhaustion: Exhaustion, g=None,
-                                alpha_schedule=None) -> CertificateBundle:
+def subcriticality_certificates(exhaustion: Exhaustion) -> CertificateBundle:
     """Cross-check three equivalent subcriticality witnesses along the levels:
-    boundedness of the smoothing limit applied to g, boundedness of the best
-    constant kappa in the L1(g)-energy inequality, and the capacity verdict,
-    all from one pass over the levels.
+    boundedness of the smoothing limit applied to g, the unit mass at the
+    root, boundedness of the best constant kappa in the L1(g)-energy
+    inequality, and the capacity verdict, all from one pass over the levels.
 
     Raises InconsistentCertificates when decisive signals disagree.
     """
@@ -482,21 +481,13 @@ def subcriticality_certificates(exhaustion: Exhaustion, g=None,
 
     def certify(radius, level, cap):
         nonlocal kappa_sampled
-        if g is None:
-            gv = np.zeros(level.n)
-            gv[level.index(exhaustion.root)] = 1.0
-        else:
-            gv = as_function(level, g(level) if callable(g) else g)
-        gv = gv.copy()
-        gv[level.boundary_mask] = 0.0
-        if np.any(gv < 0) or not np.any(gv > 0):
-            raise DomainMismatch("g must be nonnegative and not identically zero")
-
+        gv = np.zeros(level.n)
+        gv[level.index(exhaustion.root)] = 1.0
         try:
-            green = green_apply(level, gv, alpha_schedule=alpha_schedule)
+            green = green_apply(level, gv)
         except GreenInconclusive as exc:
             raise InconsistentCertificates(
-                f"level {radius}: smoothing limit inconclusive; extend the shift schedule"
+                f"level {radius}: smoothing limit inconclusive on the default shift schedule"
             ) from exc
         if not green.finite:
             # A level with a diverging limit certifies criticality outright

@@ -60,18 +60,17 @@ class HardyWeight:
     alpha_used: float
     g: np.ndarray
     denominator: np.ndarray       # the smoothing limit (or shifted resolvent) of g
-    verification: HardyVerification | None
+    verification: HardyVerification
 
 
-def hardy_weight(form: GraphForm, g, alpha_schedule=None,
-                 allow_shift_fallback: bool = False, verify: bool = True,
-                 n_samples: int = 500, seed: int = 0) -> HardyWeight:
-    """Build the optimal-ratio weight w = g / (limit of shifted solves of g).
+def hardy_weight(form: GraphForm, g, n_samples: int = 500, seed: int = 0) -> HardyWeight:
+    """Build the optimal-ratio weight w = g / (limit of shifted solves of g),
+    verified by ``verify_hardy`` on ``n_samples`` samples.
 
     ``g`` must be nonnegative, not identically zero, and vanish on the
-    Dirichlet set; the weight vanishes off the support of g.  If the limit
-    diverges and ``allow_shift_fallback`` is set, the last schedule shift is
-    kept and the perturbed inequality (alpha_used > 0) is certified instead.
+    Dirichlet set; the weight vanishes off the support of g.  A diverging
+    limit raises ``GreenDiverges``; ``perturbed_hardy_bound`` then gives the
+    shifted weight (alpha_used > 0).
     """
     gv = as_domain_function(form, g)
     if np.any(gv < 0):
@@ -79,37 +78,26 @@ def hardy_weight(form: GraphForm, g, alpha_schedule=None,
     if not np.any(gv > 0):
         raise NonPositiveInput("g must not be identically zero")
 
-    schedule = (default_alpha_schedule(1.0, 1e-10, 0.5)
-                if alpha_schedule is None else np.asarray(alpha_schedule, dtype=float))
-
-    alpha_used = 0.0
-    result = green_apply(form, gv, alpha_schedule=schedule)
-    if result.finite:
-        denom = result.value
-    else:
-        if not allow_shift_fallback:
-            raise GreenDiverges(
-                "smoothing limit of g diverges; no unshifted weight exists "
-                "(pass allow_shift_fallback=True for the perturbed bound)",
-                trace=result.alpha_trace,
-            )
-        alpha_used = float(schedule[-1])
-        denom = resolvent_apply(form, gv, alpha_used)
-    return _weight(form, gv, denom, alpha_used, verify=verify, n_samples=n_samples, seed=seed)
+    result = green_apply(form, gv, alpha_schedule=default_alpha_schedule(1.0, 1e-10, 0.5))
+    if not result.finite:
+        raise GreenDiverges(
+            "smoothing limit of g diverges; no unshifted weight exists "
+            "(perturbed_hardy_bound gives the shifted weight)",
+            trace=result.alpha_trace,
+        )
+    return _weight(form, gv, result.value, 0.0, n_samples=n_samples, seed=seed)
 
 
-def _weight(form: GraphForm, gv, denom, alpha: float, verify: bool,
-            n_samples: int, seed: int) -> HardyWeight:
-    """w = g / denom on the support of g, verified at shift alpha if ``verify``."""
+def _weight(form: GraphForm, gv, denom, alpha: float, n_samples: int, seed: int) -> HardyWeight:
+    """w = g / denom on the support of g, verified at shift alpha."""
     support = gv > 0
     if np.any(denom[support] <= 0):
         raise SolverFailure("smoothing limit is not positive on the support of g")
     w = np.zeros(form.n)
     w[support] = gv[support] / denom[support]
-    verification = (verify_hardy(form, w, n_samples=n_samples, seed=seed, alpha=alpha)
-                    if verify else None)
     return HardyWeight(values=w, alpha_used=alpha, g=gv, denominator=denom,
-                       verification=verification)
+                       verification=verify_hardy(form, w, n_samples=n_samples, seed=seed,
+                                                 alpha=alpha))
 
 
 def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
@@ -186,17 +174,16 @@ def abstract_hardy_gap(form: GraphForm, h, f) -> float:
     return evaluate(form, hv * fv) - evaluate_bilinear(form, hv * fv * fv, hv)
 
 
-def perturbed_hardy_bound(form: GraphForm, g, alpha: float,
-                          n_samples: int = 500, seed: int = 0) -> HardyWeight:
+def perturbed_hardy_bound(form: GraphForm, g, alpha: float) -> HardyWeight:
     """Shifted-weight bound: w_alpha = g / ((L + alpha)^(-1) g) satisfies
-    sum f^2 w_alpha mu <= q(f) + alpha |f|_mu^2."""
+    sum f^2 w_alpha mu <= q(f) + alpha |f|_mu^2, verified on 500 samples (seed 0)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gv = as_domain_function(form, g)
     if np.any(gv < 0) or not np.any(gv > 0):
         raise NonPositiveInput("g must be nonnegative and not identically zero")
-    return _weight(form, gv, resolvent_apply(form, gv, alpha), float(alpha), verify=True,
-                   n_samples=n_samples, seed=seed)
+    return _weight(form, gv, resolvent_apply(form, gv, alpha), float(alpha),
+                   n_samples=500, seed=0)
 
 
 @dataclass(frozen=True)
@@ -210,14 +197,13 @@ class GroundStateTransform:
     validation_max_err: float
 
 
-def ground_state_transform(form: GraphForm, h, alpha: float = 0.0,
-                           n_validation: int = 20, seed: int = 0) -> GroundStateTransform:
+def ground_state_transform(form: GraphForm, h, alpha: float = 0.0) -> GroundStateTransform:
     """Conjugate the form by a positive h.
 
     The new potential is recovered by residual assembly (matching the energy
     of every coordinate indicator) rather than by a closed formula, and the
-    identity  q_new(f) = q(h f) + alpha |h f|_mu^2  is validated on random
-    functions to 1e-11 relative.  The new form keeps the vertex order.
+    identity  q_new(f) = q(h f) + alpha |h f|_mu^2  is validated on 20 random
+    functions (seed 0) to 1e-11 relative.  The new form keeps the vertex order.
     """
     hv = as_function(form, h)
     act = form.active
@@ -245,7 +231,7 @@ def ground_state_transform(form: GraphForm, h, alpha: float = 0.0,
                                      new_measure, new_potential, form.dirichlet)
 
     max_err = 0.0
-    for X in sample_blocks(np.random.default_rng(seed), n_validation, act.size):
+    for X in sample_blocks(np.random.default_rng(0), 20, act.size):
         lhs = evaluate_rows(new_form, X)
         HX = hv[act] * X
         rhs = evaluate_rows(form, HX) + alpha * np.sum(HX * HX * form.active_measure, axis=1)

@@ -220,9 +220,9 @@ def harnack_sets(op: KernelOperator, target_mass: float, lam: float) -> HarnackC
     )
 
 
-def heat_kernel_operator(form: GraphForm, t: float = 1.0, p: float = 2.0) -> KernelOperator:
+def heat_kernel_operator(form: GraphForm, t: float = 1.0) -> KernelOperator:
     """Kernel operator of the form's semigroup at time t, restricted to the
-    non-Dirichlet vertices: k(z, x) = T_t(z, x) / mu(x)."""
+    non-Dirichlet vertices: k(z, x) = T_t(z, x) / mu(x), on L^2 (p = 2)."""
     n = form.n_active
     if n > DENSE_SEMIGROUP_CUTOFF:
         raise BadConfig(f"heat kernel extraction needs a dense semigroup ({n} vertices)")
@@ -243,7 +243,7 @@ def heat_kernel_operator(form: GraphForm, t: float = 1.0, p: float = 2.0) -> Ker
         if positive.size == 0:
             raise NonPositiveInput("heat kernel vanished entirely")
         kernel = np.maximum(kernel, float(positive.min()))
-    return KernelOperator(kernel=kernel, mu=mu, nu=mu, p=p)
+    return KernelOperator(kernel=kernel, mu=mu, nu=mu)
 
 
 def _active_block_connected(form: GraphForm) -> bool:
@@ -399,10 +399,10 @@ class ErgodicityReport:
     n_tried: int
 
 
-def ergodicity_check(op: KernelOperator, A, n_samples: int = 50,
-                     seed: int = 0) -> ErgodicityReport:
+def ergodicity_check(op: KernelOperator, A, seed: int = 0) -> ErgodicityReport:
     """Search for a violation of T*(T 1_A f)^{p-1} <= 1_A T*(Tf)^{p-1}.
 
+    The candidates are the constant function and 49 seeded uniform draws.
     For strictly positive kernels and proper nonempty A a violation must
     exist (the constant function already produces one off A); failing to find
     any flags numerically degenerate kernel data."""
@@ -419,7 +419,7 @@ def ergodicity_check(op: KernelOperator, A, n_samples: int = 50,
     rng = np.random.default_rng(seed)
     tried = 0
     candidates = [np.ones(op.n_source)]
-    candidates += [rng.uniform(0.1, 1.0, op.n_source) for _ in range(max(n_samples - 1, 0))]
+    candidates += [rng.uniform(0.1, 1.0, op.n_source) for _ in range(49)]
     for f in candidates:
         tried += 1
         lhs = op.star_t_power(mask * f)

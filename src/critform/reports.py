@@ -52,7 +52,7 @@ RANDOMIZED_COMMANDS = ("hardy-weight", "alpha-profile", "check")
 @dataclass
 class JobConfig:
     command: str
-    input: str | dict | None = None      # path, or {"family": ..., "params": {...}}
+    input: str | None = None             # graph or kernel document path; None for --family
     seed: int | None = None
     tolerances: dict = field(default_factory=dict)
     output: str | None = None

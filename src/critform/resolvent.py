@@ -164,14 +164,6 @@ def _lu_solve(dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dgetrs(lu, piv, b)[0]
 
 
-def _shifted_solve(form: GraphForm, alpha: float, rhs_active: np.ndarray) -> np.ndarray:
-    """Solve (Q + alpha*M) u = rhs on the non-Dirichlet part (alpha >= 0)."""
-    Q = form.active_form_matrix
-    if Q.shape[0] == 0:
-        return np.zeros(0)
-    return solve_spd(Q, rhs_active, alpha * form.active_measure if alpha > 0 else None)
-
-
 def _has_floating_component(form: GraphForm) -> bool:
     """Whether some connected component of the non-Dirichlet subgraph has
     zero potential and no edge to the Dirichlet set.  Constants on such a
@@ -192,16 +184,19 @@ def _has_floating_component(form: GraphForm) -> bool:
     return form._cached("floating_component", make)
 
 
-def _resolvent_grid(form: GraphForm, vec: np.ndarray, alphas) -> np.ndarray:
-    """Columns ``resolvent_apply(form, vec, alpha)[form.active]``, bit for bit,
-    from one ``solve_spd`` call; a nonpositive alpha raises ``ValueError``."""
-    if min(alphas) <= 0:
+def _resolvent_grid(form: GraphForm, vec: np.ndarray, alpha) -> np.ndarray:
+    """(Q + alpha M)^-1 M vec on the non-Dirichlet part from one ``solve_spd``
+    call: a vector for one shift alpha >= 0 (zero adds no diagonal), or the
+    (n_active, k) block of columns for a 1-D array of k shifts, all positive
+    (else ``ValueError``)."""
+    stacked = np.ndim(alpha) == 1
+    if stacked and np.min(alpha) <= 0:
         raise ValueError("alpha must be positive")
     act = form.active
     if act.size == 0:
-        return np.zeros((0, len(alphas)))
-    return solve_spd(form.active_form_matrix, form.measure[act] * vec[act],
-                     np.multiply.outer(alphas, form.active_measure))
+        return np.zeros((0,) + np.shape(alpha))
+    shift = np.multiply.outer(alpha, form.active_measure) if stacked or alpha else None
+    return solve_spd(form.active_form_matrix, form.measure[act] * vec[act], shift)
 
 
 def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
@@ -212,11 +207,8 @@ def resolvent_apply(form: GraphForm, f, alpha: float) -> np.ndarray:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    vec = as_function(form, f)
-    act = form.active
-    rhs = form.measure[act] * vec[act]
     out = np.zeros(form.n)
-    out[act] = _shifted_solve(form, float(alpha), rhs)
+    out[form.active] = _resolvent_grid(form, as_function(form, f), float(alpha))
     return out
 
 
@@ -228,12 +220,11 @@ def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
     when the solve fails its residual certificate.  Callers then fall back to
     the shift-schedule limit."""
     vec = as_function(form, f)
-    act = form.active
-    out = np.zeros(form.n)
     if _has_floating_component(form):
         return None
+    out = np.zeros(form.n)
     try:
-        out[act] = _shifted_solve(form, 0.0, form.measure[act] * vec[act])
+        out[form.active] = _resolvent_grid(form, vec, 0.0)
     except SolverFailure:
         return None
     return out

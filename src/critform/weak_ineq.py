@@ -46,6 +46,7 @@ __all__ = [
 DENSE_PROFILE_CUTOFF = 2000   # vertices; the profiler is a dense-algebra tool
 ASCENT_CUTOFF = 300           # vertices; above this the gradient search is skipped
 DECAY_REL_TOL = 1e-8          # relative excess of |T_t f|^2 over its bound that fails verify_decay
+XI_REL_WIDTH = 1e-10          # relative width of the bracket at which decay_rate's bisection stops
 DECAY_FLAG_MARGIN = 1e-3      # relative margins below this are flagged as tight
 
 
@@ -418,16 +419,12 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     )
 
 
-def alpha_profile_levels(exhaustion, r_grid=None, mode: str = "hardy",
-                         budget: tuple[int, int] = (50, 200), seed: int = 0):
-    """Profile each level of an exhaustion; the interesting signal is growth
-    of alpha across levels."""
-    out = []
-    for radius in exhaustion.radii:
-        level = exhaustion.level(radius)
-        out.append((radius, alpha_profile(level, r_grid=r_grid, mode=mode,
-                                          budget=budget, seed=seed)))
-    return out
+def alpha_profile_levels(exhaustion):
+    """Hardy-mode profile of each level of an exhaustion on ``alpha_profile``'s
+    default grid, budget and seed; the interesting signal is growth of alpha
+    across levels."""
+    return [(radius, alpha_profile(exhaustion.level(radius), seed=0))
+            for radius in exhaustion.radii]
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +435,21 @@ def alpha_profile_levels(exhaustion, r_grid=None, mode: str = "hardy",
 class DecayCurve:
     t_grid: np.ndarray
     xi: np.ndarray
-    rel_tol: float
     mode: str = "hardy"        # the profile's: "hardy" | "poincare"
 
     def rows(self):
         return [(float(t), float(x)) for t, x in zip(self.t_grid, self.xi)]
 
 
-def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCurve:
+def decay_rate(profile: AlphaProfile, t_grid) -> DecayCurve:
     """Turn an alpha profile into the decay factor
     xi(t) = inf { r > 0 : -(1/2) * alpha(r) * log(r) <= t }.
 
     alpha is evaluated conservatively between grid points (the left endpoint,
     i.e. the larger value), which keeps every (r, alpha) pair a valid
-    certificate; the infimum is located by bisection in log r.
+    certificate; the infimum is located by bisection in log r to a relative
+    bracket width of ``XI_REL_WIDTH``, or to adjacent floats where the
+    bracket is subnormal.
     """
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
@@ -460,18 +458,11 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
     a = np.asarray(profile.alpha_cert, dtype=float).tolist()
 
     if profile.alpha_base <= 0.0:
-        return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), rel_tol=rel_tol,
-                          mode=profile.mode)
-
-    def alpha_at(x: float) -> float:
-        if x < r[0]:
-            raise GridTooCoarse(
-                f"alpha is unknown below r={r[0]:.3e}; extend the r grid downward"
-            )
-        return a[bisect.bisect_right(r, x) - 1]
+        return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), mode=profile.mode)
 
     def g(x: float) -> float:
-        return -0.5 * alpha_at(x) * np.log(x)
+        # x >= r[0]: the bisection below never leaves [r[0], 1]
+        return -0.5 * a[bisect.bisect_right(r, x) - 1] * np.log(x)
 
     xi = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
@@ -482,8 +473,12 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
             )
         lo = r[0]
         hi = 1.0
-        while hi / lo - 1.0 > rel_tol:
-            mid = float(np.sqrt(lo * hi))
+        while hi / lo - 1.0 > XI_REL_WIDTH:
+            # the geometric mean as a product of roots: lo * hi underflows
+            # to 0 once it falls below the smallest subnormal
+            mid = float(np.sqrt(lo) * np.sqrt(hi))
+            if not lo < mid < hi:
+                break       # adjacent subnormals: no float lies between them
             if g(mid) <= t:
                 hi = mid
             else:
@@ -493,7 +488,7 @@ def decay_rate(profile: AlphaProfile, t_grid, rel_tol: float = 1e-10) -> DecayCu
     order = np.argsort(t_arr)
     if np.any(np.diff(xi[order]) > 1e-12 * np.maximum(xi[order][:-1], 1e-300)):
         raise ViolationFound("xi failed to be nonincreasing in t")
-    return DecayCurve(t_grid=t_arr, xi=xi, rel_tol=rel_tol, mode=profile.mode)
+    return DecayCurve(t_grid=t_arr, xi=xi, mode=profile.mode)
 
 
 @dataclass(frozen=True)

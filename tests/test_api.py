@@ -15,11 +15,18 @@ REMOVED_EVERYWHERE = {
     "positive_floor_factor",
 }
 # names that other callables keep for other meanings (lambda_of(tol), job_tolerances(overrides)),
-# and knobs that no caller passed
+# knobs that no caller passed, and switches that only turned a certificate off
 REMOVED_FROM = {
     "is_excessive": {"tol"}, "tolerances": {"overrides"},
-    "agmon_ground_state": {"report"}, "subcriticality_certificates": {"report"},
+    "agmon_ground_state": {"report"},
+    "subcriticality_certificates": {"report", "g", "alpha_schedule"},
     "construct_excessive": {"harnack_target_mass"}, "constant_exhaustion": {"n_levels"},
+    "hardy_weight": {"alpha_schedule", "allow_shift_fallback", "verify"},
+    "perturbed_hardy_bound": {"n_samples", "seed"},
+    "ground_state_transform": {"seed", "n_validation"},
+    "decay_rate": {"rel_tol"}, "DecayCurve": {"rel_tol"},
+    "heat_kernel_operator": {"p"}, "ergodicity_check": {"n_samples"},
+    "alpha_profile_levels": {"r_grid", "mode", "budget", "seed"},
 }
 
 
@@ -45,6 +52,12 @@ def test_no_removed_parameter_reappears():
     for helper in (cf.resolvent._semigroup_block, cf.kernel_ops._construct_on_form):
         assert not set(inspect.signature(helper).parameters) & REMOVED_EVERYWHERE
     assert list(inspect.signature(cf.Exhaustion.validate_nesting).parameters) == ["self"]
+
+
+def test_every_hardy_weight_carries_its_certificate():
+    fields = {f.name: f.type for f in cf.HardyWeight.__dataclass_fields__.values()}
+    assert fields["verification"] == "HardyVerification"
+    assert "rel_tol" not in {f.name for f in cf.DecayCurve.__dataclass_fields__.values()}
 
 
 def test_classify_config_is_gone():

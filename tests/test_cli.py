@@ -196,6 +196,17 @@ def test_decay_verify_flag(pd_form_file, tmp_path):
     assert res["verification"]["n_checks"] > 0
 
 
+def test_decay_regrid_reaches_subnormal_rates(pd_form_file, tmp_path):
+    # alpha_base is 1 here, so xi(358) = exp(-716) ~ 1.1e-311 is subnormal and the
+    # automatic regrid starts at exp(-728); the bisection ends on adjacent floats
+    prefix = str(tmp_path / "dec")
+    assert main(["decay", "--input", pd_form_file, "--seed", "2",
+                 "--t-grid", "1,358", "--output", prefix]) == 0
+    res = read_json(prefix + ".json")["results"]
+    assert res["alpha_base"] == 1.0
+    assert res["xi"][1] == pytest.approx(np.exp(-716.0), rel=1e-6)
+
+
 @pytest.fixture
 def free_pair_file(tmp_path, two_path):
     """Two free vertices with zero potential: the kernel is spanned by h = 1."""
@@ -527,3 +538,110 @@ def test_tol_cap_override_reaches_classify_and_ground_state(via, monkeypatch, ca
     doc = json.loads(capsys.readouterr().out)
     assert doc["provenance"]["tolerances"]["tol_cap"] == 10.0
     assert doc["results"]["levels_used"] == [4, 8, 12, 16]
+
+
+def test_schedule_flag_reaches_green_and_excessive(tmp_path, capsys):
+    # the free pair has a singular zero-shift system: the trace walks the schedule
+    free = cf.build_form({"vertices": ["a", "b"], "edges": [["a", "b", 1.0]]})
+    pair = tmp_path / "pair.json"
+    pair.write_text(emit_graph_document(free), encoding="utf-8")
+    assert main(["green", "--input", str(pair), "--source", "a",
+                 "--schedule", "1,1e-3,0.5"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["status"] == "diverges"
+    assert [a for a, _ in res["alpha_trace"]] == list(cf.default_alpha_schedule(1, 1e-3, 0.5))
+
+    form = cf.path_form(15)
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(form), encoding="utf-8")
+    deep = cf.construct_excessive(form, g={"1": 1.0},
+                                  alpha_schedule=cf.default_alpha_schedule(1.0, 1e-12, 0.5))
+    assert main(["excessive", "--input", str(graph), "--source", "1",
+                 "--schedule", "1.0,1e-12,0.5"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["values"] == {v: float(x) for v, x in zip(form.vertices, deep.function.values)}
+    default = cf.construct_excessive(form, g={"1": 1.0}).function.values
+    assert not np.array_equal(deep.function.values, default)
+
+
+@pytest.mark.parametrize("command", ["green", "excessive"])
+def test_malformed_schedule_is_a_bad_config(command, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(cf.path_form(5)), encoding="utf-8")
+    assert main([command, "--input", str(graph), "--source", "1",
+                 "--schedule", "1,0.5"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "BadConfig" and "start,stop,ratio" in err["message"]
+
+
+def test_hardy_weight_uniform_g(tmp_path):
+    prefix = str(tmp_path / "hw")
+    assert main(["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
+                 "--seed", "11", "--uniform-g", "--output", prefix]) == 0
+    res = read_json(prefix + ".json")["results"]
+    form = cf.dirichlet_path(50)
+    hw = cf.hardy_weight(form, np.where(form.boundary_mask, 0.0, 1.0), seed=11)
+    assert res["g"] == "uniform"
+    assert res["verification"]["passed"] is True
+    assert res["weight"] == {v: float(x) for v, x in zip(form.vertices, hw.values)}
+
+
+def test_classify_subcritical_with_artifacts_reports_the_hardy_summary(tmp_path):
+    res = _run_twice(tmp_path, ["classify", "--with-artifacts", "--family", "dirichlet_path",
+                                "--param", "radii=[25,50,100]"])
+    assert res["verdict"] == "Subcritical"
+    assert "ground_state" not in res
+    top = cf.dirichlet_path(100)
+    hw = cf.hardy_weight(top, {"1": 1.0}, n_samples=100, seed=0)
+    assert res["hardy_summary"] == {
+        "alpha_used": 0.0,
+        "max_weight": float(np.max(hw.values)),
+        "rho_sampled": hw.verification.rho_sampled,
+        "passed": True,
+    }
+
+
+def test_decay_verifies_a_reused_profile_report(pd_form_file, tmp_path):
+    prof = str(tmp_path / "prof")
+    assert main(["alpha-profile", "--input", pd_form_file, "--seed", "5",
+                 "--output", prof]) == 0
+    args = ["decay", "--profile-report", prof + ".json", "--t-grid", "1e-3,1e-2"]
+    assert main(args + ["--output", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--input", pd_form_file, "--verify",
+                        "--output", str(tmp_path / "ver")]) == 0
+    plain = read_json(str(tmp_path / "plain.json"))["results"]
+    res = read_json(str(tmp_path / "ver.json"))["results"]
+    assert res["xi"] == plain["xi"]
+    assert res["verification"]["passed"] is True and res["verification"]["n_checks"] > 0
+
+
+def test_csv_tables_follow_the_report_on_stdout(pd_form_file, capsys):
+    assert main(["alpha-profile", "--input", pd_form_file, "--seed", "3",
+                 "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    text, _, table = out.partition("r,alpha_cert,alpha_lb\n")
+    prof = json.loads(text)["results"]["profile"]
+    rows = [[float(x) for x in line.split(",")] for line in table.strip().split("\n")]
+    assert rows == [list(row) for row in zip(prof["r"], prof["alpha_cert"], prof["alpha_lb"])]
+
+
+def test_inconclusive_green_exits_2(tmp_path, monkeypatch, capsys):
+    # no direct solve and a two-shift schedule: neither stabilized nor diverged
+    monkeypatch.setattr(cf.resolvent, "direct_green_solve", lambda form, f: None)
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(cf.path_form(20)), encoding="utf-8")
+    assert main(["green", "--input", str(graph), "--source", "5",
+                 "--schedule", "1,0.5,0.5"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"command": "green",
+                   "error": {"type": "GreenInconclusive", "message": doc["error"]["message"]}}
+    assert "neither stabilized nor diverged" in doc["error"]["message"]
+
+
+def test_unexpected_exception_exits_1_with_an_error_report(monkeypatch, capsys):
+    def broken(job):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._RUNNERS, "classify", broken)
+    assert main(["classify", "--family", "lattice", "--param", "d=1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "classify", "error": {"type": "RuntimeError", "message": "boom"}}

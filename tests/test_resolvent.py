@@ -212,6 +212,35 @@ def test_stacked_solve_equals_single_shift_solves(make, backend, backends):
         assert U[:, j].tobytes() == solve_spd(A, b, shift).tobytes()
 
 
+@pytest.mark.parametrize("make,backend", [
+    (lambda: cf.random_connected_form(60, seed=3), "dgetrf"),
+    (lambda: cf.lattice(2, 12), "splu"),              # 529 unknowns
+    (lambda: cf.lattice(3, 8), "cg"),                 # 3375 unknowns
+], ids=["dense", "superlu", "cg"])
+def test_resolvent_routes_make_the_plain_solve_spd_calls(make, backend, backends, monkeypatch):
+    form = make()
+    act, mu = form.active, form.active_measure
+    f = active_vector(form, np.random.default_rng(2))
+    A, b = form.active_form_matrix, form.measure[act] * f[act]
+    alphas = np.array([4.0, 1e-3])
+    expected = [solve_spd(A, b, a * mu) for a in alphas] + [solve_spd(A, b)]
+    shifts = []
+    real = resolvent.solve_spd
+
+    def spy(A, b, shift=None):
+        shifts.append(shift)
+        return real(A, b, shift)
+    monkeypatch.setattr(resolvent, "solve_spd", spy)
+    del backends[:]
+    got = [cf.resolvent_apply(form, f, a)[act] for a in alphas]
+    got.append(resolvent.direct_green_solve(form, f)[act])
+    grid = resolvent._resolvent_grid(form, f, alphas)
+    assert backends == [backend] * 5
+    assert shifts[2] is None                          # a zero shift adds no diagonal
+    assert [u.tobytes() for u in got] == [u.tobytes() for u in expected]
+    assert [u.tobytes() for u in grid.T] == [u.tobytes() for u in expected[:2]]
+
+
 def test_stacked_solve_fails_on_a_zero_pivot_column():
     # the 40-vertex path Laplacian of test_dense_factorization_with_a_zero_pivot_fails:
     # a zero shift leaves its zero pivot, a unit shift factors

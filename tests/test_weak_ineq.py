@@ -110,7 +110,7 @@ def test_profile_input_validation(single_vertex):
 
 def test_profile_levels_along_exhaustion():
     exh = cf.dirichlet_path_exhaustion(radii=(10, 20, 40))
-    profiles = cf.alpha_profile_levels(exh, seed=0)
+    profiles = cf.alpha_profile_levels(exh)
     assert len(profiles) == 3
     for R, prof in profiles:
         assert prof.alpha_base > 0
@@ -147,6 +147,30 @@ def test_decay_grid_too_coarse_raises():
     prof = constant_profile(1.0, r_lo=1e-3)
     with pytest.raises(GridTooCoarse):
         cf.decay_rate(prof, [50.0])   # needs xi ~ e^{-100}, far below 1e-3
+
+
+def test_decay_reaches_the_bottom_of_a_deep_grid():
+    # xi(10) = exp(-400) ~ 1.9e-174 lies inside the grid, but near it the
+    # bisection's lo * hi falls below the smallest subnormal
+    grid = np.geomspace(1e-200, 1.0, 60)
+    flat = np.full(grid.size, 0.05)
+    prof = cf.AlphaProfile(r_grid=grid, alpha_cert=flat, alpha_lb=flat, mode="hardy",
+                           alpha_base=0.05, budget_exhausted=False)
+    t = np.array([5.0, 10.0])
+    curve = cf.decay_rate(prof, t)
+    assert curve.xi == pytest.approx(np.exp(-2.0 * t / 0.05), rel=1e-9)
+
+
+def test_decay_ends_on_a_subnormal_bracket():
+    # xi(18.2) = exp(-728) ~ 2.6e-316 is subnormal: the bisection stops at
+    # adjacent floats, whose relative gap exceeds XI_REL_WIDTH there
+    grid = np.geomspace(1e-320, 1.0, 60)
+    flat = np.full(grid.size, 0.05)
+    prof = cf.AlphaProfile(r_grid=grid, alpha_cert=flat, alpha_lb=flat, mode="hardy",
+                           alpha_base=0.05, budget_exhausted=False)
+    (xi,) = cf.decay_rate(prof, [18.2]).xi
+    assert -0.5 * 0.05 * np.log(xi) <= 18.2 < -0.5 * 0.05 * np.log(np.nextafter(xi, 0.0))
+    assert xi == pytest.approx(np.exp(-728.0), rel=1e-6)
 
 
 def test_decay_zero_profile_collapses():
@@ -235,15 +259,14 @@ def test_verify_decay_matches_per_sample_loop(block_cap, monkeypatch):
 def test_verify_decay_krylov_block_and_witness(block_cap):
     form = cf.random_tree_form(cf.resolvent.DENSE_SEMIGROUP_CUTOFF + 20, seed=4)
     h = np.ones(form.n)                   # excessive: the potential is positive
-    valid = cf.DecayCurve(t_grid=np.array([0.05, 0.3]), xi=np.ones(2), rel_tol=1e-10)
+    valid = cf.DecayCurve(t_grid=np.array([0.05, 0.3]), xi=np.ones(2))
     rep = cf.verify_decay(form, h, valid, n_samples=12, seed=2)
     margins, n_checks, worst = _decay_reference(form, h, valid, 12, 2)
     assert worst is None and rep.n_checks == n_checks == 26
     assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)
 
     # violated at both times, so the witness must come from the later one
-    tight = cf.DecayCurve(t_grid=np.array([0.05, 0.3, 1.0]), xi=np.array([0.78, 0.5, 0.9]),
-                          rel_tol=1e-10)
+    tight = cf.DecayCurve(t_grid=np.array([0.05, 0.3, 1.0]), xi=np.array([0.78, 0.5, 0.9]))
     with pytest.raises(ViolationFound) as caught:
         cf.verify_decay(form, h, tight, n_samples=12, seed=2)
     t, x, lhs, rhs = _decay_reference(form, h, tight, 12, 2)[2]
@@ -256,7 +279,7 @@ def test_verify_decay_krylov_block_and_witness(block_cap):
 
 def test_verify_decay_without_samples():
     form = cf.random_tree_form(15, seed=2)
-    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]), rel_tol=1e-10)
+    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]))
     rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=0)
     margins, n_checks, _ = _decay_reference(form, np.ones(form.n), curve, 0, 0)
     assert rep.n_checks == n_checks == 2       # h alone, at each time
@@ -265,7 +288,7 @@ def test_verify_decay_without_samples():
 
 def test_verify_decay_gates_excessivity_without_resolvent_solves(monkeypatch):
     form = cf.random_tree_form(15, seed=2)
-    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]), rel_tol=1e-10)
+    curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]))
     solves = count_calls(monkeypatch, resolvent, "solve_spd")
     rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=10, seed=2)
     assert rep.passed
@@ -273,14 +296,14 @@ def test_verify_decay_gates_excessivity_without_resolvent_solves(monkeypatch):
 
 
 def test_verify_decay_needs_a_free_vertex(all_dirichlet):
-    curve = cf.DecayCurve(t_grid=np.array([1.0]), xi=np.array([1.0]), rel_tol=1e-10)
+    curve = cf.DecayCurve(t_grid=np.array([1.0]), xi=np.array([1.0]))
     with pytest.raises(BadConfig):
         cf.verify_decay(all_dirichlet, np.zeros(2), curve)
 
 
 def test_verify_decay_rejects_non_excessive_h(two_path):
     h = np.array([1.0, 0.2])   # strict interior dip: not excessive
-    curve = cf.DecayCurve(t_grid=np.array([1.0]), xi=np.array([1.0]), rel_tol=1e-10)
+    curve = cf.DecayCurve(t_grid=np.array([1.0]), xi=np.array([1.0]))
     with pytest.raises(ExcessivityFailure):
         cf.verify_decay(two_path, h, curve)
 
