@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .config import job_tolerances, tolerance, tolerances
 from .criticality import agmon_ground_state, classify
-from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive, GridTooCoarse
+from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
 from .families import builtin_family, constant_exhaustion
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
@@ -258,19 +258,9 @@ def _run_decay(job):
         profile = _profile_from_report(prof_path)
     else:
         form, _ = _load_form(job)
-        mode = job.options.get("mode", "hardy")
-        profile = alpha_profile(form, r_grid=_r_grid(job), mode=mode, seed=seed)
-    try:
-        curve = decay_rate(profile, t_vals)
-    except GridTooCoarse:
-        # the default grid stops above exp(-2 max t / alpha_base): profile once
-        # more on a grid that reaches it (an explicit --r-grid is kept)
-        r_lo = float(np.exp(-2.0 * max(t_vals) / profile.alpha_base - 12.0))
-        if form is None or job.options.get("r_grid") or not 0 < r_lo < profile.r_grid[0]:
-            raise
-        grid = np.geomspace(r_lo, float(profile.r_grid[-1]), 101)
-        profile = alpha_profile(form, r_grid=grid, mode=mode, seed=seed)
-        curve = decay_rate(profile, t_vals)
+        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options.get("mode", "hardy"),
+                                seed=seed)
+    curve = decay_rate(profile, t_vals)
     results = {
         "t": [float(t) for t in curve.t_grid],
         "xi": [float(x) for x in curve.xi],

@@ -95,10 +95,6 @@ class KernelMismatch(CritformError):
     pass
 
 
-class GridTooCoarse(CritformError):
-    pass
-
-
 class ExcessivityFailure(CritformError):
     pass
 

@@ -22,7 +22,6 @@ from .errors import (
     BadConfig,
     BisectionFailure,
     ExcessivityFailure,
-    GridTooCoarse,
     KernelMismatch,
     SolverFailure,
     ViolationFound,
@@ -447,32 +446,30 @@ def decay_rate(profile: AlphaProfile, t_grid) -> DecayCurve:
 
     alpha is evaluated conservatively between grid points (the left endpoint,
     i.e. the larger value), which keeps every (r, alpha) pair a valid
-    certificate; the infimum is located by bisection in log r to a relative
-    bracket width of ``XI_REL_WIDTH``, or to adjacent floats where the
-    bracket is subnormal.
+    certificate; below the grid it is ``alpha_base``, the r-independent
+    constant alpha(0) that bounds alpha(r) at every r.  The infimum is located
+    by bisection in log r to a relative bracket width of ``XI_REL_WIDTH``, or
+    to adjacent floats where the bracket is subnormal.
     """
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
         raise BadConfig("t_grid must be strictly positive")
-    r = np.asarray(profile.r_grid, dtype=float).tolist()
-    a = np.asarray(profile.alpha_cert, dtype=float).tolist()
+    r = [0.0] + np.asarray(profile.r_grid, dtype=float).tolist()
+    a = [profile.alpha_base] + np.asarray(profile.alpha_cert, dtype=float).tolist()
 
     if profile.alpha_base <= 0.0:
         return DecayCurve(t_grid=t_arr, xi=np.zeros_like(t_arr), mode=profile.mode)
 
     def g(x: float) -> float:
-        # x >= r[0]: the bisection below never leaves [r[0], 1]
         return -0.5 * a[bisect.bisect_right(r, x) - 1] * np.log(x)
 
     xi = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
-        if g(r[0]) <= t:
-            raise GridTooCoarse(
-                f"target xi({t}) lies at or below the bottom of the r grid "
-                f"(r_min={r[0]:.3e}); extend the grid downward"
-            )
-        lo = r[0]
-        hi = 1.0
+        # below the grid, bisect down from its bottom to the smallest
+        # positive double; if even that qualifies it lies above the infimum
+        lo, hi = (r[1], 1.0) if g(r[1]) > t else (5e-324, r[1])
+        if g(lo) <= t:
+            hi = lo
         while hi / lo - 1.0 > XI_REL_WIDTH:
             # the geometric mean as a product of roots: lo * hi underflows
             # to 0 once it falls below the smallest subnormal

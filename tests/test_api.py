@@ -25,7 +25,7 @@ REMOVED_FROM = {
     "perturbed_hardy_bound": {"n_samples", "seed"},
     "ground_state_transform": {"seed", "n_validation"},
     "decay_rate": {"rel_tol"}, "DecayCurve": {"rel_tol"},
-    "heat_kernel_operator": {"p"}, "ergodicity_check": {"n_samples"},
+    "heat_kernel_operator": {"p"}, "ergodicity_check": {"n_samples", "seed"},
     "alpha_profile_levels": {"r_grid", "mode", "budget", "seed"},
 }
 
@@ -64,6 +64,12 @@ def test_classify_config_is_gone():
     assert not hasattr(cf, "ClassifyConfig")
     assert not hasattr(cf.criticality, "ClassifyConfig")
     assert "config" not in {f.name for f in cf.ClassificationReport.__dataclass_fields__.values()}
+
+
+def test_grid_too_coarse_is_gone():
+    # decay_rate reads alpha_base below every grid, so no grid is too coarse
+    assert not hasattr(cf, "GridTooCoarse")
+    assert not hasattr(cf.errors, "GridTooCoarse")
 
 
 def test_job_tolerances_is_the_exported_override():

@@ -11,6 +11,8 @@ from critform.forms import InvarianceReport
 from critform.reports import JobConfig, emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
 
+from conftest import count_calls
+
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -53,6 +55,16 @@ def test_classify_file_input_is_subcritical(tmp_path):
     code = main(["classify", "--input", str(graph), "--output", prefix])
     assert code == 0
     assert read_json(prefix + ".json")["results"]["verdict"] == "Subcritical"
+
+
+def test_classify_inconclusive_exits_2(tmp_path):
+    # three small 3-D levels: the trace neither vanishes, flattens nor fits a model
+    prefix = str(tmp_path / "cls")
+    assert main(["classify", "--family", "lattice", "--param", "d=3",
+                 "--param", "radii=[2,3,4]", "--output", prefix]) == 2
+    res = read_json(prefix + ".json")["results"]
+    assert res["verdict"] == "Inconclusive"
+    assert res["reason"] == "trace neither vanished, stabilized, nor fit a model"
 
 
 def test_green_finite_column(tmp_path):
@@ -197,8 +209,8 @@ def test_decay_verify_flag(pd_form_file, tmp_path):
 
 
 def test_decay_regrid_reaches_subnormal_rates(pd_form_file, tmp_path):
-    # alpha_base is 1 here, so xi(358) = exp(-716) ~ 1.1e-311 is subnormal and the
-    # automatic regrid starts at exp(-728); the bisection ends on adjacent floats
+    # alpha_base is 1 here, so xi(358) = exp(-716) ~ 1.1e-311 is subnormal and lies
+    # far below the job's grid; the bisection ends on adjacent floats
     prefix = str(tmp_path / "dec")
     assert main(["decay", "--input", pd_form_file, "--seed", "2",
                  "--t-grid", "1,358", "--output", prefix]) == 0
@@ -264,24 +276,44 @@ def test_classify_critical_ground_state_from_its_own_pass(tmp_path):
     assert "hardy_summary" not in res
 
 
-def test_decay_extends_its_default_grid_once(tmp_path):
-    # alpha_base = 0.83: xi(10) needs r near exp(-2 * 10 / 0.83) = 3e-11, below
-    # the default grid's r_min of 4.8e-11, so a second profile reaches it; an
-    # explicit --r-grid is taken as given
+@pytest.fixture
+def shifted_forty_file(tmp_path):
+    """random_connected_form(40, seed=3) with potential + 1.  alpha_base = 0.83,
+    so xi(10) lies near exp(-2 * 10 / 0.83) = 3e-11, below the default grid's
+    r_min of 4.8e-11."""
     base = cf.random_connected_form(40, seed=3)
     form = cf.GraphForm.from_arrays(base.vertices, base.edge_index, base.weights,
                                     base.measure, base.potential + 1.0, base.dirichlet)
     graph = tmp_path / "g.json"
     graph.write_text(emit_graph_document(form), encoding="utf-8")
+    return str(graph)
+
+
+def test_decay_answers_below_its_default_and_explicit_grid(shifted_forty_file, tmp_path):
+    # below either grid alpha_base bounds alpha, and the bound verifies
     prefix = str(tmp_path / "dec")
-    assert main(["decay", "--input", str(graph), "--seed", "40", "--verify",
-                 "--output", prefix]) == 0
-    res = read_json(prefix + ".json")["results"]
-    assert res["verification"]["passed"] is True
-    assert len(res["xi"]) == 3 and res["xi"][-1] > 0
-    assert main(["decay", "--input", str(graph), "--seed", "40", "--verify",
-                 "--r-grid", "4.772e-11,2.2,81", "--output", prefix]) == 1
-    assert read_json(prefix + ".json")["error"]["type"] == "GridTooCoarse"
+    for grid in ([], ["--r-grid", "4.772e-11,2.2,81"]):
+        assert main(["decay", "--input", shifted_forty_file, "--seed", "40", "--verify",
+                     *grid, "--output", prefix]) == 0
+        res = read_json(prefix + ".json")["results"]
+        assert res["verification"]["passed"] is True
+        assert len(res["xi"]) == 3 and 0 < res["xi"][-1] < 4.772e-11
+
+
+def test_decay_job_profiles_once(shifted_forty_file, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, cli, "alpha_profile")
+    assert main(["decay", "--input", shifted_forty_file, "--seed", "40",
+                 "--output", str(tmp_path / "dec")]) == 0
+    assert len(calls) == 1
+
+
+def test_decay_from_its_own_profile_report_matches_the_job(shifted_forty_file, tmp_path):
+    direct, prof, via = (str(tmp_path / name) for name in ("direct", "prof", "via"))
+    assert main(["decay", "--input", shifted_forty_file, "--seed", "40", "--output", direct]) == 0
+    assert main(["alpha-profile", "--input", shifted_forty_file, "--seed", "40",
+                 "--output", prof]) == 0
+    assert main(["decay", "--profile-report", prof + ".json", "--output", via]) == 0
+    assert read_json(via + ".json")["results"]["xi"] == read_json(direct + ".json")["results"]["xi"]
 
 
 def test_excessive_command(tmp_path):

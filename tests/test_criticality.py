@@ -173,6 +173,17 @@ def test_classify_designed_critical_chain():
     assert report.verdict == "Critical"
 
 
+def test_verdict_critical_when_the_1_over_r_limit_vanishes():
+    # caps 5e-6 + 1e-8/R: above tol_cap (1e-6), flat over the last radii but
+    # below the positive floor 10 * tol_cap, and decaying too slowly for the
+    # slope test; the 1/R model wins with a limit of 5e-6 inside the floor
+    radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
+    verdict, reason, fit = criticality._verdict(radii, 5e-6 + 1e-8 / radii)
+    assert verdict == "Critical"
+    assert reason == "1/R extrapolation vanishes (5.000e-06)"
+    assert fit["extrapolated_limit"] == pytest.approx(5e-6, rel=1e-9)
+
+
 def test_classify_fast_growth_chain_subcritical():
     # beta=2 with no potential: transient, capacity stabilizes
     exh = cf.birth_death_exhaustion(2.0, gamma=None, radii=(20, 40, 80, 160))

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import critform as cf
-from critform.errors import GreenDiverges, NonPositiveH, NonPositiveInput
+from critform import hardy
+from critform.errors import GreenDiverges, NonPositiveH, NonPositiveInput, SolverFailure
 
 from conftest import active_vector
 
@@ -111,6 +112,19 @@ def test_verify_without_samples(pinned_path, all_dirichlet):
     assert (rep.rho_sampled, rep.n_samples, rep.pencil_lambda_max) == (0.0, 7, None)
     assert "no non-Dirichlet vertex" in rep.note
     assert cf.ground_state_transform(all_dirichlet, np.ones(2)).validation_max_err == 0.0
+
+
+def test_failed_proof_solve_fails_the_verification(pinned_path, monkeypatch):
+    # the weight is sound, but a failed solve proves nothing and gives no witness
+    w = cf.hardy_weight(pinned_path, {"2": 1.0}).values
+
+    def fail(*args, **kwargs):
+        raise SolverFailure("forced")
+    monkeypatch.setattr(hardy, "_solve", fail)
+    rep = cf.verify_hardy(pinned_path, w, n_samples=50)
+    assert not rep.passed
+    assert rep.pencil_lambda_max is None and rep.n_samples == 50
+    assert rep.rho_sampled <= 1
 
 
 def test_singular_energy_with_weight_mass_fails_the_verification(two_path):

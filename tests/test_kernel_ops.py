@@ -413,11 +413,20 @@ def test_construct_along_exhaustion():
 
 def test_ergodicity_violation_found_for_positive_kernel():
     op = make_op(6, 6, seed=4)
-    rep = ergodicity_check(op, A=[0, 2, 3], seed=4)
+    rep = ergodicity_check(op, A=[0, 2, 3])
     assert rep.violated
     assert rep.lhs > rep.rhs
     assert rep.location not in (0, 2, 3)   # violation appears off A
-    assert rep.n_tried == 1                # the constant function already works
+    assert rep.n_tried == 1                # the constant function decides
+    assert np.all(rep.witness == 1.0)
+
+
+def test_ergodicity_underflow_finds_no_violation():
+    # entries of 1e-200: T* T 1_A is of size 1e-400 and underflows to 0 on
+    # both sides, so even the constant function shows no violation
+    op = cf.KernelOperator(kernel=np.full((4, 4), 1e-200), mu=np.ones(4), nu=np.ones(4))
+    with pytest.raises(NoViolationFound, match="numerically degenerate"):
+        ergodicity_check(op, A=[0, 1])
 
 
 def test_ergodicity_input_validation():

@@ -137,6 +137,15 @@ def test_green_diverges_without_killing(two_path):
     assert sups[-1] == pytest.approx(1.0 / alphas[-1], rel=1e-6)
 
 
+def test_green_diverges_on_a_sup_norm_blowup(two_path):
+    # G_alpha delta_a(a) = 1/(2 alpha) + 1/(2 (2 + alpha)) passes 1e12 = 1e12 sup|f|
+    # at alpha = 2^-41, before the schedule ends at 1e-14
+    res = cf.green_apply(two_path, [1.0, 0.0], cf.default_alpha_schedule(1, 1e-14, 0.5))
+    assert res.status == "diverges" and res.value is None
+    assert res.detail == "sup norm 1.100e+12 crossed blowup threshold"
+    assert res.alpha_trace[-1][0] == 2.0 ** -41
+
+
 def test_green_inconclusive_on_truncated_schedule(pinned_path, monkeypatch):
     # two shifts are not enough evidence either way
     monkeypatch.setattr(resolvent, "direct_green_solve", lambda form, f: None)

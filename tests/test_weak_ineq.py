@@ -1,5 +1,7 @@
 """Profiles of the weak spectral inequality, decay curves, truncation and
 weighted projections."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,8 +11,8 @@ from critform import resolvent, weak_ineq
 from critform.errors import (
     BadConfig,
     ExcessivityFailure,
-    GridTooCoarse,
     KernelMismatch,
+    SolverFailure,
     ViolationFound,
 )
 
@@ -86,6 +88,15 @@ def test_hardy_mode_requires_trivial_kernel(two_path):
         cf.alpha_profile(shifted(two_path, 1e-12), mode="hardy", seed=0)
 
 
+def test_hardy_kernel_check_fails_closed_on_a_failed_solve(single_vertex, monkeypatch):
+    # a failed supersolution solve proves nothing about the kernel
+    def fail(*args, **kwargs):
+        raise SolverFailure("forced")
+    monkeypatch.setattr(weak_ineq, "_solve", fail)
+    with pytest.raises(KernelMismatch, match="nontrivial kernel"):
+        cf.alpha_profile(single_vertex, mode="hardy", seed=0)
+
+
 def test_hardy_kernel_check_ignores_a_spread_measure():
     # conjugating by h = 2^-index spreads mu over 80 octaves: the row sums of
     # M^-1 |Q| reach 8e11, 1e-12 of which exceeds lambda_min, while the pencil
@@ -143,10 +154,19 @@ def test_decay_curve_monotone_nonincreasing(single_vertex):
     assert np.all(curve.xi > 0)
 
 
-def test_decay_grid_too_coarse_raises():
+def test_decay_reads_alpha_base_below_the_grid():
+    # xi(50) = e^-100 lies far below the grid's bottom of 1e-3, where
+    # alpha_base = 1 bounds alpha
     prof = constant_profile(1.0, r_lo=1e-3)
-    with pytest.raises(GridTooCoarse):
-        cf.decay_rate(prof, [50.0])   # needs xi ~ e^{-100}, far below 1e-3
+    (xi,) = cf.decay_rate(prof, [50.0]).xi
+    assert xi == pytest.approx(np.exp(-100.0), rel=1e-9)
+    # alpha = 1 on the grid and alpha_base = 2 below it: xi(t) = e^-2t while
+    # t < -log(1e-3)/2 (on the grid) and e^-t once t > -log(1e-3); where even
+    # 5e-324 satisfies the bound, that smallest positive double is returned
+    prof = dataclasses.replace(prof, alpha_base=2.0)
+    xi = cf.decay_rate(prof, [1.0, 3.0, 50.0, 745.0]).xi
+    assert xi[:3] == pytest.approx([np.exp(-2.0), np.exp(-6.0), np.exp(-50.0)], rel=1e-9)
+    assert xi[3] == 5e-324
 
 
 def test_decay_reaches_the_bottom_of_a_deep_grid():
