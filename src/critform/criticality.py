@@ -76,10 +76,10 @@ class Exhaustion:
     def level(self, radius: int) -> GraphForm:
         form = self.generator(radius)
         try:
-            form.index(self.root)
+            root = form.index(self.root)
         except DomainMismatch:
             raise DomainMismatch(f"root {self.root!r} missing from level {radius}") from None
-        if self.root in form.dirichlet:
+        if form.boundary_mask[root]:
             raise DomainMismatch(f"root {self.root!r} lies on the boundary of level {radius}")
         return form
 
@@ -122,9 +122,9 @@ def capacity(form: GraphForm, source) -> CapacityResult:
     src_ids = {str(v) for v in (source if not isinstance(source, str) else [source])}
     if not src_ids:
         raise DomainMismatch("source must be nonempty")
-    if src_ids & form.dirichlet:
+    src_idx = np.array(sorted(form.indices(src_ids)), dtype=np.int64)
+    if form.boundary_mask[src_idx].any():
         raise DomainMismatch("source intersects the Dirichlet boundary")
-    src_idx = np.array(sorted(form.index(v) for v in src_ids), dtype=np.int64)
 
     mask_src = np.zeros(form.n, dtype=bool)
     mask_src[src_idx] = True
@@ -134,7 +134,7 @@ def capacity(form: GraphForm, source) -> CapacityResult:
     e[src_idx] = 1.0
     if free.size:
         Q_free = form.form_matrix[free]
-        A = Q_free[:, free].tocsc()
+        A = Q_free[:, free]
         rhs = -np.asarray(Q_free[:, src_idx].sum(axis=1)).ravel()
         # The equilibrium vanishes on components of the free subgraph that no
         # edge joins to the source: their right-hand side is zero.
@@ -336,9 +336,10 @@ def agmon_ground_state(exhaustion: Exhaustion, window_radius: int) -> GroundStat
     """Extract the normalized positive kernel profile of a critical form.
 
     Equilibrium potentials of growing levels are extrapolated pointwise
-    (linear in 1/R) on the window; convergence demands the last two
-    extrapolants agree to the table's ``tol_gs`` in sup norm.  Normalization:
-    value 1 at the root.  The same pass over the levels classifies.
+    (linear in the level's capacity cap_R) on the window; convergence
+    demands the last two extrapolants agree to the table's ``tol_gs`` in sup
+    norm.  Normalization: value 1 at the root.  The same pass over the
+    levels classifies.
     """
     window = _GroundStateTrace(exhaustion, window_radius)
     trace, top = _capacity_trace(exhaustion, exhaustion.radii, window)
@@ -353,12 +354,19 @@ class _GroundStateTrace:
     leaves its equilibrium on the ids of the first level with radius >=
     ``window_radius`` (which holds the window by the nesting contract).  The
     window's own ids, and a ``DomainMismatch`` from a lookup, wait until the
-    ground state is read, so a verdict that needs none builds no extra level."""
+    ground state is read, so a verdict that needs none builds no extra level.
+
+    The equilibria are extrapolated against the level's capacity, not 1/R:
+    e_R(x) = G_R(x, o)/G_R(o, o) for the root o, so 1 - e_R(x) =
+    cap_R (G_R(o, o) - G_R(x, o)), and on a critical form the bracket
+    converges (to the potential kernel on recurrent lattices).  The defect
+    is linear in cap_R however slowly cap_R vanishes."""
 
     def __init__(self, exhaustion: Exhaustion, window_radius: int):
         self.exhaustion, self.window_radius = exhaustion, window_radius
         self.first = self.window = self.error = None
         self.rows = {}              # radius -> equilibrium on the ids in ``first``
+        self.caps = {}              # radius -> capacity of that level
 
     def __call__(self, radius, level, cap):
         if self.first is None and radius >= self.window_radius:
@@ -367,6 +375,7 @@ class _GroundStateTrace:
         if radius > self.window_radius and self.error is None:
             try:
                 self.rows[radius] = cap.equilibrium[level.indices(self.first)]
+                self.caps[radius] = cap.value
             except DomainMismatch as exc:
                 self.error = exc
 
@@ -388,10 +397,10 @@ class _GroundStateTrace:
                 raise DomainMismatch(f"unknown vertex id {exc.args[0]!r}") from None
         window_ids = [self.first[i] for i in self.window]
         values = np.array(list(self.rows.values()))[:, self.window]
+        caps = np.array(list(self.caps.values()))
 
         def intercepts(rows) -> np.ndarray:
-            rs = np.array([levels[i] for i in rows], dtype=float)
-            A = np.column_stack([np.ones_like(rs), 1.0 / rs])
+            A = np.column_stack([np.ones(len(rows)), caps[rows]])
             coef, *_ = np.linalg.lstsq(A, values[rows], rcond=None)
             return coef[0]
 

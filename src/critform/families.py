@@ -42,9 +42,47 @@ DEFAULT_LATTICE_RADII = {
 }
 
 
+class _LatticeIds:
+    """The ids "x,y,z" of ``lattice(d, R)``, formatted only when read.
+
+    Position k holds the k-th point of the C-order product of ``axis`` (the
+    coordinates in the order of their decimal strings) with itself, d times.
+    ``position`` inverts that by arithmetic through ``slot`` (coordinate c
+    sits at axis position ``slot[c + R]``) and accepts exactly the ids the
+    materialized tuple holds: d comma-separated integers in their canonical
+    spelling, each in -R..R."""
+
+    def __init__(self, d: int, R: int, axis: np.ndarray, slot: np.ndarray):
+        self.d, self.R, self.axis, self.slot = d, R, axis.tolist(), slot.tolist()
+
+    def __getitem__(self, k: int) -> str:
+        point = np.unravel_index(k, (len(self.axis),) * self.d)
+        return ",".join(str(self.axis[c]) for c in point)
+
+    def as_tuple(self) -> tuple:
+        names = [str(c) for c in self.axis]
+        return tuple(map(",".join, itertools.product(names, repeat=self.d)))
+
+    def position(self, vertex) -> int:
+        parts = vertex.split(",") if isinstance(vertex, str) else ()
+        if len(parts) != self.d:
+            raise KeyError(vertex)
+        k = 0
+        for part in parts:
+            try:
+                c = int(part)
+            except ValueError:
+                raise KeyError(vertex) from None
+            if str(c) != part or abs(c) > self.R:
+                raise KeyError(vertex)
+            k = k * len(self.axis) + self.slot[c + self.R]
+        return k
+
+
 def lattice(d: int, R: int) -> GraphForm:
     """Box {-R..R}^d with unit edge weights, mu = 1, c = 0, and a Dirichlet
-    boundary on the sup-norm shell |x|_inf = R."""
+    boundary on the sup-norm shell |x|_inf = R.  The ids "x,y,z" are built
+    only when ``vertices`` or ``dirichlet`` is read."""
     if d not in (1, 2, 3):
         raise BadConfig(f"lattice dimension must be 1, 2, or 3, got {d}")
     if R < 1:
@@ -54,7 +92,6 @@ def lattice(d: int, R: int) -> GraphForm:
     # these axes is already the lexicographic order of the vertex ids.
     axis = np.array(sorted(range(-R, R + 1), key=str))
     m = axis.size
-    vertices = [",".join(p) for p in itertools.product([str(c) for c in axis], repeat=d)]
     grid = np.arange(m ** d).reshape((m,) * d)
     slot = np.empty(m, dtype=np.int64)          # position of coordinate c at slot[c + R]
     slot[axis + R] = np.arange(m)
@@ -67,10 +104,9 @@ def lattice(d: int, R: int) -> GraphForm:
     on_shell = np.zeros((m,) * d, dtype=bool)
     for ax in range(d):
         on_shell |= (np.abs(axis) == R).reshape([-1 if k == ax else 1 for k in range(d)])
-    return GraphForm.from_arrays(
-        vertices, edges, np.ones(len(edges)),
-        dirichlet=[vertices[k] for k in np.flatnonzero(on_shell)],
-        name=f"lattice-d{d}-R{R}",
+    return GraphForm._from_canonical(
+        _LatticeIds(d, R, axis, slot), edges, np.ones(len(edges)), np.ones(m ** d),
+        np.zeros(m ** d), on_shell.ravel(), name=f"lattice-d{d}-R{R}",
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,31 +52,52 @@ _ALLOWED_SPEC_KEYS = {"vertices", "edges", "mu", "potential", "dirichlet", "name
 SAMPLE_BLOCK_ENTRIES = 1 << 16  # entries per block of sampled test functions (512 KiB)
 
 
+class _SortedIds:
+    """Vertex ids in canonical order with the id -> position dict that
+    :meth:`GraphForm.from_arrays` builds while sorting them."""
+
+    __slots__ = ("ids", "position")
+
+    def __init__(self, ids: tuple, table: dict):
+        self.ids, self.position = ids, table.__getitem__
+
+    def __getitem__(self, k: int) -> str:
+        return self.ids[k]
+
+    def as_tuple(self) -> tuple:
+        return self.ids
+
+
 @dataclass(frozen=True)
 class GraphForm:
     """Immutable graph form.  Vertex order is fixed at build time.
 
     Attributes
     ----------
-    vertices : tuple of vertex ids (strings), in canonical (lexicographic) order
     edge_index : (m, 2) int array, each row (i, j) with i < j, one row per edge
     weights : (m,) positive edge weights
     measure : (n,) positive vertex measure
     potential : (n,) real potential
-    dirichlet : frozenset of vertex ids forced to zero
+    boundary_mask : (n,) bool array, True on the vertices forced to zero
+
+    The ids are held by a private id object (``ids[k]``, ``position(v)`` raising
+    ``KeyError``, ``as_tuple()``); ``vertices`` (the ids, strings in canonical
+    (lexicographic) order) and ``dirichlet`` (frozenset of the ids forced to
+    zero) are built from it on first access.
     """
 
-    vertices: tuple[str, ...]
     edge_index: np.ndarray
     weights: np.ndarray
     measure: np.ndarray
     potential: np.ndarray
-    dirichlet: frozenset
+    boundary_mask: np.ndarray
+    _ids: object = field(repr=False, compare=False)
     name: str = field(default="", compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.edge_index, self.weights, self.measure, self.potential):
+        for arr in (self.edge_index, self.weights, self.measure, self.potential,
+                    self.boundary_mask):
             arr.setflags(write=False)
         # reentrant: cached builders may themselves read other cached fields
         self._cache["lock"] = threading.RLock()
@@ -90,7 +112,9 @@ class GraphForm:
         hold one value per vertex; ``dirichlet`` lists vertex ids.  Vertices
         are reordered lexicographically and edges remapped to rows (i, j),
         i < j, in sorted order; repeated edges must carry equal weights and
-        zero weights are dropped.
+        zero weights are dropped.  This is the string front end: it sorts
+        the ids and maps ``dirichlet`` to a mask, and the numeric checks are
+        those of :meth:`_from_canonical`.
         """
         ids = list(map(str, vertices))
         n = len(ids)
@@ -111,18 +135,46 @@ class GraphForm:
             raise ParseError(f"{pairs.shape[0]} edges but {w.size} weights")
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ParseError("edge references unknown vertex")
-        i, j = rank[pairs[:, 0]], rank[pairs[:, 1]]
+
+        mu = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
+        pot = np.zeros(n) if potential is None else np.asarray(potential, dtype=float)
+        if mu.shape != (n,) or pot.shape != (n,):
+            raise ParseError(f"measure and potential need one value per vertex ({n})")
+
+        boundary = frozenset(str(v) for v in dirichlet)
+        bad = boundary - index.keys()
+        if bad:
+            raise DisconnectedDirichletSpec(
+                f"dirichlet set references unknown vertices: {sorted(bad)[:5]}"
+            )
+        mask = np.zeros(n, dtype=bool)
+        if boundary:
+            mask[[index[v] for v in boundary]] = True
+        return cls._from_canonical(_SortedIds(canon, index), rank[pairs], w,
+                                   mu[order], pot[order], mask, name)
+
+    @classmethod
+    def _from_canonical(cls, ids, pairs, w, mu, pot, boundary_mask,
+                        name: str = "") -> "GraphForm":
+        """The numeric construction core: a validated form from arrays already
+        in the canonical vertex order of the id object ``ids``.  ``pairs`` is
+        an (m, 2) int array of positions with weights ``w``, ``mu`` and
+        ``pot`` hold one value per vertex and ``boundary_mask`` marks the
+        Dirichlet vertices.  Edges are remapped to rows (i, j), i < j, in
+        sorted order; repeated edges must carry equal weights and zero
+        weights are dropped.  Error messages name vertices by ``ids[k]``."""
+        i, j = pairs[:, 0], pairs[:, 1]
         loops = np.flatnonzero(i == j)
         if loops.size:
             raise NonSymmetricWeights(
-                f"self-loop at {canon[i[loops[0]]]!r} (weights must vanish on the diagonal)")
+                f"self-loop at {ids[i[loops[0]]]!r} (weights must vanish on the diagonal)")
         if not np.all(np.isfinite(w)):
             raise ParseError("edge weights must be finite")
         neg = np.flatnonzero(w < 0)
         if neg.size:
             k = neg[0]
             raise NonSymmetricWeights(
-                f"negative weight {w[k]} on edge ({canon[i[k]]!r}, {canon[j[k]]!r})")
+                f"negative weight {w[k]} on edge ({ids[i[k]]!r}, {ids[j[k]]!r})")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         perm = np.lexsort((hi, lo))
         lo, hi, w = lo[perm], hi[perm], w[perm]
@@ -133,45 +185,41 @@ class GraphForm:
         if clash.size:
             k = clash[0]
             raise NonSymmetricWeights(
-                f"conflicting weights for edge ({canon[lo[k]]!r}, {canon[hi[k]]!r}): "
+                f"conflicting weights for edge ({ids[lo[k]]!r}, {ids[hi[k]]!r}): "
                 f"{w[lead[k]]} vs {w[k]}")
         keep = first & (w > 0)
 
-        mu = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
-        pot = np.zeros(n) if potential is None else np.asarray(potential, dtype=float)
-        if mu.shape != (n,) or pot.shape != (n,):
-            raise ParseError(f"measure and potential need one value per vertex ({n})")
-        mu, pot = mu[order], pot[order]
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
             raise NonPositiveMeasure("mu must be strictly positive and finite")
         if not np.all(np.isfinite(pot)):
             raise ParseError("potential must be finite")
 
-        boundary = frozenset(str(v) for v in dirichlet)
-        bad = boundary - index.keys()
-        if bad:
-            raise DisconnectedDirichletSpec(
-                f"dirichlet set references unknown vertices: {sorted(bad)[:5]}"
-            )
-
         form = cls(
-            vertices=canon,
             edge_index=np.column_stack([lo[keep], hi[keep]]),
             weights=w[keep],
             measure=mu,
             potential=pot,
-            dirichlet=boundary,
+            boundary_mask=boundary_mask,
+            _ids=ids,
             name=str(name),
         )
-        form._cache["index_table"] = index
         _validate_nonnegative(form)
         return form
 
     # -- basic geometry ----------------------------------------------------
 
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        return self._ids.as_tuple()
+
+    @cached_property
+    def dirichlet(self) -> frozenset:
+        return frozenset(map(self.vertices.__getitem__,
+                             np.flatnonzero(self.boundary_mask).tolist()))
+
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.measure)
 
     @property
     def n_edges(self) -> int:
@@ -181,29 +229,18 @@ class GraphForm:
         return self.indices([vertex])[0]
 
     def indices(self, vertices: Iterable[str]) -> list[int]:
-        """Positions of ``vertices``, looked up in one pass over the id table."""
-        table = self._cached("index_table", lambda: {v: i for i, v in enumerate(self.vertices)})
+        """Positions of ``vertices``, looked up in one pass over the ids."""
+        position = self._ids.position
         try:
-            return [table[v] for v in vertices]
+            return [position(v) for v in vertices]
         except KeyError as exc:
             raise DomainMismatch(f"unknown vertex id {exc.args[0]!r}") from None
 
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        def make():
-            mask = np.zeros(self.n, dtype=bool)
-            mask[self.indices(self.dirichlet)] = True
-            mask.setflags(write=False)
-            return mask
-        return self._cached("boundary_mask", make)
-
-    @property
+    @cached_property
     def active(self) -> np.ndarray:
-        def make():
-            idx = np.flatnonzero(~self.boundary_mask)
-            idx.setflags(write=False)
-            return idx
-        return self._cached("active", make)
+        idx = np.flatnonzero(~self.boundary_mask)
+        idx.setflags(write=False)
+        return idx
 
     @property
     def n_active(self) -> int:
@@ -227,7 +264,7 @@ class GraphForm:
     def active_form_matrix(self) -> sp.csr_matrix:
         """Q restricted to the non-Dirichlet vertices (Q itself when there are none)."""
         def make():
-            if not self.dirichlet:
+            if self.active.size == self.n:
                 return self.form_matrix
             act = self.active
             return self.form_matrix[act][:, act].tocsr()
@@ -324,7 +361,7 @@ def as_function(form: GraphForm, f) -> np.ndarray:
 def as_domain_function(form: GraphForm, f) -> np.ndarray:
     """Like :func:`as_function` but requires f to vanish on the Dirichlet set."""
     arr = as_function(form, f)
-    if form.dirichlet and np.any(arr[form.boundary_mask] != 0.0):
+    if form.active.size < arr.size and np.any(arr[form.boundary_mask] != 0.0):
         raise DomainMismatch("form argument must vanish on the Dirichlet boundary")
     return arr
 

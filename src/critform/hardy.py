@@ -227,8 +227,8 @@ def ground_state_transform(form: GraphForm, h, alpha: float = 0.0) -> GroundStat
     pos = hv > 0
     new_potential[pos] = (target_diag[pos] - deg_new[pos]) / new_measure[pos]
 
-    new_form = GraphForm.from_arrays(form.vertices, form.edge_index, new_weights,
-                                     new_measure, new_potential, form.dirichlet)
+    new_form = GraphForm._from_canonical(form._ids, form.edge_index, new_weights,
+                                         new_measure, new_potential, form.boundary_mask)
 
     max_err = 0.0
     for X in sample_blocks(np.random.default_rng(0), 20, act.size):

@@ -400,7 +400,7 @@ def is_excessive(form: GraphForm, h) -> ExcessivityReport:
     alphas = max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9)
     U = _resolvent_grid(form, hv, alphas)
     worst = float(np.max(alphas * U - hv[form.active, None],
-                         initial=0.0 if form.dirichlet else -np.inf))
+                         initial=0.0 if form.n_active < form.n else -np.inf))
     grid_ok = worst <= tol_exc * max(float(np.max(hv, initial=0.0)), 1.0)
 
     return ExcessivityReport(

@@ -25,6 +25,31 @@ def form_spec(form, name=None):
     return spec
 
 
+def spec_lattice(d, R):
+    """Reference: the lattice level as a graph description, one dict entry per edge."""
+    axis = range(-R, R + 1)
+    points = [()]
+    for _ in range(d):
+        points = [p + (c,) for p in points for c in axis]
+
+    def ident(p):
+        return ",".join(str(c) for c in p)
+
+    edges = []
+    for p in points:
+        for ax in range(d):
+            q = list(p)
+            q[ax] += 1
+            if q[ax] <= R:
+                edges.append([ident(p), ident(q), 1.0])
+    return {
+        "vertices": [ident(p) for p in points],
+        "edges": edges,
+        "dirichlet": [ident(p) for p in points if max(abs(c) for c in p) == R],
+        "name": f"lattice-d{d}-R{R}",
+    }
+
+
 def shifted(form, sigma):
     """The sigma-shifted form: potential c -> c + sigma, everything else kept."""
     spec = form_spec(form)

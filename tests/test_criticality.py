@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import critform as cf
-from critform import criticality, hardy, resolvent
+from critform import criticality, families, hardy, resolvent
 from critform.errors import DomainMismatch, NotCritical, SolverFailure, ValidationFailure
 
-from conftest import count_calls
+from conftest import count_calls, spec_lattice
 
 WATSON_U3 = 1.516386059151978   # Watson's simple-cubic lattice Green's constant
 
@@ -221,15 +221,51 @@ def test_ground_state_requires_critical_verdict(triangle):
 
 
 def test_ground_state_of_designed_chain_matches_design():
-    # the equilibrium profiles carry a log(R)/R correction, so the pointwise
-    # 1/R extrapolants drift at ~1e-4 even at R = 1600; request that tolerance
+    # extrapolated against cap_R, the equilibria's log(R)/R correction drops
+    # out: the default tol_gs holds and the profile is (n + 1)^-1 to rounding
     exh = cf.birth_death_exhaustion(2.0, gamma=1.0, radii=(100, 200, 400, 800, 1600))
-    with cf.job_tolerances({"tol_gs": 2e-4}):
-        gs = cf.agmon_ground_state(exh, window_radius=8)
+    gs = cf.agmon_ground_state(exh, window_radius=8)
     for v, got in zip(gs.vertices, gs.values):
         expect = 1.0 / (int(v) + 1.0)
-        assert got == pytest.approx(expect, rel=1e-3), v
+        assert got == pytest.approx(expect, rel=1e-12), v
     assert gs.residual_sup <= 1e-4
+
+
+def test_classify_reports_the_designed_chain_ground_state():
+    # default radii 25..400: window 25, where 1/R extrapolants drifted by 1.6e-4
+    exh = cf.builtin_family("birth_death", {"beta": 2, "gamma": 1})
+    report = cf.classify(exh, with_artifacts=True)
+    assert report.verdict == "Critical"
+    gs = cf.agmon_ground_state(exh, window_radius=25)
+    assert gs.vertices == tuple(sorted(map(str, range(25))))
+    expect = np.array([1.0 / (int(v) + 1.0) for v in gs.vertices])
+    assert np.max(np.abs(gs.values / expect - 1.0)) <= 1e-12
+    assert report.ground_state == {"window_radius": 25, "residual_sup": gs.residual_sup,
+                                   "min": float(np.min(gs.values)),
+                                   "max": float(np.max(gs.values))}
+    assert report.ground_state["min"] == pytest.approx(1 / 25, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,radii", [(1, (5, 10, 20, 40, 80)), (2, (3, 5, 8, 12, 16)),
+                                     (3, (3, 4, 5, 6))])
+def test_classify_on_array_levels_matches_the_id_dict_levels(d, radii):
+    # the same trace, fit and verdict, bit for bit, as levels built from
+    # string-keyed graph descriptions
+    by_ids = cf.Exhaustion(generator=lambda R: cf.build_form(spec_lattice(d, R)),
+                           radii=radii, root=",".join(["0"] * d))
+    got, want = cf.classify(cf.lattice_exhaustion(d, radii)), cf.classify(by_ids)
+    assert got.capacity_trace == want.capacity_trace
+    assert got.fit == want.fit
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+
+
+def test_classify_builds_no_lattice_vertex_tuple(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice vertex ids materialized")
+    monkeypatch.setattr(families._LatticeIds, "as_tuple", refuse)
+    monkeypatch.setattr(families._LatticeIds, "__getitem__", refuse)
+    report = cf.classify(cf.lattice_exhaustion(3, (4, 6, 8)))
+    assert len(report.capacity_trace) == 3
 
 
 def counting_exhaustion(base):

@@ -4,9 +4,9 @@ import pytest
 
 import critform as cf
 from critform import families
-from critform.errors import BadConfig, UnknownFamily
+from critform.errors import BadConfig, DomainMismatch, UnknownFamily
 
-from conftest import count_calls
+from conftest import count_calls, spec_lattice
 
 
 def test_lattice_shapes():
@@ -100,31 +100,6 @@ def test_random_kernel_data_strictly_positive():
 # array-built levels against the string-keyed graph descriptions they replace
 # ---------------------------------------------------------------------------
 
-def spec_lattice(d, R):
-    """Reference: the lattice level as a graph description, one dict entry per edge."""
-    axis = range(-R, R + 1)
-    points = [()]
-    for _ in range(d):
-        points = [p + (c,) for p in points for c in axis]
-
-    def ident(p):
-        return ",".join(str(c) for c in p)
-
-    edges = []
-    for p in points:
-        for ax in range(d):
-            q = list(p)
-            q[ax] += 1
-            if q[ax] <= R:
-                edges.append([ident(p), ident(q), 1.0])
-    return {
-        "vertices": [ident(p) for p in points],
-        "edges": edges,
-        "dirichlet": [ident(p) for p in points if max(abs(c) for c in p) == R],
-        "name": f"lattice-d{d}-R{R}",
-    }
-
-
 def spec_chain(R, weights, dirichlet, name, potential=None):
     spec = {
         "vertices": [str(n) for n in range(R + 1)],
@@ -170,6 +145,55 @@ def assert_same_form(a, b):
 def test_lattice_matches_graph_description(d):
     for R in (1, 2, 5, 12 if d < 3 else 6):
         assert_same_form(cf.lattice(d, R), cf.build_form(spec_lattice(d, R)))
+
+
+def non_canonical_ids(d, R):
+    """Ids no level of ``lattice(d, R)`` holds: first coordinates that int()
+    accepts in a non-canonical spelling, too few or too many coordinates, a
+    coordinate outside the box.  For d = 3 the first seven are
+    "+1,0,0", "01,0,0", "1_0,0,0", " 1,0,0", "-0,0,0", "0,0" and "0,0,0,0"."""
+    zeros = ["0"] * (d - 1)
+    return ([",".join([c] + zeros) for c in ("+1", "01", "1_0", " 1", "-0")]
+            + [",".join(zeros), ",".join(zeros + ["0", "0"]),
+               ",".join([str(R + 1)] + zeros), ",".join(zeros + [str(-R - 1)]),
+               "0,", "x", 0, None])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_id_lookup_matches_the_id_dict(d):
+    for R in ((1, 2, 4) if d == 3 else (1, 2, 4, 11)):
+        level, reference = cf.lattice(d, R), cf.build_form(spec_lattice(d, R))
+        ids = reference.vertices
+        assert level.indices(ids) == reference.indices(ids) == list(range(len(ids)))
+        assert [level.index(v) for v in ids[::7]] == list(range(0, len(ids), 7))
+        for v in non_canonical_ids(d, R):
+            for form in (level, reference):
+                with pytest.raises(DomainMismatch, match="unknown vertex id"):
+                    form.index(v)
+
+
+def test_lattice_root_must_be_spelled_canonically():
+    exh = cf.Exhaustion(generator=lambda R: cf.lattice(3, R), radii=(2, 3), root="+0,0,0")
+    with pytest.raises(DomainMismatch, match=r"root '\+0,0,0' missing from level 2"):
+        cf.classify(exh)
+
+
+def test_lattice_builds_its_ids_only_when_read():
+    level = cf.lattice(3, 4)
+    root = level.index("0,0,0")
+    assert level.indices(["4,0,0", "-1,-1,-1"]) == [level.index("4,0,0"), 0]
+    assert level.n == 729 and level.boundary_mask[level.index("4,0,0")]
+    assert not level.boundary_mask[root] and level.n_active == 343
+    assert "vertices" not in vars(level) and "dirichlet" not in vars(level)
+    reference = cf.build_form(spec_lattice(3, 4))
+    # one id, as an error message names it, without the tuple
+    picks = (0, 100, 728)
+    assert [level._ids[k] for k in picks] == [reference.vertices[k] for k in picks]
+    assert "vertices" not in vars(level)
+    assert level.vertices == reference.vertices
+    assert level.vertices is level.vertices
+    assert level.dirichlet == reference.dirichlet
+    assert level.dirichlet is level.dirichlet
 
 
 def test_paths_match_graph_descriptions():
