@@ -328,7 +328,7 @@ def _run_harnack(job):
         "mass_fraction": cert.mass_fraction,
         "harnack_lhs": harnack_lhs,
         "harnack_rhs": harnack_rhs,
-        "harnack_holds": bool(harnack_lhs <= harnack_rhs * (1 + 1e-10)),
+        "harnack_holds": bool(harnack_lhs <= harnack_rhs * (1 + tolerance("tol_ineq"))),
     }
     return results, {}, 0 if results["harnack_holds"] else 1
 

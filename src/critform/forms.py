@@ -11,14 +11,15 @@ and the generator L satisfies q(f, g) = <L f, g>_mu on the non-Dirichlet part.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+# imported before scipy.sparse, scipy.linalg adds ~15 ms to `import critform`
+import scipy.linalg
 
 from .config import tolerance
 from .errors import (
@@ -68,7 +69,7 @@ class _SortedIds:
         return self.ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphForm:
     """Immutable graph form.  Vertex order is fixed at build time.
 
@@ -84,6 +85,9 @@ class GraphForm:
     ``KeyError``, ``as_tuple()``); ``vertices`` (the ids, strings in canonical
     (lexicographic) order) and ``dirichlet`` (frozenset of the ids forced to
     zero) are built from it on first access.
+
+    Every derived quantity is a ``cached_property`` of the read-only fields.
+    Forms compare and hash by identity, and pickle or deep-copy by their fields.
     """
 
     edge_index: np.ndarray
@@ -91,16 +95,13 @@ class GraphForm:
     measure: np.ndarray
     potential: np.ndarray
     boundary_mask: np.ndarray
-    _ids: object = field(repr=False, compare=False)
-    name: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _ids: object = field(repr=False)
+    name: str = ""
 
     def __post_init__(self):
         for arr in (self.edge_index, self.weights, self.measure, self.potential,
                     self.boundary_mask):
             arr.setflags(write=False)
-        # reentrant: cached builders may themselves read other cached fields
-        self._cache["lock"] = threading.RLock()
 
     @classmethod
     def from_arrays(cls, vertices: Sequence[str], edge_index, weights, measure=None,
@@ -248,68 +249,90 @@ class GraphForm:
 
     # -- assembled matrices -------------------------------------------------
 
-    @property
+    @cached_property
     def form_matrix(self) -> sp.csr_matrix:
         """Sparse n x n matrix Q with q(f) = f @ Q @ f for boundary-vanishing f."""
-        def make():
-            (i, j), b = self.edge_index.T, self.weights
-            diag = self._degree() + self.potential * self.measure
-            rows = np.concatenate([i, j, np.arange(self.n)])
-            cols = np.concatenate([j, i, np.arange(self.n)])
-            vals = np.concatenate([-b, -b, diag])
-            return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-        return self._cached("form_matrix", make)
+        (i, j), b = self.edge_index.T, self.weights
+        diag = self._degree + self.potential * self.measure
+        rows = np.concatenate([i, j, np.arange(self.n)])
+        cols = np.concatenate([j, i, np.arange(self.n)])
+        vals = np.concatenate([-b, -b, diag])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
-    @property
+    @cached_property
     def active_form_matrix(self) -> sp.csr_matrix:
         """Q restricted to the non-Dirichlet vertices (Q itself when there are none)."""
-        def make():
-            if self.active.size == self.n:
-                return self.form_matrix
-            act = self.active
-            return self.form_matrix[act][:, act].tocsr()
-        return self._cached("active_form_matrix", make)
+        if self.active.size == self.n:
+            return self.form_matrix
+        act = self.active
+        return self.form_matrix[act][:, act].tocsr()
 
-    @property
+    @cached_property
     def active_measure(self) -> np.ndarray:
-        def make():
-            m = self.measure[self.active]
-            m.setflags(write=False)
-            return m
-        return self._cached("active_measure", make)
+        m = self.measure[self.active]
+        m.setflags(write=False)
+        return m
 
+    @cached_property
     def operator_norm_bound(self) -> float:
         """Row-sum bound on the mu-weighted operator norm of L."""
-        def make():
-            vals = (2.0 * self._degree() + np.abs(self.potential) * self.measure) / self.measure
-            return float(np.max(vals[self.active], initial=0.0))
-        return self._cached("norm_bound", make)
+        vals = (2.0 * self._degree + np.abs(self.potential) * self.measure) / self.measure
+        return float(np.max(vals[self.active], initial=0.0))
 
+    @cached_property
     def symmetric_norm_bound(self) -> float:
         """Top row sum of |M^-1/2 Q M^-1/2| on the non-Dirichlet part.  M^-1 Q
         is self-adjoint in l2(mu), so this bounds its spectrum too, and unlike
         ``operator_norm_bound`` a spread measure cannot inflate it."""
-        def make():
-            i, j = self.edge_index.T
-            b = self.weights * ~(self.boundary_mask[i] | self.boundary_mask[j])
-            d = 1.0 / np.sqrt(self.measure)
-            off = np.bincount(i, b * d[j], minlength=self.n) + np.bincount(j, b * d[i], self.n)
-            rows = d * (np.abs(self.form_matrix.diagonal()) * d + off)
-            return float(np.max(rows[self.active], initial=0.0))
-        return self._cached("symmetric_norm_bound", make)
+        i, j = self.edge_index.T
+        b = self.weights * ~(self.boundary_mask[i] | self.boundary_mask[j])
+        d = 1.0 / np.sqrt(self.measure)
+        off = np.bincount(i, b * d[j], minlength=self.n) + np.bincount(j, b * d[i], self.n)
+        rows = d * (np.abs(self.form_matrix.diagonal()) * d + off)
+        return float(np.max(rows[self.active], initial=0.0))
 
+    @cached_property
     def _degree(self) -> np.ndarray:
         """Weighted degree of every vertex, Dirichlet edges included, summed in edge order."""
-        return self._cached("degree", lambda: np.bincount(
-            self.edge_index.T.ravel(), np.concatenate([self.weights] * 2), minlength=self.n))
+        return np.bincount(self.edge_index.T.ravel(), np.concatenate([self.weights] * 2),
+                           minlength=self.n)
 
-    def _cached(self, key, make):
-        cache = self._cache
-        if key not in cache:
-            with cache["lock"]:
-                if key not in cache:
-                    cache[key] = make()
-        return cache[key]
+    @cached_property
+    def _has_floating_component(self) -> bool:
+        """Whether some connected component of the non-Dirichlet subgraph has
+        zero potential and no edge to the Dirichlet set.  Constants on such a
+        component lie in the kernel of Q, so the zero-shift system is singular.
+        A vertex with a potential or a boundary edge anchors its component, so
+        when every vertex is anchored no component floats."""
+        i, j = self.edge_index[:, 0], self.edge_index[:, 1]
+        boundary = self.boundary_mask
+        anchored = self.potential != 0
+        anchored[i[boundary[j]]] = True
+        anchored[j[boundary[i]]] = True
+        anchored = anchored[self.active]
+        if anchored.all():
+            return False
+        _, labels = csgraph.connected_components(self.active_form_matrix, directed=False)
+        return bool(np.setdiff1d(labels, labels[anchored]).size)
+
+    @cached_property
+    def _dense_spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w and eigenvectors V of M^-1/2 Q M^-1/2 on the
+        non-Dirichlet part, from one dense ``eigh``."""
+        Q = self.active_form_matrix.toarray()
+        d = np.sqrt(self.active_measure)
+        S = Q / np.outer(d, d)
+        return scipy.linalg.eigh(S)
+
+    # -- copies --------------------------------------------------------------
+
+    def __getstate__(self):
+        # the fields alone: a pickled or deep-copied form derives its cached values afresh
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -419,7 +442,7 @@ def _validate_nonnegative(form: GraphForm) -> None:
 
     With c >= 0 the energy is a sum of squares, so the check is skipped.  A
     signed potential needs a proof that the pencil (Q, M) has no eigenvalue
-    below -tol = -tol_psd * max(norm, 1), norm = ``symmetric_norm_bound()``:
+    below -tol = -tol_psd * max(norm, 1), norm = ``symmetric_norm_bound``:
     u = (Q + (tol/2) M)^-1 mu must be a positive supersolution of Q + tol M.
     Else a witness f >= 0 with q(f) < -(tol/2)|f|^2_mu raises ``FormNotNonnegative``:
     e_x if Q_xx/mu_x < -tol/2 (no solve), else f = max(-u, 0), whose energy is at
@@ -429,7 +452,7 @@ def _validate_nonnegative(form: GraphForm) -> None:
         return
     from .resolvent import _solve, _supersolution_proves, _witness_rayleigh
 
-    tol = tolerance("tol_psd") * max(form.symmetric_norm_bound(), 1.0)
+    tol = tolerance("tol_psd") * max(form.symmetric_norm_bound, 1.0)
     Q, mu = form.active_form_matrix, form.active_measure
     ratio = Q.diagonal() / mu
     f = np.arange(mu.size) == np.argmin(ratio)

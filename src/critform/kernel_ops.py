@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.csgraph as csgraph
 
 from .config import tolerance
@@ -44,7 +45,6 @@ __all__ = [
     "heat_kernel_operator",
 ]
 
-MAX_POWER_ITERS = 20_000
 MAX_FIXED_POINT_ITERS = 5_000
 
 
@@ -109,31 +109,27 @@ def lambda_of(op: KernelOperator, tol: float = 1e-10) -> tuple[float, np.ndarray
     """Principal value lambda(T) with a strictly positive witness f satisfying
     T*(Tf)^{p-1} <= lambda f^{p-1} componentwise.
 
-    p = 2: power iteration on the symmetrized T*T with Collatz–Wielandt
-    bracketing (lambda = the certified upper ratio).  General p: the damped
-    fixed-point iteration f <- normalize((T*(Tf)^{p-1})^{1/(p-1)}), stopping
-    when the componentwise ratio spread falls below 1 + tol.
+    p = 2: the Perron vector of the symmetrized T*T from one dense ``eigh``,
+    certified by its Collatz–Wielandt bracket (lambda = the upper ratio,
+    ``NoConvergence`` when the bracket is wider than tol).  General p: the
+    damped fixed-point iteration f <- normalize((T*(Tf)^{p-1})^{1/(p-1)}),
+    stopping when the componentwise ratio spread falls below 1 + tol.
     """
     if op.p == 2.0:
-        kt = ktilde(op)
         d = np.sqrt(op.mu)
-        S = kt * d[None, :] * d[:, None]     # symmetric, strictly positive
-        v = d / np.linalg.norm(d)            # positive start: Perron direction wins
-        lam_hi = np.inf
-        for _ in range(MAX_POWER_ITERS):
-            w = S @ v
-            ratios = w / v
-            lo, hi = float(np.min(ratios)), float(np.max(ratios))
-            lam_hi = hi
-            if hi - lo <= tol * max(hi, 1e-300):
-                f = (v / d)
-                return hi, f / np.max(f)
-            v = w / np.linalg.norm(w)
+        S = ktilde(op) * d[None, :] * d[:, None]     # symmetric, strictly positive
+        n = op.n_source
+        v = np.abs(scipy.linalg.eigh(S, subset_by_index=[n - 1, n - 1])[1][:, 0])
+        ratios = (S @ v) / v
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        if hi - lo <= tol * max(hi, 1e-300):
+            f = v / d
+            return hi, f / np.max(f)
         err = NoConvergence(
-            f"power iteration did not tighten the Collatz–Wielandt bracket "
-            f"below tol; best bracket [{lo:.12e}, {hi:.12e}]"
+            f"the Perron vector does not close the Collatz–Wielandt bracket "
+            f"below tol: [{lo:.12e}, {hi:.12e}]"
         )
-        err.bracket = (lo, lam_hi)
+        err.bracket = (lo, hi)
         raise err
 
     pm1 = op.p - 1.0

@@ -4,9 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
@@ -164,26 +162,6 @@ def _lu_solve(dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dgetrs(lu, piv, b)[0]
 
 
-def _has_floating_component(form: GraphForm) -> bool:
-    """Whether some connected component of the non-Dirichlet subgraph has
-    zero potential and no edge to the Dirichlet set.  Constants on such a
-    component lie in the kernel of Q, so the zero-shift system is singular.
-    A vertex with a potential or a boundary edge anchors its component, so
-    when every vertex is anchored no component floats."""
-    def make():
-        i, j = form.edge_index[:, 0], form.edge_index[:, 1]
-        boundary = form.boundary_mask
-        anchored = form.potential != 0
-        anchored[i[boundary[j]]] = True
-        anchored[j[boundary[i]]] = True
-        anchored = anchored[form.active]
-        if anchored.all():
-            return False
-        _, labels = csgraph.connected_components(form.active_form_matrix, directed=False)
-        return bool(np.setdiff1d(labels, labels[anchored]).size)
-    return form._cached("floating_component", make)
-
-
 def _resolvent_grid(form: GraphForm, vec: np.ndarray, alpha) -> np.ndarray:
     """(Q + alpha M)^-1 M vec on the non-Dirichlet part from one ``solve_spd``
     call: a vector for one shift alpha >= 0 (zero adds no diagonal), or the
@@ -220,7 +198,7 @@ def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
     when the solve fails its residual certificate.  Callers then fall back to
     the shift-schedule limit."""
     vec = as_function(form, f)
-    if _has_floating_component(form):
+    if form._has_floating_component:
         return None
     out = np.zeros(form.n)
     try:
@@ -228,15 +206,6 @@ def direct_green_solve(form: GraphForm, f) -> np.ndarray | None:
     except SolverFailure:
         return None
     return out
-
-
-def _dense_spectral(form: GraphForm):
-    def make():
-        Q = form.active_form_matrix.toarray()
-        d = np.sqrt(form.active_measure)
-        S = Q / np.outer(d, d)
-        return scipy.linalg.eigh(S)
-    return form._cached("dense_spectral", make)
 
 
 def semigroup_apply(form: GraphForm, f, t: float) -> np.ndarray:
@@ -261,7 +230,7 @@ def _semigroup_block(form: GraphForm, F, t: float) -> np.ndarray:
     d = np.sqrt(form.active_measure)[:, None]
     X = d * F
     if form.n_active <= DENSE_SEMIGROUP_CUTOFF:
-        w, V = _dense_spectral(form)
+        w, V = form._dense_spectral
         Y = V @ (np.exp(-t * w)[:, None] * (V.T @ X))
     else:
         dinv = sp.diags(1.0 / d[:, 0])
@@ -381,7 +350,7 @@ def _excessivity_gate(form: GraphForm, h, tol_exc: float):
         hv = np.maximum(hv, 0.0)
 
     h_sup = float(np.max(hv)) if hv.size else 0.0
-    scale_L = max(form.operator_norm_bound() * max(h_sup, 1.0), 1.0)
+    scale_L = max(form.operator_norm_bound * max(h_sup, 1.0), 1.0)
 
     act = form.active
     Lh = (form.active_form_matrix @ hv[act]) / form.measure[act]
@@ -397,7 +366,7 @@ def is_excessive(form: GraphForm, h) -> ExcessivityReport:
     hv, algebraic_min, alg_ok = _excessivity_gate(form, h, tol_exc)
 
     # alpha * G_alpha h - h is 0 on the Dirichlet set, which h vanishes on
-    alphas = max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9)
+    alphas = max(form.operator_norm_bound, 1.0) * np.logspace(-2, 2, 9)
     U = _resolvent_grid(form, hv, alphas)
     worst = float(np.max(alphas * U - hv[form.active, None],
                          initial=0.0 if form.n_active < form.n else -np.inf))

@@ -326,7 +326,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
     # in poincare mode.
     if mode == "poincare":
         Lh = form.active_form_matrix @ h_act
-        scale = max(form.operator_norm_bound() * float(np.max(h_act)), 1.0)
+        scale = max(form.operator_norm_bound * float(np.max(h_act)), 1.0)
         if float(np.max(np.abs(Lh / mu))) > tolerance("tol_exc") * scale:
             raise KernelMismatch("h does not span the kernel (L h != 0)")
         if n == 1:
@@ -334,7 +334,7 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
         a = W * h_act
     else:
         # a positive supersolution of Q - tau M proves lambda_min >= tau
-        tau = 1e-12 * max(form.symmetric_norm_bound(), 1.0)
+        tau = 1e-12 * max(form.symmetric_norm_bound, 1.0)
         Q_act = form.active_form_matrix
         try:
             proved = _supersolution_proves(Q_act, -tau * mu, _solve(Q_act, mu, -tau * mu))

@@ -1,4 +1,6 @@
 """Shared fixtures and small builders used across the test modules."""
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -6,6 +8,10 @@ from scipy.linalg import lapack
 
 import critform as cf
 import critform.forms
+
+# the derived quantities of a form: GraphForm's cached properties
+CACHED = frozenset(name for name, attr in vars(cf.GraphForm).items()
+                   if isinstance(attr, functools.cached_property))
 
 
 def form_spec(form, name=None):

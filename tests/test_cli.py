@@ -329,17 +329,23 @@ def test_excessive_command(tmp_path):
     assert min(res["values"][v] for v in res["reference_set"]) == pytest.approx(1.0)
 
 
-def test_harnack_command(tmp_path):
+def write_kernel(path, kernel, mu, nu):
+    doc = {"kernel": kernel, "mu": mu, "nu": nu}
+    path.write_text(json.dumps({k: np.asarray(v).tolist() for k, v in doc.items()}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def kernel_file(tmp_path):
     rng = np.random.default_rng(7)
-    kernel = rng.uniform(0.5, 2.0, (4, 4))
-    op_file = tmp_path / "op.json"
-    op_file.write_text(json.dumps({
-        "kernel": kernel.tolist(),
-        "mu": [1.0, 1.0, 2.0, 1.0],
-        "nu": [1.0, 1.5, 1.0, 1.0],
-    }), encoding="utf-8")
+    return write_kernel(tmp_path / "op.json", rng.uniform(0.5, 2.0, (4, 4)),
+                        [1.0, 1.0, 2.0, 1.0], [1.0, 1.5, 1.0, 1.0])
+
+
+def test_harnack_command(tmp_path, kernel_file):
     prefix = str(tmp_path / "har")
-    code = main(["harnack", "--input", str(op_file), "--target-mass", "0.5",
+    code = main(["harnack", "--input", kernel_file, "--target-mass", "0.5",
                  "--output", prefix])
     assert code == 0
     res = read_json(prefix + ".json")["results"]
@@ -347,6 +353,27 @@ def test_harnack_command(tmp_path):
     assert res["mass_fraction"] >= 0.5
     assert res["lambda"] > 0
     assert res["witness_excess"] >= -1e-10
+
+
+def test_harnack_gate_applies_the_echoed_tol_ineq(tmp_path, kernel_file):
+    # the default gate holds here with harnack_lhs / harnack_rhs = 0.61
+    prefix = str(tmp_path / "har")
+    assert main(["harnack", "--input", kernel_file, "--tol", "tol_ineq=-0.5",
+                 "--output", prefix]) == 1
+    doc = read_json(prefix + ".json")
+    assert doc["results"]["harnack_holds"] is False
+    assert doc["provenance"]["tolerances"]["tol_ineq"] == -0.5
+
+
+def test_harnack_on_the_path_heat_kernel(tmp_path):
+    # a power iteration takes more than 20,000 steps to close this bracket to 1e-10
+    op = cf.heat_kernel_operator(cf.path_form(300), t=1.0)
+    prefix = str(tmp_path / "heat")
+    op_file = write_kernel(tmp_path / "heat.json", op.kernel, op.mu, op.nu)
+    assert main(["harnack", "--input", op_file, "--output", prefix]) == 0
+    res = read_json(prefix + ".json")["results"]
+    assert res["harnack_holds"] is True
+    assert res["lambda"] == cf.lambda_of(op)[0]
 
 
 def test_check_command(tmp_path):

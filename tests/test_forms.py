@@ -1,4 +1,8 @@
 """Construction, validation, energy evaluation and the structural checks."""
+import copy
+import pickle
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +21,7 @@ from critform.errors import (
     SolverFailure,
 )
 
-from conftest import active_vector, count_calls, form_spec
+from conftest import CACHED, active_vector, count_calls, form_spec
 
 
 def test_vertices_are_sorted_and_indexed(triangle):
@@ -246,8 +250,8 @@ def test_spread_measure_does_not_inflate_the_nonnegativity_tolerance():
     # hide the planted pencil eigenvalue 0.0062 - 0.0162 = -0.010
     path = cf.dirichlet_path(40)
     form = cf.ground_state_transform(path, 2.0 ** -np.arange(path.n)).form
-    assert form.operator_norm_bound() > 1e11
-    assert form.symmetric_norm_bound() <= 4.0
+    assert form.operator_norm_bound > 1e11
+    assert form.symmetric_norm_bound <= 4.0
     lam = scipy.linalg.eigvalsh(form.active_form_matrix.toarray(), np.diag(form.active_measure))
     assert 5e-3 < lam[0] < 7e-3
     with pytest.raises(FormNotNonnegative) as info:
@@ -313,8 +317,8 @@ def test_assembly_matches_the_fancy_index_expressions_bit_for_bit(make):
     assert cf.resolvent._excessivity_gate(form, h, 1e-9)[1] == float(Lh.min())
     d = 1.0 / np.sqrt(form.active_measure)
     reference = float(np.max(d * (abs(Q[act][:, act]) @ d)))
-    assert form.symmetric_norm_bound() == pytest.approx(reference, rel=1e-14)
-    assert form._cache["symmetric_norm_bound"] == form.symmetric_norm_bound()
+    assert form.symmetric_norm_bound == pytest.approx(reference, rel=1e-14)
+    assert vars(form)["symmetric_norm_bound"] == form.symmetric_norm_bound
 
 
 def test_first_bd_sweep_nonpositive():
@@ -459,6 +463,69 @@ def test_cache_is_per_instance():
     a = cf.path_form(4)
     b = cf.path_form(4)
     _ = a.form_matrix
-    assert "form_matrix" not in b._cache
+    assert "form_matrix" in vars(a) and "form_matrix" not in vars(b)
     f = active_vector(b, np.random.default_rng(1))
     assert cf.evaluate(b, f) >= 0
+
+
+def test_forms_compare_and_hash_by_identity():
+    f = cf.path_form(3)
+    assert f == f
+    assert f != cf.path_form(3)
+    assert {f: "f"}[f] == "f"
+    assert f in {f} and cf.path_form(3) not in {f}
+
+
+@pytest.mark.parametrize("duplicate", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("make", [
+    lambda: cf.random_connected_form(30, seed=2, dirichlet_count=3, signed_potential=True),
+    lambda: cf.lattice(2, 3),
+], ids=["signed-dirichlet", "lattice2d"])
+def test_copies_derive_bit_identical_state(make, duplicate):
+    form = make()
+    twin = duplicate(form)
+    assert twin is not form and twin != form
+    assert bits(twin.form_matrix) == bits(form.form_matrix)
+    assert bits(twin.active_form_matrix) == bits(form.active_form_matrix)
+    assert twin.operator_norm_bound.hex() == form.operator_norm_bound.hex()
+    assert twin.vertices == form.vertices
+    assert not any(getattr(twin, name).flags.writeable for name in
+                   ("edge_index", "weights", "measure", "potential", "boundary_mask"))
+
+
+def state_bits(value):
+    """A derived value of a form as comparable bytes."""
+    if sp.issparse(value):
+        return bits(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(state_bits, value))
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return repr(value)
+
+
+def test_threads_reading_one_fresh_form_agree():
+    def make():
+        return cf.random_connected_form(60, seed=8, dirichlet_count=3)
+    names = sorted(CACHED)
+    alone = make()
+    reference = {name: state_bits(getattr(alone, name)) for name in names}
+    form = make()
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read(k):
+        barrier.wait(timeout=60)
+        seen.append({name: state_bits(getattr(form, name))
+                     for name in (names if k % 2 else names[::-1])})
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert len(seen) == 8
+    assert all(values == reference for values in seen)

@@ -14,6 +14,7 @@ from critform.errors import (
     NotIrreducible,
     NoViolationFound,
     ScheduleTooShort,
+    SolverFailure,
 )
 from critform.forms import as_function
 from critform.kernel_ops import (
@@ -361,11 +362,34 @@ def test_construct_never_computes_a_principal_value(monkeypatch):
 
 
 def test_construct_below_the_power_iteration_reach():
-    # lambda_of of this heat kernel does not close its bracket; the
-    # construction never asks for it
+    # the construction never asks for lambda, which on this heat kernel takes
+    # a dense eigh (20,000 power steps do not close its bracket to 1e-10)
     built = cf.construct_excessive(cf.path_form(300),
                                    alpha_schedule=cf.default_alpha_schedule(1, 1e-14, 0.5))
     assert built.excessive
+
+
+def test_construct_certifies_every_tail_residual_before_reading_b(monkeypatch):
+    # one solve_spd call solves and certifies the three tail shifts, so the
+    # last shift's failed residual wins over the first shift's iterate
+    # vanishing on B (which alone passes the loosened residual gate)
+    form = cf.random_connected_form(15, seed=9)
+    B, schedule = form.vertices[3], (4.0, 2.0, 1.0)
+    first, last = (alpha * form.active_measure[0] for alpha in (schedule[0], schedule[-1]))
+    solve = resolvent._solve
+
+    def broken(A, b, shift=None):
+        u = solve(A, b, shift)
+        for column, s in zip(u.T, shift):
+            if s[0] == first:
+                column[form.index(B)] = 0.0
+            if s[0] == last:
+                column *= 1e6
+        return u
+
+    monkeypatch.setattr(resolvent, "_solve", broken)
+    with cf.job_tolerances({"tol_solve": 1.0}), pytest.raises(SolverFailure):
+        cf.construct_excessive(form, alpha_schedule=schedule, B=(B,), fatou_t=())
 
 
 def test_construct_reads_no_shift_before_the_last_three():

@@ -1,4 +1,5 @@
 """Resolvent solves, the heat semigroup, zero-shift limits, excessivity."""
+import dataclasses
 import struct
 
 import numpy as np
@@ -15,7 +16,14 @@ from critform.errors import GreenInconclusive, SolverFailure
 from critform.resolvent import (
     _solve, _supersolution_proves, direct_green_solve, solve_spd)
 
-from conftest import active_vector, backends_per_call, count_calls, shifted
+from conftest import CACHED, active_vector, backends_per_call, count_calls, shifted
+
+
+def assert_no_factorization_kept(form):
+    """A form holds its fields and its class's cached values, none a factorization."""
+    assert set(vars(form)) <= {f.name for f in dataclasses.fields(form)} | CACHED
+    assert not any(isinstance(value, (spla.SuperLU, spla.LinearOperator))
+                   for value in vars(form).values())
 
 
 def dense_resolvent(form, alpha):
@@ -308,7 +316,7 @@ def test_no_factorization_outlives_its_solve(make, backend, backends, monkeypatc
     # 2 shifted, 1 direct, then the 9-shift grid in one call: each shift factored afresh
     assert [made for _, made in solves] == [[backend]] * 3 + [[backend] * 9]
     assert backends == [backend] * 12                 # none outside a solve_spd call
-    assert not any(isinstance(key, tuple) for key in form._cache)
+    assert_no_factorization_kept(form)
 
 
 def free_floating_box(R):
@@ -344,7 +352,7 @@ def test_floating_check_labels_components_only_when_some_vertex_is_unanchored(mo
     potential[box.index("3,3,3")] = 1.0
     corner = cf.GraphForm.from_arrays(box.vertices, box.edge_index, box.weights,
                                       potential=potential)
-    calls = count_calls(monkeypatch, resolvent.csgraph, "connected_components")
+    calls = count_calls(monkeypatch, cf.forms.csgraph, "connected_components")
     for form, floats, labelled in [
         (box, True, 1),                                  # no anchor at all
         (corner, False, 1),                              # one anchored corner
@@ -353,7 +361,7 @@ def test_floating_check_labels_components_only_when_some_vertex_is_unanchored(mo
         (cf.random_tree_form(100, seed=1), False, 0),    # potential >= 0.1 everywhere
     ]:
         del calls[:]
-        assert resolvent._has_floating_component(form) is floats
+        assert form._has_floating_component is floats
         assert len(calls) == labelled
 
 
@@ -555,17 +563,17 @@ def test_is_excessive_solves_its_nine_shift_grid(backends, monkeypatch):
     rep = cf.is_excessive(form, np.ones(form.n))
     assert rep.agree
     [(args, made)] = solves                           # one call for the whole grid
-    alphas = max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9)
+    alphas = max(form.operator_norm_bound, 1.0) * np.logspace(-2, 2, 9)
     assert np.array_equal(args[2], np.multiply.outer(alphas, form.active_measure))
     assert made == backends == ["dgetrf"] * 9         # one factorization per shift
-    assert not any(isinstance(key, tuple) for key in form._cache)
+    assert_no_factorization_kept(form)
 
 
 def reference_grid_max_violation(form, h):
     """The grid violation of ``is_excessive``, one ``resolvent_apply`` per shift."""
     hv = np.maximum(np.asarray(h, dtype=float), 0.0)
     worst = -np.inf
-    for alpha in max(form.operator_norm_bound(), 1.0) * np.logspace(-2, 2, 9):
+    for alpha in max(form.operator_norm_bound, 1.0) * np.logspace(-2, 2, 9):
         u = cf.resolvent_apply(form, hv, alpha)
         worst = max(worst, float(np.max(alpha * u - hv)))
     return worst

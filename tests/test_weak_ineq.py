@@ -103,7 +103,7 @@ def test_hardy_kernel_check_ignores_a_spread_measure():
     # spectrum stays in [0.0062, 3.99]
     path = cf.dirichlet_path(40)
     form = cf.ground_state_transform(path, 2.0 ** -np.arange(path.n)).form
-    assert form.operator_norm_bound() > 1e11
+    assert form.operator_norm_bound > 1e11
     lam = scipy.linalg.eigvalsh(form.active_form_matrix.toarray(), np.diag(form.active_measure))
     assert 5e-3 < lam[0] and lam[-1] < 4.0
     prof = cf.alpha_profile(form, mode="hardy", seed=0)
