@@ -40,7 +40,6 @@ from .criticality import (  # noqa: F401
     capacity,
     classify,
     null_sequence,
-    subcriticality_certificates,
 )
 from .hardy import (  # noqa: F401
     GroundStateTransform,

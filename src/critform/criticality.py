@@ -1,5 +1,5 @@
 """Capacity along exhaustions, the subcritical/critical verdict, ground states
-and certificate cross-checks."""
+and null sequences."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -9,17 +9,9 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from .config import tolerance
-from .errors import (
-    CritformError,
-    DomainMismatch,
-    GreenInconclusive,
-    InconsistentCertificates,
-    NoConvergence,
-    NotCritical,
-    ValidationFailure,
-)
-from .forms import GraphForm, evaluate_rows
-from .resolvent import green_apply, solve_spd
+from .errors import CritformError, DomainMismatch, NoConvergence, NotCritical, ValidationFailure
+from .forms import GraphForm
+from .resolvent import solve_spd
 
 __all__ = [
     "Exhaustion",
@@ -30,7 +22,6 @@ __all__ = [
     "classify",
     "agmon_ground_state",
     "null_sequence",
-    "subcriticality_certificates",
 ]
 
 # Fixed note carried by every classification report: the two-verdict scheme is
@@ -84,27 +75,34 @@ class Exhaustion:
         return form
 
     def validate_nesting(self) -> None:
-        """Spot-check that the first three levels agree on shared data."""
+        """Spot-check that the first three levels agree on shared data: every
+        id of a level lies in the next, with the same measure and potential,
+        and its interior edges keep their weights there."""
         forms = [self.level(r) for r in self.radii[:3]]
         for small, large in zip(forms, forms[1:]):
-            shared = set(small.vertices) & set(large.vertices)
-            for v in sorted(shared):                    # canonical order, not the set's
-                i, j = small.index(v), large.index(v)
-                if small.measure[i] != large.measure[j] or small.potential[i] != large.potential[j]:
-                    raise ValidationFailure(f"levels disagree at vertex {v!r}")
-            small_edges = {
-                (small.vertices[a], small.vertices[b]): w
-                for (a, b), w in zip(small.edge_index, small.weights)
-            }
-            large_edges = {
-                (large.vertices[a], large.vertices[b]): w
-                for (a, b), w in zip(large.edge_index, large.weights)
-            }
-            for key, w in small_edges.items():
-                if key[0] in shared and key[1] in shared:
-                    interior = not (key[0] in small.dirichlet or key[1] in small.dirichlet)
-                    if interior and large_edges.get(key) != w:
-                        raise ValidationFailure(f"levels disagree on edge {key}")
+            try:
+                at = np.array(large.indices(small.vertices), dtype=np.int64)
+            except DomainMismatch as exc:
+                raise ValidationFailure(f"levels do not nest: {exc}") from None
+            bad = np.flatnonzero((small.measure != large.measure[at])
+                                 | (small.potential != large.potential[at]))
+            if bad.size:                                # the smallest id in string order
+                raise ValidationFailure(
+                    f"levels disagree at vertex {min(small.vertices[k] for k in bad)!r}")
+            interior = ~small.boundary_mask[small.edge_index].any(axis=1)
+            edges, w = small.edge_index[interior], small.weights[interior]
+            # ``at`` keeps the canonical order, so rows stay (i < j); large's rows are
+            # sorted, so their keys are, and the sentinel's NaN weight matches no edge
+            lo, hi = at[edges].T
+            keys = np.append(large.edge_index[:, 0] * large.n + large.edge_index[:, 1],
+                             large.n ** 2)
+            want = lo * large.n + hi
+            k = np.searchsorted(keys, want)
+            bad = np.flatnonzero((keys[k] != want) | (np.append(large.weights, np.nan)[k] != w))
+            if bad.size:
+                a, b = edges[bad[0]]
+                raise ValidationFailure(
+                    f"levels disagree on edge {(small.vertices[a], small.vertices[b])}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,10 @@ def classify(exhaustion: Exhaustion, with_artifacts: bool = False) -> Classifica
     Decision order: (1) trace below the absolute floor -> Critical;
     (2) trace flat above the floor -> Subcritical; (3) decisively negative
     log-log slope over the trailing half -> Critical; (4) positive limit of a
-    certified 1/R extrapolation with shallow slope -> Subcritical; otherwise
-    Inconclusive.  Later radii only refine, never flip, a decisive verdict.
+    1/R extrapolation that wins the model competition, with shallow slope ->
+    Subcritical; otherwise Inconclusive.  Later radii only refine, never flip,
+    a decisive verdict.  The extrapolated limit is a least-squares fit, not a
+    bound on the true capacity.
     """
     radii = exhaustion.radii
     window = (_GroundStateTrace(exhaustion, max(min(radii[0], radii[-1] // 4), 1))
@@ -450,7 +450,7 @@ class _GroundStateTrace:
 @dataclass(frozen=True)
 class NullSequenceTerm:
     radius: int
-    level: GraphForm
+    vertices: tuple             # the level's ids, as ``form.vertices`` gives them
     function: np.ndarray
     energy: float
 
@@ -458,113 +458,10 @@ class NullSequenceTerm:
 def null_sequence(exhaustion: Exhaustion, n_terms: int) -> list[NullSequenceTerm]:
     """Equilibrium potentials of the first ``n_terms`` levels; for critical
     forms their energies are the vanishing capacity trace (a growing one
-    raises ``ValidationFailure``)."""
+    raises ``ValidationFailure``).  Each term keeps its level's ids, not the
+    level, so one level is alive at a time."""
     terms = []
     _capacity_trace(exhaustion, exhaustion.radii[:n_terms], lambda radius, level, cap:
-                    terms.append(NullSequenceTerm(radius, level, cap.equilibrium, cap.value)))
+                    terms.append(NullSequenceTerm(radius, level.vertices, cap.equilibrium,
+                                                  cap.value)))
     return terms
-
-
-@dataclass(frozen=True)
-class CertificateBundle:
-    per_level: tuple            # ((R, kappa_exact, green_sup), ...)
-    kappa_sampled: float
-    kappa_trend: str            # "stable" | "growing" | "short"
-    capacity_verdict: str
-    consistent: bool
-    extrapolated_green_at_root: float | None
-    notes: str
-
-
-def subcriticality_certificates(exhaustion: Exhaustion) -> CertificateBundle:
-    """Cross-check three equivalent subcriticality witnesses along the levels:
-    boundedness of the smoothing limit applied to g, the unit mass at the
-    root, boundedness of the best constant kappa in the L1(g)-energy
-    inequality, and the capacity verdict, all from one pass over the levels.
-
-    Raises InconsistentCertificates when decisive signals disagree.
-    """
-    per_level = []
-    kappa_sampled = 0.0
-    root_trace = []
-
-    def certify(radius, level, cap):
-        nonlocal kappa_sampled
-        gv = np.zeros(level.n)
-        gv[level.index(exhaustion.root)] = 1.0
-        try:
-            green = green_apply(level, gv)
-        except GreenInconclusive as exc:
-            raise InconsistentCertificates(
-                f"level {radius}: smoothing limit inconclusive on the default shift schedule"
-            ) from exc
-        if not green.finite:
-            # A level with a diverging limit certifies criticality outright
-            # (possible when the level itself carries no Dirichlet boundary).
-            per_level.append((radius, np.inf, np.inf))
-            return
-        kappa_exact = float(np.sqrt(max(np.sum(green.value * gv * level.measure), 0.0)))
-        green_sup = float(np.max(np.abs(green.value)))
-        per_level.append((radius, kappa_exact, green_sup))
-        root_trace.append(green.value[level.index(exhaustion.root)])
-
-        if radius == exhaustion.radii[-1]:
-            # the L1(g)-energy ratio of G g, which maximizes it over all f
-            act = level.active
-            energy = evaluate_rows(level, green.value[None, act])[0]
-            if energy > 0:
-                kappa_sampled = float(np.sum(np.abs(green.value[act]) * gv[act]
-                                             * level.active_measure) / np.sqrt(energy))
-
-    trace, _ = _capacity_trace(exhaustion, exhaustion.radii, certify)
-    verdict = _verdict(*np.array(trace, dtype=float).T)[0]
-
-    kappas = np.array([k for _, k, _ in per_level])
-    diverged = bool(np.any(np.isinf(kappas)))
-    if diverged:
-        trend = "growing"
-    elif len(kappas) >= 3:
-        tail_rel = abs(kappas[-1] - kappas[-2]) / max(kappas[-1], 1e-300)
-        if tail_rel < 1e-3:
-            trend = "stable"
-        else:
-            slope, _ = _power_fit(np.array(exhaustion.radii[-3:], dtype=float), kappas[-3:])
-            trend = "growing" if slope > 0.05 else "stable"
-    else:
-        trend = "short"
-
-    # kappa on the last level can exceed the sampled value but never the exact one
-    if not diverged and kappa_sampled > kappas[-1] * (1 + 1e-6) + 1e-12:
-        raise InconsistentCertificates(
-            f"sampled kappa {kappa_sampled:.6e} exceeds the exact constant {kappas[-1]:.6e}"
-        )
-
-    consistent = True
-    if verdict == "Subcritical" and trend == "growing":
-        consistent = False
-    if verdict == "Critical" and trend == "stable":
-        consistent = False
-    if not consistent:
-        raise InconsistentCertificates(
-            f"kappa trend {trend!r} contradicts capacity verdict {verdict!r}"
-        )
-
-    extrap = None
-    if len(root_trace) >= 3:
-        w0, w1, w2 = root_trace[-3:]
-        denom = (w2 - w1) - (w1 - w0)
-        if abs(denom) > 1e-300:
-            extrap = float(w2 - (w2 - w1) ** 2 / denom)
-        else:
-            extrap = float(w2)
-
-    return CertificateBundle(
-        per_level=tuple(per_level),
-        kappa_sampled=kappa_sampled,
-        kappa_trend=trend,
-        capacity_verdict=verdict,
-        consistent=consistent,
-        extrapolated_green_at_root=extrap,
-        notes="per-level smoothing limits are finite by construction; the "
-              "criticality signal is their growth across levels",
-    )

@@ -71,10 +71,6 @@ class NoConvergence(CritformError):
     pass
 
 
-class InconsistentCertificates(CritformError):
-    pass
-
-
 # ---- weights and transforms ----
 
 class NonPositiveInput(CritformError):

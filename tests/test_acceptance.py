@@ -71,8 +71,8 @@ def test_criterion_1_trichotomy_verdicts():
     caps3 = [c for _, c in rep3.capacity_trace]
     raw_rel = abs(caps3[-1] - caps3[-2]) / caps3[-1]
     # the finite-box capacity itself converges like 1/R (raw consecutive
-    # change ~5e-3 at R = 12); the verdict rests on the certified 1/R
-    # extrapolation, whose limit is stable and positive
+    # change ~5e-3 at R = 12); the verdict rests on the least-squares 1/R
+    # extrapolation, whose limit is positive and 1e-3 below the exact 6/u_3
     assert rep3.fit["extrapolated_limit"] == pytest.approx(3.9528, abs=5e-3)
     assert rep3.fit["inverse_radius_resid"] <= 0.05
 

@@ -19,7 +19,6 @@ REMOVED_EVERYWHERE = {
 REMOVED_FROM = {
     "is_excessive": {"tol"}, "tolerances": {"overrides"},
     "agmon_ground_state": {"report"},
-    "subcriticality_certificates": {"report", "g", "alpha_schedule"},
     "construct_excessive": {"harnack_target_mass"}, "constant_exhaustion": {"n_levels"},
     "hardy_weight": {"alpha_schedule", "allow_shift_fallback", "verify"},
     "perturbed_hardy_bound": {"n_samples", "seed"},
@@ -70,6 +69,13 @@ def test_grid_too_coarse_is_gone():
     # decay_rate reads alpha_base below every grid, so no grid is too coarse
     assert not hasattr(cf, "GridTooCoarse")
     assert not hasattr(cf.errors, "GridTooCoarse")
+
+
+def test_certificate_bundle_is_gone():
+    # its constant restated the capacity: κ_R² · cap_R = μ_o² on every level
+    assert not hasattr(cf, "subcriticality_certificates")
+    assert not hasattr(cf.criticality, "CertificateBundle")
+    assert not hasattr(cf.errors, "InconsistentCertificates")
 
 
 def test_job_tolerances_is_the_exported_override():

@@ -1,7 +1,8 @@
-"""Capacity traces, exhaustion verdicts, ground states, certificate bundles."""
+"""Capacity traces, exhaustion verdicts, ground states, null sequences."""
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +111,35 @@ def test_exhaustion_nesting_spot_check():
         exh.validate_nesting()
 
 
+def renamed_apart_from_the_root(R):
+    """``lattice(1, R)`` with every id but the root's tagged by R: no two levels nest."""
+    base = cf.lattice(1, R)
+    rename = {v: v if v == "0" else f"{v}@{R}" for v in base.vertices}
+    return cf.GraphForm.from_arrays([rename[v] for v in base.vertices], base.edge_index,
+                                    base.weights, base.measure, base.potential,
+                                    [rename[v] for v in base.dirichlet])
+
+
+def heavier_middle_edge(R):
+    """A path whose edge ("1", "2") weighs R: the levels agree on every vertex."""
+    return cf.build_form({
+        "vertices": [str(k) for k in range(R + 1)],
+        "edges": [[str(k), str(k + 1), float(R) if k == 1 else 1.0] for k in range(R)],
+        "dirichlet": [str(R)],
+    })
+
+
+@pytest.mark.parametrize("generator,message", [
+    (renamed_apart_from_the_root, "levels do not nest: unknown vertex id '-1@3'"),
+    (heavier_middle_edge, "levels disagree on edge ('1', '2')"),
+])
+def test_nesting_check_names_what_does_not_nest(generator, message):
+    exh = cf.Exhaustion(generator=generator, radii=(3, 5, 8), root="0")
+    with pytest.raises(ValidationFailure) as caught:
+        exh.validate_nesting()
+    assert str(caught.value) == message
+
+
 NESTING_SCRIPT = """
 import critform as cf
 from critform.errors import ValidationFailure
@@ -211,8 +241,21 @@ def test_null_sequence_energies_match_trace():
     for t in terms:
         assert t.energy == pytest.approx(2.0 / t.radius, rel=1e-10)
         # each term is the equilibrium potential: 1 at the root
-        assert t.function[t.level.index("0")] == pytest.approx(1.0)
+        assert t.function[t.vertices.index("0")] == pytest.approx(1.0)
     assert terms[0].energy > terms[1].energy > terms[2].energy
+
+
+def test_null_sequence_keeps_no_level_alive():
+    base, refs = cf.lattice_exhaustion(2, radii=(4, 8, 16)), []
+
+    def generator(radius):
+        level = base.generator(radius)
+        refs.append(weakref.ref(level))
+        return level
+    terms = cf.null_sequence(cf.Exhaustion(generator=generator, radii=base.radii,
+                                           root=base.root), 3)
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert [len(t.vertices) for t in terms] == [81, 289, 1089]
 
 
 def test_ground_state_requires_critical_verdict(triangle):
@@ -325,15 +368,9 @@ def test_ground_state_window_between_radii_is_built_once_after_the_pass(monkeypa
 
 
 def test_classify_keeps_its_verdict_when_levels_do_not_nest():
-    # every level renames its vertices apart from the root: the capacities
-    # still vanish, but the window cannot be read on the larger levels
-    def generator(R):
-        base = cf.lattice(1, R)
-        rename = {v: v if v == "0" else f"{v}@{R}" for v in base.vertices}
-        return cf.GraphForm.from_arrays([rename[v] for v in base.vertices], base.edge_index,
-                                        base.weights, base.measure, base.potential,
-                                        [rename[v] for v in base.dirichlet])
-    exh = cf.Exhaustion(generator=generator, radii=(5, 10, 20, 40, 80), root="0")
+    # the capacities still vanish, but the window cannot be read on the larger levels
+    exh = cf.Exhaustion(generator=renamed_apart_from_the_root, radii=(5, 10, 20, 40, 80),
+                        root="0")
     report = cf.classify(exh, with_artifacts=True)
     assert report.verdict == "Critical"
     assert report.ground_state["error"].startswith("DomainMismatch")
@@ -341,24 +378,40 @@ def test_classify_keeps_its_verdict_when_levels_do_not_nest():
         cf.agmon_ground_state(exh, window_radius=5)
 
 
-def test_certificates_consistent_on_subcritical_family():
-    exh = cf.birth_death_exhaustion(2.0, gamma=None, radii=(20, 40, 80))
-    bundle = cf.subcriticality_certificates(exh)
-    assert bundle.consistent
-    assert bundle.capacity_verdict == "Subcritical"
-    assert bundle.kappa_trend == "stable"
-    # the smoothing limit G g attains the exact constant: q(G g) = <G g, g>_mu
-    _, kappa_last, _ = bundle.per_level[-1]
-    assert bundle.kappa_sampled == pytest.approx(kappa_last, rel=1e-9)
+# a graph document whose root "a" (its first non-Dirichlet vertex) has mu = 0.5
+WEIGHTED_ROOT = cf.constant_exhaustion(cf.build_form({
+    "vertices": ["a", "o", "b", "c"],
+    "edges": [["a", "o", 2.0], ["o", "b", 0.5], ["b", "c", 3.0], ["a", "c", 1.0]],
+    "mu": {"a": 0.5, "o": 3.0, "b": 2.0, "c": 1.5},
+    "potential": {"b": 0.25},
+    "dirichlet": ["c"],
+}))
 
 
-def test_certificates_build_and_solve_each_level_once(monkeypatch):
+@pytest.mark.parametrize("exh", [cf.lattice_exhaustion(1, (25, 100)),
+                                 cf.lattice_exhaustion(2, (8, 32)),
+                                 cf.lattice_exhaustion(3, (4, 10)),
+                                 cf.birth_death_exhaustion(2.0, gamma=None, radii=(25, 200)),
+                                 WEIGHTED_ROOT],
+                         ids=["Z1", "Z2", "Z3", "birth_death", "weighted_root"])
+def test_capacity_times_green_function_at_the_root_is_its_measure(exh):
+    # cap_R = 1/(Q_R^-1)_oo and (G_R delta_o)(o) = mu_o (Q_R^-1)_oo on every level
+    for radius in exh.radii:
+        level = exh.level(radius)
+        o = level.index(exh.root)
+        delta = np.zeros(level.n)
+        delta[o] = 1.0
+        product = cf.capacity(level, exh.root).value * cf.green_apply(level, delta).value[o]
+        assert product == pytest.approx(level.measure[o], rel=1e-10)
+
+
+def test_classify_builds_and_solves_each_level_once(monkeypatch):
     exh, built = counting_exhaustion(cf.birth_death_exhaustion(2.0, gamma=None,
                                                                radii=(20, 40, 80)))
     solves = count_calls(monkeypatch, criticality, "capacity")
-    bundle = cf.subcriticality_certificates(exh)
+    report = cf.classify(exh)
     assert [r for r, _ in built] == [20, 40, 80] and len(solves) == 3
-    assert bundle.capacity_verdict == "Subcritical"
+    assert report.verdict == "Subcritical"
 
 
 def test_classify_with_artifacts_builds_the_top_level_once():
@@ -383,12 +436,3 @@ def test_classify_reports_typed_hardy_failures_only(monkeypatch, triangle):
     fail(TypeError("a programming error"))
     with pytest.raises(TypeError, match="a programming error"):
         cf.classify(exh, with_artifacts=True)
-
-
-def test_certificates_track_growth_on_critical_family():
-    exh = cf.lattice_exhaustion(1, radii=(10, 20, 40, 80))
-    bundle = cf.subcriticality_certificates(exh)
-    assert bundle.capacity_verdict == "Critical"
-    assert bundle.kappa_trend == "growing"
-    kappas = [k for _, k, _ in bundle.per_level]
-    assert kappas[-1] > kappas[0]
