@@ -17,7 +17,7 @@ from . import __version__
 from .config import job_tolerances, tolerance, tolerances
 from .criticality import agmon_ground_state, classify
 from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
-from .families import builtin_family, constant_exhaustion
+from .families import builtin_family, constant_exhaustion, random_connected_form
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
 from .kernel_ops import check_super_eigen, construct_excessive, harnack_sets, lambda_of
@@ -334,8 +334,6 @@ def _run_harnack(job):
 
 
 def _run_check(job):
-    from .families import random_connected_form
-
     seed = int(job.seed)
     n_forms = int(job.options.get("n_forms", 10))
     n_samples = int(job.options.get("n_samples", 50))

@@ -11,7 +11,8 @@ import scipy.sparse.csgraph as csgraph
 from .config import tolerance
 from .errors import CritformError, DomainMismatch, NoConvergence, NotCritical, ValidationFailure
 from .forms import GraphForm
-from .resolvent import solve_spd
+from .hardy import hardy_weight
+from .solvers import solve_spd
 
 __all__ = [
     "Exhaustion",
@@ -302,8 +303,6 @@ def _attach_artifacts(exhaustion: Exhaustion, report: ClassificationReport,
         except (NoConvergence, DomainMismatch) as exc:
             ground_state = {"error": f"{type(exc).__name__}: {exc}"}
     elif report.verdict == "Subcritical":
-        from .hardy import hardy_weight
-
         g = np.zeros(last_level.n)
         g[last_level.index(exhaustion.root)] = 1.0
         try:

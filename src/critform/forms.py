@@ -30,6 +30,8 @@ from .errors import (
     NonSymmetricWeights,
     ParseError,
 )
+from .proofs import _sum_of_squares_proves, _supersolution_proves, _witness_rayleigh
+from .solvers import _solve
 
 __all__ = [
     "GraphForm",
@@ -448,10 +450,8 @@ def _validate_nonnegative(form: GraphForm) -> None:
     e_x if Q_xx/mu_x < -tol/2 (no solve), else f = max(-u, 0), whose energy is at
     most -<f, mu> < 0 as Q + (tol/2) M has no positive entry off the diagonal;
     with neither certificate, ``SolverFailure``."""
-    if np.all(form.potential[form.active] >= 0):     # also when no vertex is free
+    if _sum_of_squares_proves(form.potential[form.active], 0.0):   # also when no vertex is free
         return
-    from .resolvent import _solve, _supersolution_proves, _witness_rayleigh
-
     tol = tolerance("tol_psd") * max(form.symmetric_norm_bound, 1.0)
     Q, mu = form.active_form_matrix, form.active_measure
     ratio = Q.diagonal() / mu

@@ -23,8 +23,9 @@ from .forms import (
     evaluate_rows,
     sample_blocks,
 )
-from .resolvent import (_solve, _supersolution_proves, default_alpha_schedule, green_apply,
-                        resolvent_apply)
+from .proofs import _sum_of_squares_proves, _supersolution_proves
+from .resolvent import default_alpha_schedule, green_apply, resolvent_apply
+from .solvers import _solve
 
 __all__ = [
     "HardyWeight",
@@ -109,7 +110,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     vertex, q + alpha - t' w is a sum of squares.  Otherwise one solve at
     t = 1/(1 + tol/2) gives U = (Q_a - t W)^-1 [W 1, W 1 + 1e-3 mu max W / max mu],
     and the proof is that the second column is a positive supersolution of
-    Q_a - t' W (``resolvent._supersolution_proves``); a failed solve proves
+    Q_a - t' W (``proofs._supersolution_proves``); a failed solve proves
     nothing.  The first column, the witness (the top direction when W has
     rank one), joins the samples, and ``pencil_lambda_max`` is its Rayleigh
     quotient, a lower bound on the top.
@@ -141,7 +142,7 @@ def verify_hardy(form: GraphForm, w, n_samples: int = 1000, seed: int = 0,
     elif tol_e > -1:        # a claimed level 1 + tol <= 0 is never proved
         claim = (1 + 2.0 ** -51) / (1 + tol_e)
         c = form.potential[act] + alpha
-        if np.all(c - claim * wv[act] >= 2.0 ** -50 * (np.abs(c) + claim * wv[act])):
+        if _sum_of_squares_proves(c, claim * wv[act]):
             proved, note = True, "the potential c + alpha - w/(1 + tol_eig) is nonnegative"
         else:
             lift = 1e-3 * (W.max() or 1.0) / mu.max() * mu    # positive even where W = 0

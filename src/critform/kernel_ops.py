@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.sparse.csgraph as csgraph
 
 from .config import tolerance
+from .criticality import Exhaustion
 from .errors import (
     BadConfig,
     DomainMismatch,
@@ -355,8 +356,6 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     Both the tail stabilization and the excessivity gate use the table's
     ``tol_exc``.
     """
-    from .criticality import Exhaustion  # local import to avoid a cycle
-
     if isinstance(target, Exhaustion):
         exhaustion = target
         per = []

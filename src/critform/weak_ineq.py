@@ -27,7 +27,9 @@ from .errors import (
     ViolationFound,
 )
 from .forms import GraphForm, as_domain_function, as_function, sample_blocks
-from .resolvent import _excessivity_gate, _semigroup_block, _solve, _supersolution_proves
+from .proofs import _supersolution_proves
+from .resolvent import _excessivity_gate, _semigroup_block
+from .solvers import _solve
 
 __all__ = [
     "AlphaProfile",
@@ -522,36 +524,36 @@ def verify_decay(form: GraphForm, h, curve: DecayCurve, n_samples: int = 100,
     a = h_act * mu if curve.mode == "poincare" else None   # samples lose their part along h
 
     def samples():
-        # the same seeded draws at every t, then (hardy mode) h itself, one block at a time
+        # the seeded draws, then (hardy mode) h itself, one block at a time
         for X in sample_blocks(np.random.default_rng(seed), n_samples, act.size):
             yield X if a is None else X - np.outer(X @ a, h_act / (a @ h_act))
         if a is None:
             yield h_act[None, :]
 
-    min_margin = np.inf
-    tight = []
-    worst = None
+    t_margin = [np.inf] * len(curve.t_grid)
+    worst = [None] * len(curve.t_grid)            # the last violation at each t
     n_checks = 0
-    for t, xi_t in zip(curve.t_grid, curve.xi):
-        t_margin = np.inf
-        for X in samples():
+    for X in samples():                           # each block is drawn once for every t
+        # |f|^2_mu + sup|f/h|^2, the factor of xi(t) in the rhs
+        norms = np.sum(X * X * mu, axis=1) + np.max(np.abs(X) / h_act, axis=1) ** 2
+        for k, (t, xi_t) in enumerate(zip(curve.t_grid, curve.xi)):
             Y = _semigroup_block(form, X.T, float(t))
             lhs = np.sum(Y * Y * mu[:, None], axis=0)
-            rhs = float(xi_t) * (np.sum(X * X * mu, axis=1)
-                                 + np.max(np.abs(X) / h_act, axis=1) ** 2)
+            rhs = float(xi_t) * norms
             n_checks += X.shape[0]
             pos = rhs > 0
             margins = (rhs[pos] - lhs[pos]) / rhs[pos]
-            t_margin = min(t_margin, float(np.min(margins, initial=np.inf)))
+            t_margin[k] = min(t_margin[k], float(np.min(margins, initial=np.inf)))
             bad = np.flatnonzero(np.where(pos, lhs > rhs * (1 + DECAY_REL_TOL), lhs > 0))
             if bad.size:
-                worst = (float(t), X[bad[-1]].copy(), float(lhs[bad[-1]]), float(rhs[bad[-1]]))
-        min_margin = min(min_margin, t_margin)
-        if worst is None and t_margin < DECAY_FLAG_MARGIN:
-            tight.append((float(t), float(t_margin)))
+                i = bad[-1]
+                worst[k] = (float(t), X[i].copy(), float(lhs[i]), float(rhs[i]))
+    min_margin = min([np.inf, *t_margin])
+    tight = [(float(t), m) for t, m in zip(curve.t_grid, t_margin) if m < DECAY_FLAG_MARGIN]
+    found = [w for w in worst if w is not None]
 
-    if worst is not None:
-        t, x, lhs, rhs = worst
+    if found:
+        t, x, lhs, rhs = found[-1]
         raise ViolationFound(
             f"decay bound violated at t={t}: lhs={lhs:.6e} > rhs={rhs:.6e}",
             witness={"t": t, "f": x, "lhs": lhs, "rhs": rhs},

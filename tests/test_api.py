@@ -1,6 +1,10 @@
 """Public signatures: gate thresholds are set only through the tolerance table
-(``cf.job_tolerances``, ``CRITFORM_TOL_*``) or module constants."""
+(``cf.job_tolerances``, ``CRITFORM_TOL_*``) or module constants.  Architecture:
+every import sits at a module top, and the proof rules and solvers import no
+form-level module."""
+import ast
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -112,8 +116,40 @@ def test_one_tolerance_resolves_like_the_table(env, monkeypatch):
 
 def test_solve_spd_takes_the_right_hand_side_and_returns_the_solution():
     # one call factors, solves and certifies: no solver closure to keep
-    params = inspect.signature(cf.resolvent.solve_spd).parameters
+    params = inspect.signature(cf.solvers.solve_spd).parameters
     assert list(params) == ["A", "b", "shift"]
     assert params["b"].default is inspect.Parameter.empty
-    u = cf.resolvent.solve_spd(cf.lattice(1, 3).active_form_matrix, np.ones(5))
+    u = cf.solvers.solve_spd(cf.lattice(1, 3).active_form_matrix, np.ones(5))
     assert isinstance(u, np.ndarray) and u.shape == (5,)
+
+
+SOURCES = pathlib.Path(cf.__file__).parent
+
+
+def _imported_modules(name):
+    """The modules that ``critform/<name>.py`` imports, as written (``.errors``)."""
+    tree = ast.parse((SOURCES / f"{name}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_no_import_hides_inside_a_function():
+    hidden = []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hidden += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert hidden == []
+
+
+def test_proof_rules_import_no_solver():
+    assert set(_imported_modules("proofs")) <= {"__future__", "numpy", ".errors"}
+
+
+def test_solvers_import_no_form_level_module():
+    local = {m for m in _imported_modules("solvers") if m.startswith(".") or "critform" in m}
+    assert local <= {".config", ".errors"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import critform as cf
-from critform import criticality, families, hardy, resolvent
+from critform import criticality, families, solvers
 from critform.errors import DomainMismatch, NotCritical, SolverFailure, ValidationFailure
 
 from conftest import count_calls, spec_lattice
@@ -61,9 +61,9 @@ def test_capacity_is_zero_on_components_detached_from_the_source():
 def test_capacity_cg_agrees_with_lu_on_3d_levels(monkeypatch):
     for R in (6, 8, 10, 12):
         form = cf.lattice(3, R)
-        monkeypatch.setattr(resolvent, "DIRECT_MAX_UNKNOWNS", 0)       # CG
+        monkeypatch.setattr(solvers, "DIRECT_MAX_UNKNOWNS", 0)         # CG
         cg = cf.capacity(form, {"0,0,0"})
-        monkeypatch.setattr(resolvent, "DIRECT_MAX_UNKNOWNS", 10**9)   # SuperLU
+        monkeypatch.setattr(solvers, "DIRECT_MAX_UNKNOWNS", 10**9)     # SuperLU
         lu = cf.capacity(form, {"0,0,0"})
         assert abs(cg.value - lu.value) <= 1e-10 * lu.value
         assert np.max(np.abs(cg.equilibrium - lu.equilibrium)) <= 1e-8
@@ -427,7 +427,7 @@ def test_classify_reports_typed_hardy_failures_only(monkeypatch, triangle):
     def fail(error):
         def hardy_weight(*args, **kwargs):
             raise error
-        monkeypatch.setattr(hardy, "hardy_weight", hardy_weight)
+        monkeypatch.setattr(criticality, "hardy_weight", hardy_weight)
 
     fail(SolverFailure("singular"))
     report = cf.classify(exh, with_artifacts=True)

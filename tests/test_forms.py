@@ -264,7 +264,7 @@ def test_spread_measure_does_not_inflate_the_nonnegativity_tolerance():
 def test_too_large_rounding_bound_is_not_a_certificate(monkeypatch):
     # a supersolution that never clears its rounding bound proves nothing, and
     # a positive u, whose negative part is zero, is no witness against the form
-    monkeypatch.setattr(cf.resolvent, "_supersolution_proves", lambda Q, s, u: False)
+    monkeypatch.setattr(cf.forms, "_supersolution_proves", lambda Q, s, u: False)
     with pytest.raises(SolverFailure):
         cf.random_connected_form(30, seed=2, signed_potential=True)
     cf.random_connected_form(30, seed=2)            # c >= 0 needs no certificate

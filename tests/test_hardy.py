@@ -250,8 +250,8 @@ def test_supersolution_bound_covers_the_rounding_of_the_shift():
     exact = c.astype(LD) + LD(alpha) - LD(claim) * w.astype(LD)
     shift = alpha - claim * w
     proved = np.array([
-        cf.resolvent._supersolution_proves(sp.csr_matrix([[ck]]), np.array([sk]), np.ones(1),
-                                           np.array([alpha + claim * wk]))
+        cf.proofs._supersolution_proves(sp.csr_matrix([[ck]]), np.array([sk]), np.ones(1),
+                                        np.array([alpha + claim * wk]))
         for ck, sk, wk in zip(c, shift, w)])
     assert np.all(exact[proved] > 0)
     assert proved[:40].all()

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import critform as cf
-from critform import resolvent
+from critform import resolvent, solvers
 from critform.errors import (
     BadConfig,
     NonPositiveInput,
@@ -376,7 +376,7 @@ def test_construct_certifies_every_tail_residual_before_reading_b(monkeypatch):
     form = cf.random_connected_form(15, seed=9)
     B, schedule = form.vertices[3], (4.0, 2.0, 1.0)
     first, last = (alpha * form.active_measure[0] for alpha in (schedule[0], schedule[-1]))
-    solve = resolvent._solve
+    solve = solvers._solve
 
     def broken(A, b, shift=None):
         u = solve(A, b, shift)
@@ -387,7 +387,7 @@ def test_construct_certifies_every_tail_residual_before_reading_b(monkeypatch):
                 column *= 1e6
         return u
 
-    monkeypatch.setattr(resolvent, "_solve", broken)
+    monkeypatch.setattr(solvers, "_solve", broken)
     with cf.job_tolerances({"tol_solve": 1.0}), pytest.raises(SolverFailure):
         cf.construct_excessive(form, alpha_schedule=schedule, B=(B,), fatou_t=())
 

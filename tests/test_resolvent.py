@@ -11,10 +11,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 import critform as cf
-from critform import resolvent
+from critform import resolvent, solvers
 from critform.errors import GreenInconclusive, SolverFailure
-from critform.resolvent import (
-    _solve, _supersolution_proves, direct_green_solve, solve_spd)
+from critform.proofs import _supersolution_proves
+from critform.resolvent import direct_green_solve
+from critform.solvers import _solve, solve_spd
 
 from conftest import CACHED, active_vector, backends_per_call, count_calls, shifted
 
@@ -459,7 +460,7 @@ def test_nonnegativity_verdicts_on_the_cg_backend(backends):
 def test_each_solve_reads_tol_solve_once(make, monkeypatch):
     Q = make().active_form_matrix
     b = np.ones(Q.shape[0])
-    calls = count_calls(monkeypatch, resolvent, "tolerance")
+    calls = count_calls(monkeypatch, solvers, "tolerance")
     for k in range(1, 4):
         solve_spd(Q, b)
         assert calls == [("tol_solve",)] * k
@@ -592,7 +593,7 @@ def test_is_excessive_grid_matches_the_per_shift_loop():
         rep = cf.is_excessive(form, h)
         ref = reference_grid_max_violation(form, h)
         assert struct.pack("<d", rep.grid_max_violation) == struct.pack("<d", ref)
-        sizes.add((form.n_active > resolvent.DENSE_MAX_UNKNOWNS, bool(form.dirichlet)))
+        sizes.add((form.n_active > solvers.DENSE_MAX_UNKNOWNS, bool(form.dirichlet)))
     assert sizes == {(False, False), (False, True), (True, False), (True, True)}
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import critform as cf
-from critform import resolvent, weak_ineq
+from critform import weak_ineq
 from critform.errors import (
     BadConfig,
     ExcessivityFailure,
@@ -16,7 +16,7 @@ from critform.errors import (
     ViolationFound,
 )
 
-from conftest import count_calls, shifted
+from conftest import shifted
 
 
 def test_single_vertex_profile_exact(single_vertex):
@@ -306,13 +306,12 @@ def test_verify_decay_without_samples():
     assert rep.min_margin_rel == pytest.approx(margins.min(), rel=1e-12)
 
 
-def test_verify_decay_gates_excessivity_without_resolvent_solves(monkeypatch):
+def test_verify_decay_gates_excessivity_without_resolvent_solves(backends):
     form = cf.random_tree_form(15, seed=2)
     curve = cf.DecayCurve(t_grid=np.array([0.5, 2.0]), xi=np.array([1.0, 0.8]))
-    solves = count_calls(monkeypatch, resolvent, "solve_spd")
     rep = cf.verify_decay(form, np.ones(form.n), curve, n_samples=10, seed=2)
     assert rep.passed
-    assert solves == []
+    assert backends == []                         # no factorization from any module
 
 
 def test_verify_decay_needs_a_free_vertex(all_dirichlet):
