@@ -1,5 +1,8 @@
 """Command-line entry point: one job per invocation, deterministic reports.
 
+This module knows the jobs: each command, its options and their defaults,
+and which input it reads; ``reports`` knows the documents.
+
 Exit codes: 0 definitive success, 2 inconclusive (more radius/schedule
 needed), 1 errors and failed verifications.
 """
@@ -10,26 +13,25 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .config import job_tolerances, tolerance, tolerances
-from .criticality import agmon_ground_state, classify
+from .config import DEFAULT_TOLERANCES, env_overrides, job_tolerances, tolerance, tolerances
+from .criticality import Exhaustion, agmon_ground_state, classify
 from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
 from .families import builtin_family, constant_exhaustion, random_connected_form
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
 from .kernel_ops import check_super_eigen, construct_excessive, harnack_sets, lambda_of
 from .reports import (
-    JobConfig,
     canonical_json,
     csv_table,
     jsonable,
     parse_graph_file,
     parse_kernel_file,
-    provenance_block,
-    validate_job,
+    parse_profile_file,
 )
 from .resolvent import (
     check_resolvent_contraction,
@@ -37,9 +39,24 @@ from .resolvent import (
     green_apply,
     is_excessive,
 )
-from .weak_ineq import AlphaProfile, alpha_profile, decay_rate, verify_decay
+from .weak_ineq import alpha_profile, decay_rate, verify_decay
 
-__all__ = ["main", "run"]
+__all__ = ["JobConfig", "RANDOMIZED_COMMANDS", "main", "provenance_block", "run",
+           "validate_job"]
+
+# commands whose outputs depend on sampled randomness
+RANDOMIZED_COMMANDS = ("hardy-weight", "alpha-profile", "check")
+
+
+@dataclass
+class JobConfig:
+    command: str
+    input: str | None = None             # graph or kernel document path; None for --family
+    seed: int | None = None
+    tolerances: dict = field(default_factory=dict)
+    output: str | None = None
+    format: str = "json"
+    options: dict = field(default_factory=dict)   # per-command extras
 
 
 def _parse_params(pairs):
@@ -84,27 +101,37 @@ def _schedule_from(text):
     return default_alpha_schedule(vals[0], vals[1], vals[2])
 
 
-def _load_exhaustion(job: JobConfig):
+def _input_of(job: JobConfig, one_form: bool):
+    """The job's one input: the family of --family or the graph document of
+    --input.  --level picks a family level for the one-form commands; the
+    exhaustion commands run every level and reject it."""
     opts = job.options
+    given = isinstance(job.input, str) and job.input
+    if given and opts.get("family"):
+        raise BadConfig("give --input FILE or --family NAME, not both")
+    if not one_form and opts.get("level") is not None:
+        raise BadConfig(f"--level picks one level for one-form commands; {job.command} "
+                        "runs every level")
     if opts.get("family"):
-        fam = builtin_family(opts["family"], opts.get("params") or {})
-        return fam
-    if isinstance(job.input, str) and job.input:
-        form = parse_graph_file(job.input)
-        return constant_exhaustion(form)
-    raise BadConfig("need --family NAME or --input FILE")
+        return builtin_family(opts["family"], opts.get("params") or {})
+    if given:
+        return parse_graph_file(job.input)
+    raise BadConfig("need --input FILE or --family NAME")
+
+
+def _load_exhaustion(job: JobConfig) -> Exhaustion:
+    source = _input_of(job, one_form=False)
+    return source if isinstance(source, Exhaustion) else constant_exhaustion(source)
 
 
 def _load_form(job: JobConfig):
-    opts = job.options
-    if isinstance(job.input, str) and job.input:
-        return parse_graph_file(job.input), None
-    if opts.get("family"):
-        fam = builtin_family(opts["family"], opts.get("params") or {})
-        level = opts.get("level")
-        radius = int(level) if level is not None else fam.radii[-1]
-        return fam.level(radius), fam.root
-    raise BadConfig("need --input FILE or --family NAME")
+    """(form, root): a graph document and None, or the family level of --level
+    (default the top one) and the family's root."""
+    source = _input_of(job, one_form=True)
+    if not isinstance(source, Exhaustion):
+        return source, None
+    level = job.options.get("level")
+    return source.level(source.radii[-1] if level is None else int(level)), source.root
 
 
 def _delta_vector(form, vertex_id):
@@ -114,6 +141,17 @@ def _delta_vector(form, vertex_id):
     except DomainMismatch:
         raise BadConfig(f"vertex {vertex_id!r} not in the graph") from None
     return vec
+
+
+def _point_source(job: JobConfig):
+    """(form, source, g) for green, hardy-weight and excessive: g is a delta at
+    --source, else at the family root; with neither, or with --uniform-g, there
+    is no source and g = 1 off the Dirichlet set."""
+    form, root = _load_form(job)
+    source = job.options.get("source") or root
+    if source is None or job.options.get("uniform_g"):
+        return form, None, np.where(form.boundary_mask, 0.0, 1.0)
+    return form, source, _delta_vector(form, source)
 
 
 def _function_map(form, values):
@@ -138,16 +176,13 @@ def _run_classify(job):
         results["ground_state"] = report.ground_state
     if report.hardy_summary is not None:
         results["hardy_summary"] = report.hardy_summary
-    code = 2 if report.verdict == "Inconclusive" else 0
-    return results, {}, code
+    return results, {}, 2 if report.verdict == "Inconclusive" else 0
 
 
 def _run_green(job):
-    form, root = _load_form(job)
-    source = job.options.get("source") or root
+    form, source, g = _point_source(job)
     if source is None:
         raise BadConfig("green needs --source VERTEX for file inputs")
-    g = _delta_vector(form, source)
     schedule = _schedule_from(job.options.get("schedule"))
     result = green_apply(form, g, alpha_schedule=schedule)
     results = {
@@ -164,18 +199,10 @@ def _run_green(job):
 
 
 def _run_hardy(job):
-    form, root = _load_form(job)
-    source = job.options.get("source") or root
-    if source is not None and not job.options.get("uniform_g"):
-        g = _delta_vector(form, source)
-        g_desc = f"delta at {source}"
-    else:
-        g = np.where(form.boundary_mask, 0.0, 1.0)
-        g_desc = "uniform"
-    hw = hardy_weight(form, g, n_samples=int(job.options.get("n_samples", 500)),
-                      seed=int(job.seed))
+    form, source, g = _point_source(job)
+    hw = hardy_weight(form, g, n_samples=int(job.options["n_samples"]), seed=int(job.seed))
     results = {
-        "g": g_desc,
+        "g": "uniform" if source is None else f"delta at {source}",
         "alpha_used": hw.alpha_used,
         "weight": _function_map(form, hw.values),
         "verification": {
@@ -191,8 +218,7 @@ def _run_hardy(job):
 
 def _run_ground_state(job):
     exhaustion = _load_exhaustion(job)
-    window = int(job.options.get("window", 10))
-    gs = agmon_ground_state(exhaustion, window)
+    gs = agmon_ground_state(exhaustion, int(job.options["window"]))
     results = {
         "root": gs.root,
         "window_radius": gs.window_radius,
@@ -213,8 +239,8 @@ def _r_grid(job):
 
 def _run_alpha_profile(job):
     form, _ = _load_form(job)
-    mode = job.options.get("mode", "hardy")
-    profile = alpha_profile(form, r_grid=_r_grid(job), mode=mode, seed=int(job.seed))
+    profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options["mode"],
+                            seed=int(job.seed))
     results = {
         "mode": profile.mode,
         "alpha_base": profile.alpha_base,
@@ -230,36 +256,16 @@ def _run_alpha_profile(job):
     return results, tables, 0
 
 
-def _profile_from_report(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"cannot read profile report {path}: {exc}") from None
-    try:
-        prof = doc["results"]["profile"]
-        r = np.array(prof["r"], dtype=float)
-        cert = np.array(prof["alpha_cert"], dtype=float)
-        lb = np.array(prof.get("alpha_lb", np.zeros_like(cert)), dtype=float)
-        base = float(doc["results"]["alpha_base"])
-        mode = doc["results"].get("mode", "hardy")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"profile report {path} lacks a usable profile: {exc}") from None
-    return AlphaProfile(r_grid=r, alpha_cert=cert, alpha_lb=lb, mode=mode,
-                        alpha_base=base, budget_exhausted=False)
-
-
 def _run_decay(job):
-    t_vals = _float_list(job.options.get("t_grid", "0.1,1,10"), "--t-grid")
+    t_vals = _float_list(job.options["t_grid"], "--t-grid")
     prof_path = job.options.get("profile_report")
     seed = 0 if job.seed is None else int(job.seed)
     form = None
     if prof_path:
-        profile = _profile_from_report(prof_path)
+        profile = parse_profile_file(prof_path)
     else:
         form, _ = _load_form(job)
-        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options.get("mode", "hardy"),
-                                seed=seed)
+        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options["mode"], seed=seed)
     curve = decay_rate(profile, t_vals)
     results = {
         "t": [float(t) for t in curve.t_grid],
@@ -271,8 +277,7 @@ def _run_decay(job):
         if form is None:
             form, _ = _load_form(job)
         h = np.where(form.boundary_mask, 0.0, 1.0)
-        ver = verify_decay(form, h, curve, n_samples=int(job.options.get("n_samples", 50)),
-                           seed=seed)
+        ver = verify_decay(form, h, curve, n_samples=int(job.options["n_samples"]), seed=seed)
         results["verification"] = {
             "passed": ver.passed,
             "min_margin_rel": ver.min_margin_rel,
@@ -285,12 +290,7 @@ def _run_decay(job):
 
 
 def _run_excessive(job):
-    form, root = _load_form(job)
-    source = job.options.get("source") or root
-    if source is not None and not job.options.get("uniform_g"):
-        g = _delta_vector(form, source)
-    else:
-        g = None
+    form, _, g = _point_source(job)
     schedule = _schedule_from(job.options.get("schedule"))
     built = construct_excessive(form, g=g, alpha_schedule=schedule)
     results = {
@@ -311,8 +311,7 @@ def _run_harnack(job):
         raise BadConfig("harnack needs --input KERNEL_FILE")
     op = parse_kernel_file(job.input)
     lam, witness = lambda_of(op)
-    target = float(job.options.get("target_mass", 0.5))
-    cert = harnack_sets(op, target, lam)
+    cert = harnack_sets(op, float(job.options["target_mass"]), lam)
     excess = check_super_eigen(op, lam, witness)
     members = list(cert.members)
     inside = witness[members]
@@ -335,8 +334,8 @@ def _run_harnack(job):
 
 def _run_check(job):
     seed = int(job.seed)
-    n_forms = int(job.options.get("n_forms", 10))
-    n_samples = int(job.options.get("n_samples", 50))
+    n_forms = int(job.options["n_forms"])
+    n_samples = int(job.options["n_samples"])
     rng = np.random.default_rng(seed)
     tol = tolerance("tol_ineq")
     worst_bd = -np.inf            # max of q(|f|) - q(f); must stay <= tol
@@ -398,12 +397,44 @@ _RUNNERS = {
 }
 
 
+def validate_job(job: JobConfig) -> None:
+    if job.command not in _RUNNERS:
+        raise BadConfig(f"unknown command {job.command!r}; expected one of {tuple(_RUNNERS)}")
+    if job.format not in ("json", "csv"):
+        raise BadConfig(f"format must be 'json' or 'csv', got {job.format!r}")
+    unknown = set(job.tolerances) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise BadConfig(
+            f"unknown tolerance keys: {sorted(unknown)}; "
+            f"known: {sorted(DEFAULT_TOLERANCES)}"
+        )
+    if job.command in RANDOMIZED_COMMANDS and job.seed is None:
+        raise BadConfig(f"command {job.command!r} is randomized: a seed is mandatory")
+
+
+def provenance_block(seed: int | None, tolerances: dict) -> dict:
+    """Everything a reader needs to reproduce the run; no wall time here —
+    reports must be byte-stable.  Inside a job the environment overrides are
+    those read when the job started."""
+    env = env_overrides()
+    return {
+        "tool": "critform",
+        "version": __version__,
+        "seed": seed,
+        "tolerances": {k: float(v) for k, v in sorted(tolerances.items())},
+        "env_overrides": {k: env[k] for k in sorted(env)},
+    }
+
+
 def run(job: JobConfig) -> tuple[dict, dict, int]:
     """Dispatch a validated job; returns (report, csv tables, exit code).
 
-    The job's tolerance overrides apply to every gate while it runs, and the
-    provenance echoes the table and environment as read when it started."""
+    Options the job leaves out take their command's parser defaults, so the
+    report echoes what ran.  The job's tolerance overrides apply to every gate
+    while it runs, and the provenance echoes the table and environment as read
+    when it started."""
     validate_job(job)
+    job = replace(job, options={**_default_options(job.command), **job.options})
     with job_tolerances(job.tolerances):
         results, tables, code = _RUNNERS[job.command](job)
         provenance = provenance_block(job.seed, tolerances())
@@ -422,20 +453,20 @@ def run(job: JobConfig) -> tuple[dict, dict, int]:
     return report, tables, code
 
 
-def _emit(report: dict, tables: dict, job: JobConfig) -> None:
-    text = canonical_json(report)
-    if job.output:
-        with open(job.output + ".json", "w", encoding="utf-8") as fh:
+def _write(text: str, output: str | None, suffix: str) -> None:
+    """Write to ``output + suffix``, or to stdout without --output."""
+    if output:
+        with open(output + suffix, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if job.format == "csv":
-            for name, table in tables.items():
-                with open(f"{job.output}.{name}.csv", "w", encoding="utf-8") as fh:
-                    fh.write(table)
     else:
         sys.stdout.write(text)
-        if job.format == "csv":
-            for table in tables.values():
-                sys.stdout.write(table)
+
+
+def _emit(report: dict, tables: dict, job: JobConfig) -> None:
+    _write(canonical_json(report), job.output, ".json")
+    if job.format == "csv":
+        for name, table in tables.items():
+            _write(table, job.output, f".{name}.csv")
 
 
 @functools.cache
@@ -518,14 +549,24 @@ _COMMON_FLAGS = {"command", "input", "family", "param", "level", "seed", "tol", 
                  "format"}
 
 
+def _options(args: argparse.Namespace) -> dict:
+    return {key: val for key, val in vars(args).items()
+            if key not in _COMMON_FLAGS and val is not None and val is not False}
+
+
+@functools.cache
+def _default_options(command: str) -> dict:
+    """The options of a bare ``critform COMMAND``: its parser's defaults."""
+    return _options(_build_parser().parse_args([command]))
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     try:
-        options = {key: val for key, val in vars(args).items()
-                   if key not in _COMMON_FLAGS and val is not None and val is not False}
+        options = _options(args)
         if getattr(args, "family", None):
             options["family"] = args.family
             params = _parse_params(getattr(args, "param", None))
@@ -564,12 +605,7 @@ def _emit_error(args, exc, kind) -> None:
         "command": getattr(args, "command", None),
         "error": {"type": kind, "message": str(exc)},
     })
-    output = getattr(args, "output", None)
-    if output:
-        with open(output + ".json", "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(body, getattr(args, "output", None), ".json")
 
 
 if __name__ == "__main__":

@@ -193,15 +193,15 @@ def builtin_family(name: str, params: dict | None = None) -> Exhaustion:
     birth_death (beta, gamma, radii), dirichlet_path (radii)."""
     params = dict(params or {})
 
-    def pop_radii(default=None):
-        radii = params.pop("radii", default)
+    def pop_radii():
+        """The given radii as a keyword, or none for the family's default."""
+        radii = params.pop("radii", None)
         if radii is None:
-            return None
+            return {}
         try:
-            radii = tuple(int(r) for r in radii)
+            return {"radii": tuple(int(r) for r in radii)}
         except (TypeError, ValueError) as exc:
             raise BadConfig(f"radii must be a list of integers: {exc}") from None
-        return radii
 
     if name == "lattice":
         try:
@@ -212,7 +212,7 @@ def builtin_family(name: str, params: dict | None = None) -> Exhaustion:
         _reject_extras(name, params)
         if d not in DEFAULT_LATTICE_RADII:
             raise BadConfig(f"lattice dimension must be 1, 2, or 3, got {d}")
-        return lattice_exhaustion(d, radii)
+        return lattice_exhaustion(d, **radii)
     if name == "birth_death":
         try:
             beta = float(params.pop("beta"))
@@ -220,13 +220,13 @@ def builtin_family(name: str, params: dict | None = None) -> Exhaustion:
             raise BadConfig("birth_death family needs parameter beta") from None
         gamma = params.pop("gamma", None)
         gamma = None if gamma is None else float(gamma)
-        radii = pop_radii((25, 50, 100, 200, 400))
+        radii = pop_radii()
         _reject_extras(name, params)
-        return birth_death_exhaustion(beta, gamma, radii)
+        return birth_death_exhaustion(beta, gamma, **radii)
     if name == "dirichlet_path":
-        radii = pop_radii((25, 50, 100, 150, 200))
+        radii = pop_radii()
         _reject_extras(name, params)
-        return dirichlet_path_exhaustion(radii)
+        return dirichlet_path_exhaustion(**radii)
     raise UnknownFamily(
         f"unknown family {name!r}; available: lattice, birth_death, dirichlet_path"
     )

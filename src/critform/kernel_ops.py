@@ -264,13 +264,11 @@ class ExcessiveConstruction:
     per_level: tuple = field(default_factory=tuple)  # (radius, construction) pairs
 
 
-def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
-                       fatou_t) -> ExcessiveConstruction:
+def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids) -> ExcessiveConstruction:
     tol = tolerance("tol_exc")
     if not is_irreducible(form):
         raise NotIrreducible("construction requires an irreducible (connected) form")
-    gv = np.asarray(as_function(form, g), dtype=float).copy()
-    gv[form.boundary_mask] = 0.0
+    gv = as_function(form, g)
     act = form.active
     if np.any(gv[act] < 0) or not np.any(gv[act] > 0):
         raise NonPositiveInput("g must be nonnegative and not identically zero")
@@ -318,13 +316,11 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
     _, residual_min, excessive = _excessivity_gate(form, h, tol)
 
     fatou_violation = 0.0
-    fatou_used = ()
-    if fatou_t and act.size <= DENSE_SEMIGROUP_CUTOFF:
-        fatou_used = tuple(float(t) for t in fatou_t)
-        scale = float(np.max(h_act))
-        for t in fatou_used:
-            th = semigroup_apply(form, h, t)[act]
-            fatou_violation = max(fatou_violation, float(np.max(th - h_act)) / scale)
+    fatou_t = (0.1, 1.0, 10.0) if act.size <= DENSE_SEMIGROUP_CUTOFF else ()
+    scale = float(np.max(h_act))
+    for t in fatou_t:
+        th = semigroup_apply(form, h, t)[act]
+        fatou_violation = max(fatou_violation, float(np.max(th - h_act)) / scale)
 
     return ExcessiveConstruction(
         function=VertexFunction(vertices=form.vertices, values=h),
@@ -333,13 +329,12 @@ def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids,
         schedule=schedule,
         reference_set=tuple(B_ids),
         excessive=excessive,
-        fatou_t=fatou_used,
+        fatou_t=fatou_t,
         fatou_max_violation=fatou_violation,
     )
 
 
-def construct_excessive(target, g=None, alpha_schedule=None, B=None,
-                        fatou_t=(0.1, 1.0, 10.0)) -> ExcessiveConstruction:
+def construct_excessive(target, g=None, alpha_schedule=None, B=None) -> ExcessiveConstruction:
     """Build a nonnegative excessive function as the (finite-schedule) liminf
     of normalized resolvents f_alpha = G_alpha g, normalized to min = 1 on the
     reference set B.
@@ -358,30 +353,23 @@ def construct_excessive(target, g=None, alpha_schedule=None, B=None,
     """
     if isinstance(target, Exhaustion):
         exhaustion = target
+        g_level = {exhaustion.root: 1.0} if g is None else g
+        B_ids = tuple(B) if B is not None else (exhaustion.root,)
         per = []
         for radius in exhaustion.radii:
             level = exhaustion.level(radius)
-            g_level = g
-            if g_level is None:
-                g_level = {exhaustion.root: 1.0}
-            B_ids = tuple(B) if B is not None else (exhaustion.root,)
-            per.append((radius, _construct_on_form(level, g_level, alpha_schedule, B_ids,
-                                                   fatou_t)))
+            per.append((radius, _construct_on_form(level, g_level, alpha_schedule, B_ids)))
         return replace(per[-1][1], per_level=tuple(per))
 
     form = target
     if not isinstance(form, GraphForm):
         raise BadConfig("target must be a GraphForm or an Exhaustion")
-    if g is None:
-        gv = np.ones(form.n)
-    else:
-        gv = g
     if B is not None:
         B_ids = tuple(B)
     else:
         members, _ = _harnack_members(heat_kernel_operator(form, t=1.0), 0.5)
         B_ids = tuple(form.vertices[form.active[i]] for i in members)
-    return _construct_on_form(form, gv, alpha_schedule, B_ids, fatou_t)
+    return _construct_on_form(form, np.ones(form.n) if g is None else g, alpha_schedule, B_ids)
 
 
 @dataclass(frozen=True)

@@ -1,85 +1,39 @@
-"""File formats, job configuration, and byte-stable report emission.
+"""Documents and their byte-stable serialization.
 
-Graph documents and kernel-operator documents are JSON; reports are
-canonically serialized JSON (sorted keys, fixed indentation, trailing
+Graph, kernel-operator and alpha-profile documents are JSON objects; reports
+are canonically serialized JSON (sorted keys, fixed indentation, trailing
 newline) so identical (input, seed, version) runs emit identical bytes.
 Wall-clock timing goes to stderr, never into a report.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .config import DEFAULT_TOLERANCES, env_overrides
-from .errors import BadConfig, ParseError
+from .errors import ParseError
 from .forms import GraphForm, build_form
 from .kernel_ops import KernelOperator
+from .weak_ineq import AlphaProfile
 
 __all__ = [
-    "JobConfig",
-    "COMMANDS",
-    "RANDOMIZED_COMMANDS",
     "parse_graph_file",
     "parse_graph_text",
     "canonical_graph_spec",
     "emit_graph_document",
     "parse_kernel_file",
+    "parse_profile_file",
     "canonical_json",
     "jsonable",
-    "provenance_block",
-    "validate_job",
     "csv_table",
 ]
 
-COMMANDS = (
-    "classify",
-    "green",
-    "hardy-weight",
-    "ground-state",
-    "alpha-profile",
-    "decay",
-    "excessive",
-    "harnack",
-    "check",
-)
-# commands whose outputs depend on sampled randomness
-RANDOMIZED_COMMANDS = ("hardy-weight", "alpha-profile", "check")
-
-
-@dataclass
-class JobConfig:
-    command: str
-    input: str | None = None             # graph or kernel document path; None for --family
-    seed: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "json"
-    options: dict = field(default_factory=dict)   # per-command extras
-
-
-def validate_job(job: JobConfig) -> None:
-    if job.command not in COMMANDS:
-        raise BadConfig(f"unknown command {job.command!r}; expected one of {COMMANDS}")
-    if job.format not in ("json", "csv"):
-        raise BadConfig(f"format must be 'json' or 'csv', got {job.format!r}")
-    unknown = set(job.tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise BadConfig(
-            f"unknown tolerance keys: {sorted(unknown)}; "
-            f"known: {sorted(DEFAULT_TOLERANCES)}"
-        )
-    if job.command in RANDOMIZED_COMMANDS and job.seed is None:
-        raise BadConfig(f"command {job.command!r} is randomized: a seed is mandatory")
-
 
 # ---------------------------------------------------------------------------
-# graph documents
+# documents: one JSON object each, errors named by origin, line and column
 # ---------------------------------------------------------------------------
 
-def parse_graph_text(text: str, origin: str = "<string>") -> GraphForm:
+def _json_object(text: str, origin: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,16 +42,24 @@ def parse_graph_text(text: str, origin: str = "<string>") -> GraphForm:
         ) from None
     if not isinstance(doc, dict):
         raise ParseError(f"{origin}: top level must be an object")
-    return build_form(doc)
+    return doc
 
 
-def parse_graph_file(path: str) -> GraphForm:
+def _json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_graph_text(text, origin=path)
+    return _json_object(text, path)
+
+
+def parse_graph_text(text: str, origin: str = "<string>") -> GraphForm:
+    return build_form(_json_object(text, origin))
+
+
+def parse_graph_file(path: str) -> GraphForm:
+    return build_form(_json_file(path))
 
 
 def canonical_graph_spec(form: GraphForm) -> dict:
@@ -126,24 +88,10 @@ def emit_graph_document(form: GraphForm) -> str:
     return canonical_json(canonical_graph_spec(form))
 
 
-# ---------------------------------------------------------------------------
-# kernel documents
-# ---------------------------------------------------------------------------
-
 def parse_kernel_file(path: str) -> KernelOperator:
     """Dense kernel matrix with sidecar measures: JSON object with fields
     `kernel` (list of rows), `mu`, `nu`, optional `p` (default 2)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
+    doc = _json_file(path)
     missing = {"kernel", "mu", "nu"} - set(doc)
     if missing:
         raise ParseError(f"{path}: missing fields {sorted(missing)}")
@@ -157,6 +105,23 @@ def parse_kernel_file(path: str) -> KernelOperator:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: non-numeric data: {exc}") from None
     return KernelOperator(kernel=kernel, mu=mu, nu=nu, p=float(doc.get("p", 2.0)))
+
+
+def parse_profile_file(path: str) -> AlphaProfile:
+    """The profile of an `alpha-profile` report: `results.profile` (`r`,
+    `alpha_cert`, optional `alpha_lb`), `results.alpha_base` and optional
+    `results.mode` (default hardy)."""
+    doc = _json_file(path)
+    try:
+        prof = doc["results"]["profile"]
+        cert = np.array(prof["alpha_cert"], dtype=float)
+        return AlphaProfile(
+            r_grid=np.array(prof["r"], dtype=float), alpha_cert=cert,
+            alpha_lb=np.array(prof.get("alpha_lb", np.zeros_like(cert)), dtype=float),
+            mode=doc["results"].get("mode", "hardy"),
+            alpha_base=float(doc["results"]["alpha_base"]), budget_exhausted=False)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: lacks a usable alpha profile: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +158,6 @@ def jsonable(obj):
 
 def canonical_json(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def provenance_block(seed: int | None, tolerances: dict) -> dict:
-    """Everything a reader needs to reproduce the run; no wall time here —
-    reports must be byte-stable.  Inside a job the environment overrides are
-    those read when the job started."""
-    env = env_overrides()
-    return {
-        "tool": "critform",
-        "version": __version__,
-        "seed": seed,
-        "tolerances": {k: float(v) for k, v in sorted(tolerances.items())},
-        "env_overrides": {k: env[k] for k in sorted(env)},
-    }
 
 
 def csv_table(header: list[str], rows) -> str:

@@ -306,17 +306,13 @@ def alpha_profile(form: GraphForm, w=None, h=None, r_grid=None, mode: str = "har
         raise SolverFailure(f"profile needs dense algebra; {n} vertices exceed the cutoff")
 
     mu = form.active_measure
-    wv = np.ones(form.n) if w is None else np.asarray(as_function(form, w), dtype=float).copy()
-    hv = np.ones(form.n) if h is None else np.asarray(as_function(form, h), dtype=float).copy()
-    wv[form.boundary_mask] = 0.0
-    hv[form.boundary_mask] = 0.0
-    if np.any(wv[act] < 0):
+    w_act = np.ones(n) if w is None else as_function(form, w)[act]
+    h_act = np.ones(n) if h is None else as_function(form, h)[act]
+    if np.any(w_act < 0):
         raise BadConfig("weight w must be nonnegative")
-    if np.any(hv[act] <= 0):
+    if np.any(h_act <= 0):
         raise BadConfig("reference h must be strictly positive off the Dirichlet set")
 
-    w_act = wv[act]
-    h_act = hv[act]
     W = w_act * mu                      # diagonal of the weighted mass form
     S = float(np.sum(W * h_act * h_act))  # scale where alpha hits zero
     if S <= 0:

@@ -23,7 +23,7 @@ REMOVED_EVERYWHERE = {
 REMOVED_FROM = {
     "is_excessive": {"tol"}, "tolerances": {"overrides"},
     "agmon_ground_state": {"report"},
-    "construct_excessive": {"harnack_target_mass"}, "constant_exhaustion": {"n_levels"},
+    "construct_excessive": {"harnack_target_mass", "fatou_t"}, "constant_exhaustion": {"n_levels"},
     "hardy_weight": {"alpha_schedule", "allow_shift_fallback", "verify"},
     "perturbed_hardy_bound": {"n_samples", "seed"},
     "ground_state_transform": {"seed", "n_validation"},

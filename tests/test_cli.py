@@ -1,4 +1,5 @@
 """End-to-end CLI tests: in-process invocations of critform.cli.main."""
+import argparse
 import json
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 import critform as cf
 from critform import cli
-from critform.cli import main
+from critform.cli import JobConfig, main
 from critform.forms import InvarianceReport
-from critform.reports import JobConfig, emit_graph_document
+from critform.reports import emit_graph_document
 from critform.weak_ineq import AlphaProfile, decay_rate
 
 from conftest import count_calls
@@ -704,3 +705,65 @@ def test_unexpected_exception_exits_1_with_an_error_report(monkeypatch, capsys):
     assert main(["classify", "--family", "lattice", "--param", "d=1"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "command": "classify", "error": {"type": "RuntimeError", "message": "boom"}}
+
+
+@pytest.mark.parametrize("command", [["classify"], ["green", "--source", "1"]],
+                         ids=["classify", "green"])
+def test_input_and_family_together_are_a_bad_config(command, tmp_path, capsys):
+    # classify read the family and green the file, and both echoed both
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(cf.path_form(12)), encoding="utf-8")
+    assert main(command + ["--input", str(graph), "--family", "dirichlet_path"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {"type": "BadConfig",
+                            "message": "give --input FILE or --family NAME, not both"}
+
+
+@pytest.mark.parametrize("command", ["classify", "ground-state"])
+def test_level_is_a_bad_config_for_the_exhaustion_commands(command, capsys):
+    # both run every level of the family, so a --level would go unread
+    assert main([command, "--family", "lattice", "--param", "d=1", "--level", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "BadConfig"
+    assert "--level" in doc["error"]["message"]
+
+
+def test_in_process_job_reports_what_main_reports(tmp_path, capsys):
+    # run() completes the options from the parser's defaults, so the echo
+    # of an in-process job is the echo of the same job on the command line
+    assert main(["hardy-weight", "--family", "dirichlet_path", "--param", "radii=[25,50]",
+                 "--seed", "4"]) == 0
+    from_main = capsys.readouterr().out
+    report, _, code = cli.run(JobConfig(command="hardy-weight", seed=4, options={
+        "family": "dirichlet_path", "params": {"radii": [25, 50]}}))
+    assert code == 0
+    assert cf.reports.canonical_json(report) == from_main
+    assert report["config"]["options"]["n_samples"] == 500
+
+
+@pytest.mark.parametrize("text, where", [
+    (None, "cannot read"),
+    ('{"results": {"profile": ', "line 1, column 25"),
+], ids=["missing", "truncated"])
+def test_unreadable_profile_report_is_a_parse_error(text, where, pd_form_file, tmp_path,
+                                                    capsys):
+    path = tmp_path / "prof.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["decay", "--profile-report", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError"
+    assert str(path) in error["message"] and where in error["message"]
+    with pytest.raises(cf.errors.ParseError, match=where):
+        cf.reports.parse_profile_file(str(path))
+
+
+def test_every_runner_is_a_subcommand_and_the_only_valid_command():
+    parser = cli._build_parser()
+    for command in cli._RUNNERS:
+        assert parser.parse_args([command]).command == command
+        cli.validate_job(JobConfig(command=command, seed=0))
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli._RUNNERS)
+    with pytest.raises(cf.errors.BadConfig, match=r"expected one of \('classify', "):
+        cli.validate_job(JobConfig(command="transmogrify"))

@@ -389,14 +389,14 @@ def test_construct_certifies_every_tail_residual_before_reading_b(monkeypatch):
 
     monkeypatch.setattr(solvers, "_solve", broken)
     with cf.job_tolerances({"tol_solve": 1.0}), pytest.raises(SolverFailure):
-        cf.construct_excessive(form, alpha_schedule=schedule, B=(B,), fatou_t=())
+        cf.construct_excessive(form, alpha_schedule=schedule, B=(B,))
 
 
 def test_construct_reads_no_shift_before_the_last_three():
     # at alpha = 1 the iterate underflows to 0 at vertex 1, 799 edges from g;
     # at the shifts the result reads it is near the Green function G(x, 800) = x
     form = cf.path_form(800)
-    built = cf.construct_excessive(form, g={"800": 1.0}, B=("1",), fatou_t=())
+    built = cf.construct_excessive(form, g={"800": 1.0}, B=("1",))
     assert built.excessive
     x = np.array([float(v) for v in form.vertices])
     assert np.allclose(built.function.values, x, rtol=1e-4)

@@ -3,17 +3,15 @@ import numpy as np
 import pytest
 
 import critform as cf
+from critform.cli import JobConfig, provenance_block, validate_job
 from critform.errors import BadConfig, ParseError
 from critform.reports import (
-    JobConfig,
     canonical_json,
     csv_table,
     emit_graph_document,
     jsonable,
     parse_graph_text,
     parse_kernel_file,
-    provenance_block,
-    validate_job,
 )
 
 
