@@ -4,7 +4,7 @@ This module knows the jobs: each command, its options and their defaults,
 and which input it reads; ``reports`` knows the documents.
 
 Exit codes: 0 definitive success, 2 inconclusive (more radius/schedule
-needed), 1 errors and failed verifications.
+needed), 1 errors (usage errors included) and failed verifications.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_TOLERANCES, env_overrides, job_tolerances, tolerance, tolerances
 from .criticality import Exhaustion, agmon_ground_state, classify
-from .errors import BadConfig, CritformError, DomainMismatch, GreenInconclusive
+from .errors import BadConfig, DomainMismatch, GreenInconclusive
 from .families import builtin_family, constant_exhaustion, random_connected_form
 from .forms import check_first_bd, evaluate_rows, is_invariant_set, sample_blocks
 from .hardy import hardy_weight
@@ -59,30 +59,21 @@ class JobConfig:
     options: dict = field(default_factory=dict)   # per-command extras
 
 
-def _parse_params(pairs):
-    params = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise BadConfig(f"--param expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
+def _key_value(convert):
+    """The argparse type of a repeatable K=V flag: the pair (K, convert(V))."""
+    def key_value(item):
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"expects key=value, got {item!r}")
+        return key, convert(raw)
+    return key_value
 
 
-def _parse_tols(pairs):
-    tols = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise BadConfig(f"--tol expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        try:
-            tols[key] = float(raw)
-        except ValueError:
-            raise BadConfig(f"--tol value for {key!r} is not a number: {raw!r}") from None
-    return tols
+def _json_or_text(raw):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
 
 
 def _float_list(text, flag):
@@ -101,33 +92,49 @@ def _schedule_from(text):
     return default_alpha_schedule(vals[0], vals[1], vals[2])
 
 
-def _input_of(job: JobConfig, one_form: bool):
-    """The job's one input: the family of --family or the graph document of
-    --input.  --level picks a family level for the one-form commands; the
-    exhaustion commands run every level and reject it."""
+# the input flags that each kind of input reads
+_READS = {None: set(), "kernel": {"--input"}, "exhaustion": {"--input", "--family", "--param"},
+          "form": {"--input", "--family", "--param", "--level"}}
+
+
+def _input_of(job: JobConfig, kind: str | None):
+    """The job's one input, read as ``kind``: "form" (a graph document or one
+    family level), "exhaustion" (a graph document or every family level),
+    "kernel" (a kernel document) or None (no input).  A flag that the kind
+    does not read is a BadConfig, and so are --input with --family and
+    --param or --level without --family."""
     opts = job.options
-    given = isinstance(job.input, str) and job.input
-    if given and opts.get("family"):
+    path, family = job.input, opts.get("family")
+    params, level = opts.get("params"), opts.get("level")
+    flags = {"--input": path, "--family": family, "--param": params, "--level": level}
+    unread = sorted(flag for flag, value in flags.items()
+                    if value is not None and flag not in _READS[kind])
+    if unread:
+        reads = ", ".join(sorted(_READS[kind])) or "no input"
+        raise BadConfig(f"{job.command} reads {reads} here; drop {', '.join(unread)}")
+    if path is not None and family is not None:
         raise BadConfig("give --input FILE or --family NAME, not both")
-    if not one_form and opts.get("level") is not None:
-        raise BadConfig(f"--level picks one level for one-form commands; {job.command} "
-                        "runs every level")
-    if opts.get("family"):
-        return builtin_family(opts["family"], opts.get("params") or {})
-    if given:
-        return parse_graph_file(job.input)
-    raise BadConfig("need --input FILE or --family NAME")
+    if family is None and (params is not None or level is not None):
+        raise BadConfig("--param and --level need --family")
+    if kind is None:
+        return None
+    if family is not None:
+        return builtin_family(family, params or {})
+    if path is None:
+        raise BadConfig(f"{job.command} needs --input KERNEL_FILE" if kind == "kernel"
+                        else "need --input FILE or --family NAME")
+    return parse_kernel_file(path) if kind == "kernel" else parse_graph_file(path)
 
 
 def _load_exhaustion(job: JobConfig) -> Exhaustion:
-    source = _input_of(job, one_form=False)
+    source = _input_of(job, "exhaustion")
     return source if isinstance(source, Exhaustion) else constant_exhaustion(source)
 
 
 def _load_form(job: JobConfig):
     """(form, root): a graph document and None, or the family level of --level
     (default the top one) and the family's root."""
-    source = _input_of(job, one_form=True)
+    source = _input_of(job, "form")
     if not isinstance(source, Exhaustion):
         return source, None
     level = job.options.get("level")
@@ -259,13 +266,14 @@ def _run_alpha_profile(job):
 def _run_decay(job):
     t_vals = _float_list(job.options["t_grid"], "--t-grid")
     prof_path = job.options.get("profile_report")
-    seed = 0 if job.seed is None else int(job.seed)
-    form = None
+    verify = job.options.get("verify")
+    # a reused profile report stands in for the form unless --verify samples it
+    form = _load_form(job)[0] if verify or not prof_path else _input_of(job, None)
     if prof_path:
         profile = parse_profile_file(prof_path)
     else:
-        form, _ = _load_form(job)
-        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options["mode"], seed=seed)
+        profile = alpha_profile(form, r_grid=_r_grid(job), mode=job.options["mode"],
+                                seed=int(job.seed))
     curve = decay_rate(profile, t_vals)
     results = {
         "t": [float(t) for t in curve.t_grid],
@@ -273,11 +281,10 @@ def _run_decay(job):
         "alpha_base": profile.alpha_base,
     }
     code = 0
-    if job.options.get("verify"):
-        if form is None:
-            form, _ = _load_form(job)
+    if verify:
         h = np.where(form.boundary_mask, 0.0, 1.0)
-        ver = verify_decay(form, h, curve, n_samples=int(job.options["n_samples"]), seed=seed)
+        ver = verify_decay(form, h, curve, n_samples=int(job.options["n_samples"]),
+                           seed=int(job.seed))
         results["verification"] = {
             "passed": ver.passed,
             "min_margin_rel": ver.min_margin_rel,
@@ -300,16 +307,13 @@ def _run_excessive(job):
         "excessive": built.excessive,
         "fatou_t": [float(t) for t in built.fatou_t],
         "fatou_max_violation": built.fatou_max_violation,
-        "values": {v: float(x) for v, x in zip(built.function.vertices,
-                                               built.function.values)},
+        "values": _function_map(built.function, built.function.values),
     }
     return results, {}, 0 if built.excessive else 1
 
 
 def _run_harnack(job):
-    if not isinstance(job.input, str) or not job.input:
-        raise BadConfig("harnack needs --input KERNEL_FILE")
-    op = parse_kernel_file(job.input)
+    op = _input_of(job, "kernel")
     lam, witness = lambda_of(op)
     cert = harnack_sets(op, float(job.options["target_mass"]), lam)
     excess = check_super_eigen(op, lam, witness)
@@ -333,6 +337,7 @@ def _run_harnack(job):
 
 
 def _run_check(job):
+    _input_of(job, None)     # the check draws its own random forms
     seed = int(job.seed)
     n_forms = int(job.options["n_forms"])
     n_samples = int(job.options["n_samples"])
@@ -429,12 +434,14 @@ def provenance_block(seed: int | None, tolerances: dict) -> dict:
 def run(job: JobConfig) -> tuple[dict, dict, int]:
     """Dispatch a validated job; returns (report, csv tables, exit code).
 
-    Options the job leaves out take their command's parser defaults, so the
-    report echoes what ran.  The job's tolerance overrides apply to every gate
-    while it runs, and the provenance echoes the table and environment as read
-    when it started."""
+    A seed and options the job leaves out take their command's parser
+    defaults, so the report echoes what ran.  The job's tolerance overrides
+    apply to every gate while it runs, and the provenance echoes the table
+    and environment as read when it started."""
     validate_job(job)
-    job = replace(job, options={**_default_options(job.command), **job.options})
+    default = _default_job(job.command)
+    job = replace(job, seed=default.seed if job.seed is None else job.seed,
+                  options={**default.options, **job.options})
     with job_tolerances(job.tolerances):
         results, tables, code = _RUNNERS[job.command](job)
         provenance = provenance_block(job.seed, tolerances())
@@ -469,56 +476,62 @@ def _emit(report: dict, tables: dict, job: JobConfig) -> None:
             _write(table, job.output, f".{name}.csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a BadConfig, reported like every other failure."""
+
+    def error(self, message):
+        raise BadConfig(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critform",
         description="criticality analysis for quadratic forms on weighted graphs",
     )
     parser.add_argument("--version", action="version", version=f"critform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, summary, needs_input=True):
+        """A subcommand with the flags every command shares."""
+        p = sub.add_parser(name, help=summary)
         if needs_input:
             p.add_argument("--input", help="graph document (JSON)")
             p.add_argument("--family", help="built-in family name")
-            p.add_argument("--param", action="append", metavar="K=V",
+            p.add_argument("--param", action="append", dest="params", metavar="K=V",
+                           type=_key_value(_json_or_text),
                            help="family parameter (repeatable; JSON values)")
             p.add_argument("--level", type=int, help="exhaustion level for form commands")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", action="append", metavar="K=V",
+        p.add_argument("--tol", action="append", metavar="K=V", type=_key_value(float),
                        help="tolerance override (repeatable)")
         p.add_argument("--output", help="output path prefix")
         p.add_argument("--format", choices=["json", "csv"], default="json")
+        return p
 
-    p = sub.add_parser("classify", help="classify a form family along its exhaustion")
-    common(p)
+    p = command("classify", "classify a form family along its exhaustion")
     p.add_argument("--with-artifacts", action="store_true", dest="artifacts",
                    help="attach ground state / Hardy summaries to the verdict")
 
-    p = sub.add_parser("green", help="Green operator column at a source vertex")
-    common(p)
+    p = command("green", "Green operator column at a source vertex")
     p.add_argument("--source", help="source vertex id")
     p.add_argument("--schedule", help="alpha schedule start,stop,ratio")
 
-    p = sub.add_parser("hardy-weight", help="generate and verify a Hardy weight")
-    common(p)
+    p = command("hardy-weight", "generate and verify a Hardy weight")
     p.add_argument("--source", help="source vertex for g (default: family root)")
     p.add_argument("--uniform-g", action="store_true", help="use g = 1 instead of a delta")
     p.add_argument("--n-samples", type=int, default=500)
 
-    p = sub.add_parser("ground-state", help="Agmon ground state of a critical family")
-    common(p)
+    p = command("ground-state", "Agmon ground state of a critical family")
     p.add_argument("--window", type=int, default=10)
 
-    p = sub.add_parser("alpha-profile", help="weak Hardy/Poincare inequality profile")
-    common(p)
+    p = command("alpha-profile", "weak Hardy/Poincare inequality profile")
     p.add_argument("--mode", choices=["hardy", "poincare"], default="hardy")
     p.add_argument("--r-grid", help="lo,hi,count geometric grid")
 
-    p = sub.add_parser("decay", help="semigroup decay rate from a profile")
-    common(p)
+    p = command("decay", "semigroup decay rate from a profile")
+    p.set_defaults(seed=0)
     p.add_argument("--mode", choices=["hardy", "poincare"], default="hardy")
     p.add_argument("--r-grid", help="lo,hi,count geometric grid")
     p.add_argument("--t-grid", default="0.1,1,10")
@@ -527,83 +540,65 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check the decay bound against the actual semigroup")
     p.add_argument("--n-samples", type=int, default=50)
 
-    p = sub.add_parser("excessive", help="liminf construction of an excessive function")
-    common(p)
+    p = command("excessive", "liminf construction of an excessive function")
     p.add_argument("--source", help="source vertex for g (default: uniform g)")
     p.add_argument("--uniform-g", action="store_true")
     p.add_argument("--schedule", help="alpha schedule start,stop,ratio")
 
-    p = sub.add_parser("harnack", help="weak Harnack certificate for a kernel operator")
-    common(p)
+    p = command("harnack", "weak Harnack certificate for a kernel operator")
     p.add_argument("--target-mass", type=float, default=0.5)
 
-    p = sub.add_parser("check", help="randomized structural self-checks")
-    common(p, needs_input=False)
+    p = command("check", "randomized structural self-checks", needs_input=False)
     p.add_argument("--n-forms", type=int, default=10)
     p.add_argument("--n-samples", type=int, default=50)
     return parser
 
 
 # flags every command shares; the rest of the parsed namespace is the job's options
-_COMMON_FLAGS = {"command", "input", "family", "param", "level", "seed", "tol", "output",
-                 "format"}
+_COMMON_FLAGS = {"command", "input", "seed", "tol", "output", "format"}
 
 
-def _options(args: argparse.Namespace) -> dict:
-    return {key: val for key, val in vars(args).items()
-            if key not in _COMMON_FLAGS and val is not None and val is not False}
+def _job_of(args: argparse.Namespace) -> JobConfig:
+    return JobConfig(
+        command=args.command,
+        input=getattr(args, "input", None),
+        seed=args.seed,
+        tolerances=dict(args.tol or ()),
+        output=args.output,
+        format=args.format,
+        options={key: dict(val) if key == "params" else val
+                 for key, val in vars(args).items()
+                 if key not in _COMMON_FLAGS and val is not None and val is not False},
+    )
 
 
 @functools.cache
-def _default_options(command: str) -> dict:
-    """The options of a bare ``critform COMMAND``: its parser's defaults."""
-    return _options(_build_parser().parse_args([command]))
+def _default_job(command: str) -> JobConfig:
+    """A bare ``critform COMMAND``: its parser's defaults."""
+    return _job_of(_build_parser().parse_args([command]))
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = None     # a usage error leaves no command or output path to echo
     try:
-        options = _options(args)
-        if getattr(args, "family", None):
-            options["family"] = args.family
-            params = _parse_params(getattr(args, "param", None))
-            if getattr(args, "level", None) is not None:
-                options["level"] = args.level
-            if params:
-                options["params"] = params
-        job = JobConfig(
-            command=args.command,
-            input=getattr(args, "input", None),
-            seed=args.seed,
-            tolerances=_parse_tols(args.tol),
-            output=args.output,
-            format=args.format,
-            options=options,
-        )
+        args = _build_parser().parse_args(argv)
+        job = _job_of(args)
         report, tables, code = run(job)
         _emit(report, tables, job)
-    except GreenInconclusive as exc:
-        _emit_error(args, exc, "GreenInconclusive")
-        code = 2
-    except CritformError as exc:
-        _emit_error(args, exc, type(exc).__name__)
-        code = 1
     except Exception as exc:  # keep the contract: machine-readable + nonzero
-        _emit_error(args, exc, type(exc).__name__)
-        code = 1
+        _emit_error(args, exc)
+        code = 2 if isinstance(exc, GreenInconclusive) else 1
     finally:
         elapsed = time.perf_counter() - started
         print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
     return code
 
 
-def _emit_error(args, exc, kind) -> None:
+def _emit_error(args, exc) -> None:
     body = canonical_json({
         "command": getattr(args, "command", None),
-        "error": {"type": kind, "message": str(exc)},
+        "error": {"type": type(exc).__name__, "message": str(exc)},
     })
     _write(body, getattr(args, "output", None), ".json")
 

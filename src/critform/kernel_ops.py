@@ -22,7 +22,7 @@ from .errors import (
     NoViolationFound,
     ScheduleTooShort,
 )
-from .forms import GraphForm, VertexFunction, as_function, is_irreducible
+from .forms import GraphForm, VertexFunction, as_function
 from .resolvent import (
     DENSE_SEMIGROUP_CUTOFF,
     _excessivity_gate,
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 MAX_FIXED_POINT_ITERS = 5_000
+LAMBDA_TOL = 1e-10      # relative width at which lambda_of certifies lambda(T)
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,15 @@ def ktilde(op: KernelOperator) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def lambda_of(op: KernelOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def lambda_of(op: KernelOperator) -> tuple[float, np.ndarray]:
     """Principal value lambda(T) with a strictly positive witness f satisfying
     T*(Tf)^{p-1} <= lambda f^{p-1} componentwise.
 
     p = 2: the Perron vector of the symmetrized T*T from one dense ``eigh``,
     certified by its Collatz–Wielandt bracket (lambda = the upper ratio,
-    ``NoConvergence`` when the bracket is wider than tol).  General p: the
-    damped fixed-point iteration f <- normalize((T*(Tf)^{p-1})^{1/(p-1)}),
-    stopping when the componentwise ratio spread falls below 1 + tol.
+    ``NoConvergence`` when the bracket is wider than ``LAMBDA_TOL``).  General
+    p: the damped fixed-point iteration f <- normalize((T*(Tf)^{p-1})^{1/(p-1)}),
+    stopping when the componentwise ratio spread falls below 1 + ``LAMBDA_TOL``.
     """
     if op.p == 2.0:
         d = np.sqrt(op.mu)
@@ -123,7 +124,7 @@ def lambda_of(op: KernelOperator, tol: float = 1e-10) -> tuple[float, np.ndarray
         v = np.abs(scipy.linalg.eigh(S, subset_by_index=[n - 1, n - 1])[1][:, 0])
         ratios = (S @ v) / v
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi - lo <= tol * max(hi, 1e-300):
+        if hi - lo <= LAMBDA_TOL * max(hi, 1e-300):
             f = v / d
             return hi, f / np.max(f)
         err = NoConvergence(
@@ -140,14 +141,14 @@ def lambda_of(op: KernelOperator, tol: float = 1e-10) -> tuple[float, np.ndarray
         sf = op.star_t_power(f)
         ratios = sf / np.power(f, pm1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi / lo < 1.0 + tol:
+        if hi / lo < 1.0 + LAMBDA_TOL:
             return hi, f / np.max(f)
         nxt = np.power(sf, 1.0 / pm1)
         f = np.sqrt(f * (nxt / np.max(nxt)))   # 0.5 damping in log coordinates
         f = f / np.max(f)
     err = NoConvergence(
         f"fixed-point ratio spread stalled at [{lo:.12e}, {hi:.12e}] "
-        f"(spread {hi / lo - 1:.3e} > tol {tol:.3e})"
+        f"(spread {hi / lo - 1:.3e} > tol {LAMBDA_TOL:.3e})"
     )
     err.bracket = (lo, hi)
     raise err
@@ -266,8 +267,8 @@ class ExcessiveConstruction:
 
 def _construct_on_form(form: GraphForm, g, alpha_schedule, B_ids) -> ExcessiveConstruction:
     tol = tolerance("tol_exc")
-    if not is_irreducible(form):
-        raise NotIrreducible("construction requires an irreducible (connected) form")
+    if not _active_block_connected(form):
+        raise NotIrreducible("construction requires connected non-Dirichlet vertices")
     gv = as_function(form, g)
     act = form.active
     if np.any(gv[act] < 0) or not np.any(gv[act] > 0):

@@ -18,10 +18,11 @@ REMOVED_EVERYWHERE = {
     "slope_threshold", "slope_band", "extrapolation_rel_resid", "competition_factor",
     "positive_floor_factor",
 }
-# names that other callables keep for other meanings (lambda_of(tol), job_tolerances(overrides)),
-# knobs that no caller passed, and switches that only turned a certificate off
+# names that other callables keep for other meanings (FormNotNonnegative(tol),
+# job_tolerances(overrides)), knobs that no caller passed, and switches that only
+# turned a certificate off
 REMOVED_FROM = {
-    "is_excessive": {"tol"}, "tolerances": {"overrides"},
+    "is_excessive": {"tol"}, "tolerances": {"overrides"}, "lambda_of": {"tol"},
     "agmon_ground_state": {"report"},
     "construct_excessive": {"harnack_target_mass", "fatou_t"}, "constant_exhaustion": {"n_levels"},
     "hardy_weight": {"alpha_schedule", "allow_shift_fallback", "verify"},

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: in-process invocations of critform.cli.main."""
 import argparse
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -767,3 +769,96 @@ def test_every_runner_is_a_subcommand_and_the_only_valid_command():
     assert set(subparsers.choices) == set(cli._RUNNERS)
     with pytest.raises(cf.errors.BadConfig, match=r"expected one of \('classify', "):
         cli.validate_job(JobConfig(command="transmogrify"))
+
+
+@pytest.mark.parametrize("argv", [["classify", "--bogus"], ["check", "--seed", "x"], []],
+                         ids=["unknown-flag", "bad-seed", "no-command"])
+def test_usage_error_is_a_bad_config_report(argv, capsys):
+    # argparse exited 2, the code of an inconclusive result
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] is None and doc["error"]["type"] == "BadConfig"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: critform" in capsys.readouterr().out
+
+
+@pytest.fixture
+def input_files(tmp_path, kernel_file):
+    graph = tmp_path / "g.json"
+    graph.write_text(emit_graph_document(cf.path_form(12)), encoding="utf-8")
+    return {"graph": str(graph), "kernel": kernel_file}
+
+
+@pytest.mark.parametrize("command, given, flags, options, named", [
+    ("harnack", "kernel", ["--family", "lattice", "--param", "d=1"],
+     {"family": "lattice", "params": {"d": 1}}, "--family"),
+    ("green", "graph", ["--source", "1", "--param", "d=2"],
+     {"source": "1", "params": {"d": 2}}, "--param"),
+    ("classify", "graph", ["--level", "3", "--param", "d=9"],
+     {"level": 3, "params": {"d": 9}}, "--level"),
+], ids=["harnack-family", "green-param", "classify-level"])
+def test_a_flag_the_input_does_not_read_is_a_bad_config(command, given, flags, options, named,
+                                                        input_files, capsys):
+    # each job ran at exit 0, and all but classify echoed the flag it never read
+    assert main([command, "--input", input_files[given], *flags]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "BadConfig" and named in error["message"]
+    with pytest.raises(cf.errors.BadConfig, match=named):
+        cli.run(JobConfig(command=command, input=input_files[given], options=options))
+
+
+def test_decay_from_a_profile_report_reads_no_input(pd_form_file, tmp_path, capsys):
+    # the job echoed an --input that it never read
+    prof = str(tmp_path / "prof")
+    assert main(["alpha-profile", "--input", pd_form_file, "--seed", "5",
+                 "--output", prof]) == 0
+    assert main(["decay", "--profile-report", prof + ".json", "--input", pd_form_file]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "BadConfig" and "--input" in error["message"]
+    with pytest.raises(cf.errors.BadConfig, match="--input"):
+        cli.run(JobConfig(command="decay", input=pd_form_file,
+                          options={"profile_report": prof + ".json"}))
+
+
+def test_decay_reports_the_default_seed_it_ran_with(pd_form_file, capsys):
+    # the job ran with seed 0 and reported "seed": null
+    assert main(["decay", "--input", pd_form_file]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["config"]["seed"] == 0 and doc["provenance"]["seed"] == 0
+    report, _, _ = cli.run(JobConfig(command="decay", input=pd_form_file))
+    assert cf.reports.canonical_json(report) == out
+
+
+INPUT_FLAGS = ("family", "params", "level")
+
+
+def _input_flag_read(node):
+    """The input flag that an AST node reads, if any: ``job.input``, or a
+    family flag read by ``x["level"]``, ``x.get("level")`` or ``getattr(x, "level")``."""
+    if isinstance(node, ast.Attribute) and node.attr == "input" and \
+            isinstance(node.value, ast.Name) and node.value.id == "job":
+        return "job.input"
+    keys = ([node.slice] if isinstance(node, ast.Subscript)
+            else node.args if isinstance(node, ast.Call) else [])
+    return next((key.value for key in keys
+                 if isinstance(key, ast.Constant) and key.value in INPUT_FLAGS), None)
+
+
+def test_only_the_input_rule_reads_the_input_flags():
+    # _input_of decides every input flag; the two loaders that call it read
+    # --level to pick a family level, and run() echoes job.input
+    readers = set()
+    for fn in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            readers |= {(fn.name, flag) for flag in map(_input_flag_read, ast.walk(fn)) if flag}
+    allowed = {(fn, flag) for fn in ("_input_of", "_load_form", "_load_exhaustion")
+               for flag in ("job.input", *INPUT_FLAGS)} | {("run", "job.input")}
+    assert readers <= allowed
+    assert {flag for fn, flag in readers if fn == "_input_of"} == {"job.input", *INPUT_FLAGS}

@@ -86,8 +86,9 @@ def test_super_eigen_excess_detects_cheating():
         cf.check_super_eigen(op, lam, np.zeros(5))
 
 
-def test_rank_one_kernel_general_p():
+def test_rank_one_kernel_general_p(monkeypatch):
     """k(z, x) = a(z) b(x): the p -> p norm is |a|_{L^p(nu)} |b|_{L^q(mu)}."""
+    monkeypatch.setattr(cf.kernel_ops, "LAMBDA_TOL", 1e-12)
     rng = np.random.default_rng(5)
     for p in (1.5, 2.0, 3.0):
         a = rng.uniform(0.5, 2.0, 6)
@@ -98,17 +99,18 @@ def test_rank_one_kernel_general_p():
         q = p / (p - 1.0)
         norm = (float(np.sum(a**p * nu)) ** (1 / p)
                 * float(np.sum(b**q * mu)) ** (1 / q))
-        lam, witness = cf.lambda_of(op, tol=1e-12)
+        lam, witness = cf.lambda_of(op)
         assert lam == pytest.approx(norm**p, rel=1e-8)
         assert cf.check_super_eigen(op, lam * (1 + 1e-9), witness) <= 1e-10
 
 
-def test_general_p_agrees_with_power_iteration():
+def test_general_p_agrees_with_power_iteration(monkeypatch):
     op2 = make_op(6, 6, seed=3, p=2.0)
     lam2, _ = cf.lambda_of(op2)
     # same data run through the nonlinear fixed-point route
     op2b = cf.KernelOperator(kernel=op2.kernel, mu=op2.mu, nu=op2.nu, p=2.0 + 1e-12)
-    lam2b, _ = cf.lambda_of(op2b, tol=1e-11)
+    monkeypatch.setattr(cf.kernel_ops, "LAMBDA_TOL", 1e-11)
+    lam2b, _ = cf.lambda_of(op2b)
     assert lam2b == pytest.approx(lam2, rel=1e-6)
 
 
@@ -229,6 +231,28 @@ def test_construct_requires_irreducible():
     })
     with pytest.raises(NotIrreducible):
         cf.construct_excessive(form, B=("a",))
+
+
+def _path_abc(dirichlet, extra=()):
+    return cf.build_form({
+        "vertices": ["a", "b", "c", *extra],
+        "edges": [["a", "b", 1.0], ["b", "c", 1.0]],
+        "potential": {"a": 0.5, "c": 0.5},
+        "dirichlet": dirichlet,
+    })
+
+
+def test_construct_rejects_a_dirichlet_cut_of_its_block():
+    # the full path is connected, but the resolvent lives on {a, c}, and
+    # there nothing leads from the source a to c
+    with pytest.raises(NotIrreducible):
+        cf.construct_excessive(_path_abc(["b"]), g={"a": 1.0}, B=("a",))
+
+
+def test_construct_ignores_an_isolated_dirichlet_vertex():
+    built = cf.construct_excessive(_path_abc(["d"], extra=["d"]), g={"a": 1.0}, B=("a",))
+    assert built.excessive
+    assert np.all(built.function.values[:3] > 0) and built.function.values[3] == 0.0
 
 
 def test_construct_schedule_too_short(pinned_path):
